@@ -19,7 +19,7 @@ import numpy as np
 from . import design as design_mod
 from . import evaluate as evaluate_mod
 from . import modes as modes_mod
-from .fileio import FileFormatError, atomic_write_text, fmt_float, um_from_nm
+from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
 from .materials import MaterialError, load_profile
 from .modes import ModeSolverError, parse_mode_label
 
@@ -122,7 +122,7 @@ def _parse_triplet(raw):
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(raw)
-    return tuple(float(p) for p in parts)
+    return tuple(finite_float(p) for p in parts)
 
 
 def _range_check(label):
@@ -179,15 +179,15 @@ def parse_config(argv):
     if command == "solve-modes":
         config.profile = _load_file(diags, file_diags, "--profile", namespace.profile,
                                     load_profile, required=True)
-        config.lambda0_nm = _convert(diags, "--lambda-nm", namespace.lambda_nm, float,
+        config.lambda0_nm = _convert(diags, "--lambda-nm", namespace.lambda_nm, finite_float,
                                      1550.0, positive, "a wavelength in nm")
-        config.dlambda_nm = _convert(diags, "--dlambda-nm", namespace.dlambda_nm, float,
+        config.dlambda_nm = _convert(diags, "--dlambda-nm", namespace.dlambda_nm, finite_float,
                                      0.5, positive, "a step in nm")
         config.scan_points = _convert(
             diags, "--scan-points", namespace.scan_points, int, 2000,
             lambda v: None if v >= 500 else f"must be >= 500, got {v}", "an integer")
         config.root_tol = _convert(
-            diags, "--root-tol", namespace.root_tol, float, 1e-12,
+            diags, "--root-tol", namespace.root_tol, finite_float, 1e-12,
             lambda v: None if 0 < v <= 1e-10 else f"must be in (0, 1e-10], got {v}",
             "a tolerance")
         config.outputs["modes"] = namespace.out or "modes.csv"
@@ -199,7 +199,7 @@ def parse_config(argv):
                                   design_mod.load_graph, required=True)
         if namespace.dtau is None:
             diags.append("--dtau is required for this command")
-        config.delta_tau = _convert(diags, "--dtau", namespace.dtau, float, None,
+        config.delta_tau = _convert(diags, "--dtau", namespace.dtau, finite_float, None,
                                     positive, "a delay step in ps/km")
         rule = namespace.dispersion_rule or design_mod.MAXIMIZE_DISPERSION
         if rule not in design_mod.DISPERSION_RULES:
@@ -210,7 +210,7 @@ def parse_config(argv):
         else:
             config.dispersion_rule = rule
         config.fixed_delta_d = _convert(diags, "--fixed-dd", namespace.fixed_dd,
-                                        float, None, None, "a dispersion step")
+                                        finite_float, None, None, "a dispersion step")
         if config.dispersion_rule == design_mod.FIXED_DISPERSION and config.fixed_delta_d is None:
             diags.append("--fixed-dd is required when --dispersion-rule is 'fixed'")
         if namespace.reference_mode is not None:
@@ -220,14 +220,14 @@ def parse_config(argv):
                 diags.append(f"--reference-mode: {exc}")
         if command == "design":
             config.length_km = _convert(diags, "--length-km", namespace.length_km,
-                                        float, 1.0, positive, "a length in km")
+                                        finite_float, 1.0, positive, "a length in km")
             config.outputs["placements"] = namespace.out_placements or "placements.csv"
             config.outputs["positions"] = namespace.out_positions or "lpg_positions.csv"
             config.outputs["report"] = namespace.out_report or "design_report.txt"
         else:
             if namespace.sigma is None:
                 diags.append("--sigma is required for this command")
-            config.sigma = _convert(diags, "--sigma", namespace.sigma, float, 0.0,
+            config.sigma = _convert(diags, "--sigma", namespace.sigma, finite_float, 0.0,
                                     non_negative, "a relative deviation")
             config.trials = _convert(
                 diags, "--trials", namespace.trials, int, 100,
@@ -249,7 +249,7 @@ def parse_config(argv):
             diags, "--lambda-range", namespace.lambda_range, _parse_triplet, None,
             _range_check("lambda"), "start:stop:step in nm")
         config.lpg_bandwidth_nm = _convert(
-            diags, "--lpg-bandwidth-nm", namespace.lpg_bandwidth_nm, float, 20.0,
+            diags, "--lpg-bandwidth-nm", namespace.lpg_bandwidth_nm, finite_float, 20.0,
             positive, "a bandwidth in nm")
         config.outputs["curve"] = namespace.out or "delay_curve.csv"
 
@@ -260,7 +260,7 @@ def parse_config(argv):
         if namespace.length_km is None:
             diags.append("--length-km is required for this command")
         config.length_km = _convert(diags, "--length-km", namespace.length_km,
-                                    float, 1.0, positive, "a length in km")
+                                    finite_float, 1.0, positive, "a length in km")
         if namespace.f_range is None:
             diags.append("--f-range is required for this command (start:stop:step GHz)")
         config.f_range = _convert(diags, "--f-range", namespace.f_range,
@@ -268,16 +268,16 @@ def parse_config(argv):
                                   "start:stop:step in GHz")
         if namespace.lambda_nm is not None:
             config.lambda0_nm = _convert(diags, "--lambda-nm", namespace.lambda_nm,
-                                         float, 1550.0, positive, "a wavelength in nm")
+                                         finite_float, 1550.0, positive, "a wavelength in nm")
         elif config.placements is not None:
             config.lambda0_nm = config.placements.lambda0_um * 1e3
         if namespace.amplitudes is not None:
             try:
                 config.amplitudes = tuple(
-                    float(p) for p in namespace.amplitudes.split(","))
+                    finite_float(p) for p in namespace.amplitudes.split(","))
             except ValueError:
                 diags.append(
-                    f"--amplitudes: expected comma-separated numbers, got "
+                    f"--amplitudes: expected comma-separated finite numbers, got "
                     f"'{namespace.amplitudes}'")
             else:
                 if any(a < 0 for a in config.amplitudes):

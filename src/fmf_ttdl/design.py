@@ -28,6 +28,7 @@ from scipy.optimize import linprog
 from .fileio import (
     FileFormatError,
     atomic_write_text,
+    finite_float,
     fmt_float,
     iter_config_lines,
     um_from_nm,
@@ -88,6 +89,18 @@ class Segment:
                 raise ValueError(f"fixed segment length must lie in (0, 1], got {value}")
             object.__setattr__(self, "length", value)
 
+    def resolve(self, lengths):
+        """Normalized length: the variable's value in lengths, or the constant."""
+        return lengths[self.length] if isinstance(self.length, str) else self.length
+
+
+def path_sum(sample, weights, lengths):
+    """Length-weighted sum of weights[mode] along a sample's path, in path order."""
+    total = 0.0
+    for segment in sample:
+        total += weights[segment.mode] * segment.resolve(lengths)
+    return total
+
 
 @dataclass(frozen=True)
 class ConversionGraph:
@@ -100,32 +113,47 @@ class ConversionGraph:
         object.__setattr__(self, "samples", samples)
         if not samples:
             raise ValueError("graph needs at least one sample")
+        problems = self.problems(samples)
+        if problems:
+            raise ValueError("; ".join(message for _, _, message in problems))
+
+    @staticmethod
+    def problems(samples):
+        """Structural defects as (sample index, segment position, message).
+
+        The position is None for an empty sample; a segment gets at most one.
+        """
+        problems = []
         shared_prefix = {}
-        for number, sample in enumerate(samples, start=1):
+        for index, sample in enumerate(samples):
+            number = index + 1
             if not sample:
-                raise ValueError(f"sample {number} has no segments")
+                problems.append((index, None, f"sample {number} has no segments"))
             seen_vars = set()
-            for previous, current in zip(sample, sample[1:]):
-                if previous.mode == current.mode:
-                    raise ValueError(
-                        f"sample {number}: consecutive segments both ride "
-                        f"{format_mode_label(*current.mode)} (junction converts nothing)"
-                    )
             for position, segment in enumerate(sample):
-                if not isinstance(segment.length, str):
+                name = segment.length
+                if position and sample[position - 1].mode == segment.mode:
+                    message = (
+                        f"sample {number}: consecutive segments both ride "
+                        f"{format_mode_label(*segment.mode)} (junction converts nothing)"
+                    )
+                elif not isinstance(name, str):
                     continue
-                if segment.length in seen_vars:
-                    raise ValueError(
-                        f"sample {number}: variable '{segment.length}' used twice"
+                elif name in seen_vars:
+                    message = f"sample {number}: variable '{name}' used twice"
+                else:
+                    seen_vars.add(name)
+                    prefix = tuple((s.mode, s.length) for s in sample[: position + 1])
+                    first, known = shared_prefix.setdefault(name, (number, prefix))
+                    if known == prefix:
+                        continue
+                    message = (
+                        f"variable '{name}' is shared but does not label the same "
+                        f"physical prefix in every sample (shared prefix first "
+                        f"used in sample {first})"
                     )
-                seen_vars.add(segment.length)
-                prefix = tuple((s.mode, s.length) for s in sample[: position + 1])
-                known = shared_prefix.setdefault(segment.length, prefix)
-                if known != prefix:
-                    raise ValueError(
-                        f"variable '{segment.length}' is shared but does not label "
-                        f"the same physical prefix in every sample"
-                    )
+                problems.append((index, position, message))
+        return problems
 
     def variables(self):
         ordered = []
@@ -199,21 +227,23 @@ def _ladder_order(graph, targets):
     return sorted(range(n), key=lambda i: ladder[i])
 
 
+def modal_weights(table, reference_mode):
+    """Per-mode path-sum weights: (tau minus the reference mode's tau, D)."""
+    reference = table.mode(*reference_mode).tau_ps_per_km
+    tau = {(r.l, r.m): r.tau_ps_per_km - reference for r in table.modes}
+    disp = {(r.l, r.m): r.dispersion_ps_per_km_nm for r in table.modes}
+    return tau, disp
+
+
 def assemble_constraints(graph, table, targets):
     """Build the equality matrix/rhs for the placement problem."""
     try:
-        reference = table.mode(*targets.reference_mode)
+        table.mode(*targets.reference_mode)
     except KeyError as exc:
         raise UnknownModeError(str(exc)) from exc
-    if reference.tau_ps_per_km is None:
+    if any(record.tau_ps_per_km is None for record in table.modes):
         raise DesignError("mode table lacks group delays; characterize it first")
-    tau = {}
-    disp = {}
-    for record in table.modes:
-        if record.tau_ps_per_km is None:
-            raise DesignError("mode table lacks group delays; characterize it first")
-        tau[(record.l, record.m)] = record.tau_ps_per_km - reference.tau_ps_per_km
-        disp[(record.l, record.m)] = record.dispersion_ps_per_km_nm
+    tau, disp = modal_weights(table, targets.reference_mode)
     for mode in graph.modes():
         if mode not in tau:
             raise UnknownModeError(
@@ -440,36 +470,22 @@ def solve_placements(system):
     return _build_solution(system, lengths, x)
 
 
-def _sample_sum(graph, index, weights, lengths):
-    total = 0.0
-    for segment in graph.samples[index]:
-        value = lengths[segment.length] if isinstance(segment.length, str) else segment.length
-        total += weights[segment.mode] * value
-    return total
-
-
 def _build_solution(system, lengths, x):
-    graph, table, targets = system.graph, system.table, system.targets
-    reference = table.mode(*targets.reference_mode)
-    tau = {
-        (r.l, r.m): r.tau_ps_per_km - reference.tau_ps_per_km for r in table.modes
-    }
-    have_dispersion = all(r.dispersion_ps_per_km_nm is not None for r in table.modes)
-    disp = (
-        {(r.l, r.m): r.dispersion_ps_per_km_nm for r in table.modes}
-        if have_dispersion
-        else None
-    )
+    graph, targets = system.graph, system.targets
+    tau, disp = modal_weights(system.table, targets.reference_mode)
+    if any(value is None for value in disp.values()):
+        disp = None
     ones = {mode: 1.0 for mode in tau}
     order = _ladder_order(graph, targets)
+    samples = [graph.samples[index] for index in order]
 
-    for index in order:
-        total = _sample_sum(graph, index, ones, lengths)
+    for index, sample in zip(order, samples):
+        total = path_sum(sample, ones, lengths)
         if abs(total - 1.0) > 1e-9:
             raise DesignError(
                 f"sample {index + 1} lengths total {total}, expected 1 within 1e-9"
             )
-    tau_eq = tuple(_sample_sum(graph, index, tau, lengths) for index in order)
+    tau_eq = tuple(path_sum(sample, tau, lengths) for sample in samples)
     for low, high in zip(tau_eq, tau_eq[1:]):
         if abs(high - low - targets.delta_tau_ps_per_km) > 1e-6:
             raise DesignError(
@@ -477,7 +493,7 @@ def _build_solution(system, lengths, x):
                 f"{targets.delta_tau_ps_per_km} by more than 1e-6 ps/km"
             )
     d_eq = (
-        tuple(_sample_sum(graph, index, disp, lengths) for index in order)
+        tuple(path_sum(sample, disp, lengths) for sample in samples)
         if disp is not None
         else None
     )
@@ -519,10 +535,7 @@ def lpg_positions(solution, graph, length_km):
         raise ValueError(f"length must be > 0 km, got {length_km}")
     merged = []  # (z_km, from_label, to_label)
     for sample in graph.samples:
-        values = [
-            solution.lengths[s.length] if isinstance(s.length, str) else s.length
-            for s in sample
-        ]
+        values = [segment.resolve(solution.lengths) for segment in sample]
         for position in range(len(sample) - 1):
             downstream = sum(values[position + 1:])
             z = length_km - downstream * length_km
@@ -590,17 +603,16 @@ class RobustnessReport:
 
 
 def _perturbed_table(table, reference_mode, sigma, rng):
-    reference_tau = table.mode(*reference_mode).tau_ps_per_km
+    tau, disp = modal_weights(table, reference_mode)
     records = []
     for record in table.modes:
         g_tau, g_disp = rng.standard_normal(2)
+        mode = (record.l, record.m)
         records.append(
             replace(
                 record,
-                tau_ps_per_km=(record.tau_ps_per_km - reference_tau)
-                * (1.0 + sigma * g_tau),
-                dispersion_ps_per_km_nm=record.dispersion_ps_per_km_nm
-                * (1.0 + sigma * g_disp),
+                tau_ps_per_km=tau[mode] * (1.0 + sigma * g_tau),
+                dispersion_ps_per_km_nm=disp[mode] * (1.0 + sigma * g_disp),
             )
         )
     return ModeTable(tuple(records), table.lambda0_um)
@@ -652,15 +664,9 @@ def parse_graph(text, source="<graph>"):
     """Parse `[sample N]` sections of `segment = LPlm, <var|fixed>` lines."""
     diagnostics = []
     samples = []
+    header_lines = []
     segment_lines = []
     current = None
-    current_lines = None
-    expected = 1
-
-    def flush():
-        if current is not None:
-            samples.append(tuple(current))
-            segment_lines.append(tuple(current_lines))
 
     for number, kind, payload in iter_config_lines(text):
         if kind == "error":
@@ -669,13 +675,15 @@ def parse_graph(text, source="<graph>"):
         if kind == "section":
             parts = payload.split()
             if len(parts) == 2 and parts[0] == "sample" and parts[1].isdigit():
-                flush()
+                expected = len(samples) + 1
                 if int(parts[1]) != expected:
                     diagnostics.append(
                         (number, f"expected [sample {expected}], got [sample {parts[1]}]")
                     )
-                current, current_lines = [], []
-                expected += 1
+                current = []
+                samples.append(current)
+                header_lines.append(number)
+                segment_lines.append([])
             else:
                 diagnostics.append((number, f"unknown section '[{payload}]'"))
             continue
@@ -707,39 +715,17 @@ def parse_graph(text, source="<graph>"):
                 (number, f"segment length must be a variable name or 'fixed', got '{token}'")
             )
             continue
-        if current and current[-1].mode == mode:
-            diagnostics.append(
-                (number, f"consecutive segments both ride {pieces[0].strip().upper()}")
-            )
-            continue
         current.append(Segment(mode, length))
-        current_lines.append(number)
-    flush()
+        segment_lines[-1].append(number)
 
     if not samples and not diagnostics:
         diagnostics.append((1, "no [sample] sections found"))
-    if not diagnostics:
-        shared = {}
-        for sample, lines in zip(samples, segment_lines):
-            for position, segment in enumerate(sample):
-                if not isinstance(segment.length, str):
-                    continue
-                prefix = tuple((s.mode, s.length) for s in sample[: position + 1])
-                known = shared.setdefault(segment.length, (prefix, lines[position]))
-                if known[0] != prefix:
-                    diagnostics.append(
-                        (
-                            lines[position],
-                            f"variable '{segment.length}' reused with a different "
-                            f"shared prefix (first used at line {known[1]})",
-                        )
-                    )
+    for index, position, message in ConversionGraph.problems(samples):
+        line = header_lines[index] if position is None else segment_lines[index][position]
+        diagnostics.append((line, message))
     if diagnostics:
         raise FileFormatError(source, diagnostics)
-    try:
-        return ConversionGraph(tuple(samples))
-    except ValueError as exc:
-        raise FileFormatError(source, [(1, str(exc))]) from exc
+    return ConversionGraph(tuple(samples))
 
 
 def load_graph(path):
@@ -794,9 +780,9 @@ def parse_placements_csv(text, source="<placements>"):
             continue
         if not in_summary:
             try:
-                lengths[left] = float(right)
-            except ValueError:
-                diagnostics.append((number, f"bad length value '{right}'"))
+                lengths[left] = finite_float(right)
+            except ValueError as exc:
+                diagnostics.append((number, f"bad length value for '{left}': {exc}"))
         else:
             summary[left] = (number, right)
 
@@ -806,9 +792,9 @@ def parse_placements_csv(text, source="<placements>"):
             return None
         number, raw = summary[key]
         try:
-            return float(raw)
-        except ValueError:
-            diagnostics.append((number, f"bad value for '{key}': '{raw}'"))
+            return finite_float(raw)
+        except ValueError as exc:
+            diagnostics.append((number, f"bad value for '{key}': {exc}"))
             return None
 
     lambda_nm = summary_float("lambda0_nm")
@@ -823,22 +809,17 @@ def parse_placements_csv(text, source="<placements>"):
     else:
         diagnostics.append((len(lines), "summary is missing 'reference_mode'"))
 
-    tau_eq = []
-    index = 1
-    while f"tau_eq_{index}" in summary:
-        value = summary_float(f"tau_eq_{index}")
-        if value is not None:
-            tau_eq.append(value)
-        index += 1
+    def indexed(prefix):
+        count = 0
+        while f"{prefix}{count + 1}" in summary:
+            count += 1
+        values = [summary_float(f"{prefix}{i}") for i in range(1, count + 1)]
+        return [value for value in values if value is not None]
+
+    tau_eq = indexed("tau_eq_")
     if not tau_eq:
         diagnostics.append((len(lines), "summary holds no tau_eq_<i> entries"))
-    d_eq = []
-    index = 1
-    while f"D_eq_{index}" in summary:
-        value = summary_float(f"D_eq_{index}")
-        if value is not None:
-            d_eq.append(value)
-        index += 1
+    d_eq = indexed("D_eq_")
     if d_eq and len(d_eq) != len(tau_eq):
         diagnostics.append(
             (len(lines), f"{len(d_eq)} D_eq entries for {len(tau_eq)} tau_eq entries")

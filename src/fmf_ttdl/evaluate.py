@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import modal_weights, path_sum
 from .fileio import atomic_write_text, fmt_float, um_from_nm
-from .modes import format_mode_label, solve_mode_table
+from .modes import ModeSolverError, format_mode_label, solve_mode_table
 
 FIRST_ORDER = "first-order"
 NUMERIC_SWEEP = "numeric-sweep"
@@ -45,7 +46,15 @@ def sample_delays_first_order(solution, wavelengths_nm):
     lam = np.atleast_1d(lam)
     lambda0_nm = solution.lambda0_um * 1e3
     tau_eq = np.asarray(solution.tau_eq_ps_per_km)
-    d_eq = np.asarray(solution.d_eq_ps_per_km_nm)
+    if solution.d_eq_ps_per_km_nm is not None:
+        d_eq = np.asarray(solution.d_eq_ps_per_km_nm)
+    elif np.all(lam == lambda0_nm):
+        d_eq = np.zeros_like(tau_eq)
+    else:
+        raise EvaluationError(
+            f"placements lack D_eq_1..D_eq_{len(tau_eq)}; the first-order delay "
+            f"away from {fmt_float(lambda0_nm)} nm needs them"
+        )
     delays = tau_eq[:, None] + (lam[None, :] - lambda0_nm) * d_eq[:, None]
     return delays[:, 0] if scalar else delays
 
@@ -58,41 +67,26 @@ def sample_delays_numeric(solution, graph, profile, wavelength_nm,
     Samples are reported in graph order unless sample_order (the delay
     ladder of a permuted graph) says otherwise.
     """
-    from .modes import ModeSolverError
-
     lambda_um = um_from_nm(float(wavelength_nm))
     try:
         table = solve_mode_table(profile, lambda_um, dlambda_um, scan_points, root_tol)
+        tau, _ = modal_weights(table, solution.reference_mode)
     except ModeSolverError as exc:
         raise EvaluationError(str(exc)) from exc
-    tau = {}
-    for record in table.modes:
-        tau[(record.l, record.m)] = record.tau_ps_per_km
-    try:
-        reference = tau[solution.reference_mode]
     except KeyError:
         raise EvaluationError(
             f"reference mode {format_mode_label(*solution.reference_mode)} not guided "
             f"at {wavelength_nm} nm"
         ) from None
-    delays = []
-    order = sample_order if sample_order is not None else range(len(graph.samples))
-    for index in order:
-        total = 0.0
-        for segment in graph.samples[index]:
-            if segment.mode not in tau:
-                raise EvaluationError(
-                    f"mode {format_mode_label(*segment.mode)} not guided at "
-                    f"{wavelength_nm} nm"
-                )
-            length = (
-                solution.lengths[segment.length]
-                if isinstance(segment.length, str)
-                else segment.length
+    for mode in graph.modes():
+        if mode not in tau:
+            raise EvaluationError(
+                f"mode {format_mode_label(*mode)} not guided at {wavelength_nm} nm"
             )
-            total += (tau[segment.mode] - reference) * length
-        delays.append(total)
-    return np.asarray(delays)
+    order = sample_order if sample_order is not None else range(len(graph.samples))
+    return np.asarray(
+        [path_sum(graph.samples[index], tau, solution.lengths) for index in order]
+    )
 
 
 @dataclass(frozen=True)

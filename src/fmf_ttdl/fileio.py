@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -37,6 +38,17 @@ def iter_config_lines(text):
             yield number, "error", f"expected 'key = value' or '[section]', got {line!r}"
 
 
+def finite_float(text):
+    """Parse a finite float; the ValueError message is a ready diagnostic."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got '{text}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{text}'")
+    return value
+
+
 def fmt_float(value):
     """Shortest decimal string that round-trips the float exactly."""
     return repr(float(value))
@@ -48,8 +60,6 @@ def um_from_nm(value_nm):
     Keeps write(read(file)) byte-identical: among the doubles nearest to
     value_nm/1000, prefer one that multiplies back to value_nm exactly.
     """
-    import math
-
     base = value_nm / 1000.0
     if base * 1000.0 == value_nm:
         return base

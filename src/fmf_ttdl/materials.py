@@ -28,7 +28,7 @@ from pathlib import Path
 
 from scipy.optimize import brentq
 
-from .fileio import FileFormatError, iter_config_lines
+from .fileio import FileFormatError, finite_float, iter_config_lines
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
 SILICA_SELLMEIER = (
@@ -276,9 +276,9 @@ def parse_profile(text, source="<profile>"):
                 diagnostics.append((number, f"duplicate '{key}' in [layer]"))
                 continue
             try:
-                current[key] = float(value)
-            except ValueError:
-                diagnostics.append((number, f"{key}: expected a number, got '{value}'"))
+                current[key] = finite_float(value)
+            except ValueError as exc:
+                diagnostics.append((number, f"{key}: {exc}"))
                 continue
             if key == "radius_um":
                 current["radius_line"] = number

@@ -28,7 +28,7 @@ import scipy.special as sp
 from scipy.constants import c as _C_M_PER_S
 from scipy.optimize import bisect
 
-from .fileio import FileFormatError, atomic_write_text, fmt_float, um_from_nm
+from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
 
 _C_KM_PER_S = _C_M_PER_S / 1000.0
 _PS_PER_KM_PER_INDEX = 1.0e12 / _C_KM_PER_S   # group index -> ps/km
@@ -356,76 +356,78 @@ def _nearest_root(roots, n_reference, l, m, wavelength_um):
     )
 
 
-def _mode_triplet(profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol):
+def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
+    """(group delay ps/km, dispersion ps/(km nm)) from central differences."""
+    slope = (n_plus - n_minus) / (2.0 * dlambda_um)
+    curvature = (n_plus - 2.0 * n_center + n_minus) / (dlambda_um * dlambda_um)
+    return (
+        (n_center - lambda0_um * slope) * _PS_PER_KM_PER_INDEX,
+        -lambda0_um * curvature * _DISPERSION_SCALE,
+    )
+
+
+def _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol):
+    """Roots of order l at the two probe wavelengths lambda0 -/+ dlambda."""
+    return tuple(
+        (lam, _bracket_roots(_geometry(profile, lam), l, scan_points, root_tol))
+        for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um)
+    )
+
+
+def _characterize(n_center, probes, l, m, lambda0_um, dlambda_um):
+    """(tau, D) of mode (l, m), continued from n_center to both probe roots."""
+    n_minus, n_plus = (_nearest_root(roots, n_center, l, m, lam) for lam, roots in probes)
+    return _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um)
+
+
+def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
+                             root_tol):
+    """(tau, D) of one mode from three scans of its azimuthal order."""
+    _check_search_params(scan_points, root_tol)
     center_roots = _bracket_roots(_geometry(profile, lambda0_um), l, scan_points, root_tol)
     if m > len(center_roots):
         raise ModeContinuationError(
             f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm"
         )
-    n_center = center_roots[m - 1]
-    probes = []
-    for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um):
-        roots = _bracket_roots(_geometry(profile, lam), l, scan_points, root_tol)
-        probes.append(_nearest_root(roots, n_center, l, m, lam))
-    return probes[0], n_center, probes[1]
+    probes = _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol)
+    return _characterize(center_roots[m - 1], probes, l, m, lambda0_um, dlambda_um)
 
 
 def group_delay(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                 root_tol=1e-12):
     """Absolute group delay per unit length, ps/km."""
-    _check_search_params(scan_points, root_tol)
-    n_minus, n_center, n_plus = _mode_triplet(
+    return _mode_tau_and_dispersion(
         profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol
-    )
-    slope = (n_plus - n_minus) / (2.0 * dlambda_um)
-    return (n_center - lambda0_um * slope) * _PS_PER_KM_PER_INDEX
+    )[0]
 
 
 def dispersion(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                root_tol=1e-12):
     """Chromatic dispersion, ps/(km nm)."""
-    _check_search_params(scan_points, root_tol)
-    n_minus, n_center, n_plus = _mode_triplet(
+    return _mode_tau_and_dispersion(
         profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol
-    )
-    curvature = (n_plus - 2.0 * n_center + n_minus) / (dlambda_um * dlambda_um)
-    return -lambda0_um * curvature * _DISPERSION_SCALE
+    )[1]
 
 
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                      root_tol=1e-12):
     """Full mode table with tau and D filled for every guided mode."""
     table = find_modes(profile, lambda0_um, scan_points, root_tol)
-    orders = sorted({record.l for record in table.modes})
-    probe_roots = {}
-    for l in orders:
-        probe_roots[l] = tuple(
-            _bracket_roots(_geometry(profile, lam), l, scan_points, root_tol)
-            for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um)
-        )
+    probes = {
+        l: _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol)
+        for l in sorted({record.l for record in table.modes})
+    }
     filled = []
     for record in table.modes:
-        minus_roots, plus_roots = probe_roots[record.l]
-        n_minus = _nearest_root(
-            minus_roots, record.n_eff, record.l, record.m, lambda0_um - dlambda_um
+        tau, disp = _characterize(
+            record.n_eff, probes[record.l], record.l, record.m, lambda0_um, dlambda_um
         )
-        n_plus = _nearest_root(
-            plus_roots, record.n_eff, record.l, record.m, lambda0_um + dlambda_um
-        )
-        slope = (n_plus - n_minus) / (2.0 * dlambda_um)
-        curvature = (n_plus - 2.0 * record.n_eff + n_minus) / (dlambda_um * dlambda_um)
-        filled.append(
-            replace(
-                record,
-                tau_ps_per_km=(record.n_eff - lambda0_um * slope) * _PS_PER_KM_PER_INDEX,
-                dispersion_ps_per_km_nm=-lambda0_um * curvature * _DISPERSION_SCALE,
-            )
-        )
+        filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
     return ModeTable(tuple(filled), lambda0_um)
 
 
 def _relabel(table, previous):
-    """Carry (l, m) identities from the previous sweep step by nearest n_eff."""
+    """Carry radial indices from the previous sweep step by position within each order."""
     relabeled = []
     orders = sorted(
         {record.l for record in table.modes} | {record.l for record in previous.modes}
@@ -511,9 +513,9 @@ def parse_mode_table_csv(text, source="<modes>"):
             continue
         try:
             l, m = int(fields[0]), int(fields[1])
-            n_eff, tau, disp, lam = (float(f) for f in fields[2:])
-        except ValueError:
-            diagnostics.append((number, f"malformed row: {line!r}"))
+            n_eff, tau, disp, lam = (finite_float(field) for field in fields[2:])
+        except ValueError as exc:
+            diagnostics.append((number, f"malformed row: {line!r} ({exc})"))
             continue
         if lambda_nm is None:
             lambda_nm = lam

@@ -233,3 +233,60 @@ def test_infeasible_design_reports_bound_violations(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "[0, 1]" in captured.err
+
+
+def test_non_finite_flags_and_file_values_are_config_errors(tmp_path, capsys):
+    modes = tmp_path / "modes.csv"
+    rows = Path(MODES).read_text().splitlines()
+    rows[2] = ",".join(rows[2].split(",")[:3] + ["nan"] + rows[2].split(",")[4:])
+    modes.write_text("\n".join(rows) + "\n")
+    rc = main(["design", "--modes", str(modes), "--graph", GRAPH, "--dtau", "100",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"{modes}:3:" in capsys.readouterr().err
+    rc = main(design_args(tmp_path) + ["--dispersion-rule", "fixed", "--fixed-dd", "nan"])
+    assert rc == 2
+    assert "--fixed-dd" in capsys.readouterr().err
+    assert main(design_args(tmp_path)) == 0
+    capsys.readouterr()
+    rc = main(["rf-response", "--placements", str(tmp_path / "placements.csv"),
+               "--length-km", "2", "--f-range", "0:10:1", "--amplitudes", "1,inf,1,1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "--amplitudes" in capsys.readouterr().err
+
+
+def test_placements_without_dispersion_entries(tmp_path, capsys):
+    assert main(design_args(tmp_path)) == 0
+    kept = [
+        line for line in (tmp_path / "placements.csv").read_text().splitlines()
+        if not line.startswith(("D_eq_", "delta_D"))
+    ]
+    placements = tmp_path / "no_d.csv"
+    placements.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    rc = main(["evaluate", "--placements", str(placements),
+               "--lambda-range", "1540:1560:0.5", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("evaluate:") and "D_eq_1..D_eq_4" in err
+    rf = ["rf-response", "--placements", str(placements), "--length-km", "2",
+          "--f-range", "0:10:0.05", "--out-dir", str(tmp_path)]
+    assert main(rf) == 0
+    assert "FSR 5.0000 GHz" in capsys.readouterr().out
+    assert main(rf + ["--lambda-nm", "1560"]) == 1
+    assert capsys.readouterr().err.startswith("rf-response:")
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "fmf_ttdl"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 2
+    assert "missing command" in result.stderr

@@ -485,12 +485,27 @@ def test_parse_graph_diagnostics_with_line_numbers():
             "segment = LP11, 9bad",
             "[sample 3]",
             "what = no",
+            "[sample 3]",
+            "segment = LP01, x",
+            "segment = LP11, y",
+            "segment = LP01, x",
+            "segment = LP01, x",
         )
     )
     with pytest.raises(FileFormatError) as excinfo:
         parse_graph(text, source="bad.graph")
     lines = [line for line, _ in excinfo.value.diagnostics]
-    assert lines == [3, 4, 5, 6, 7]
+    assert lines == [3, 4, 5, 6, 6, 7, 11, 12]
+    assert "converts nothing" in excinfo.value.diagnostics[0][1]
+    at_header = [message for line, message in excinfo.value.diagnostics if line == 6]
+    assert "sample 2 has no segments" in at_header
+    # the second use of x is reported, and the last segment (a repeated mode
+    # that also reuses x) gets one diagnostic, not three
+    assert "variable 'x' used twice" in excinfo.value.diagnostics[6][1]
+    assert "converts nothing" in excinfo.value.diagnostics[7][1]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_graph("[sample 1]\nsegment = LP01, fixed\n[sample 2]\n")
+    assert excinfo.value.diagnostics == ((3, "sample 2 has no segments"),)
 
 
 def test_parse_graph_shared_prefix_diagnostic():
@@ -533,3 +548,17 @@ def test_placements_csv_diagnostics():
     bad = "variable,value\nl02,abc\n[summary]\nkey,value\nlambda0_nm,1550.0\n"
     with pytest.raises(FileFormatError):
         parse_placements_csv(bad)
+
+
+def test_placements_csv_rejects_non_finite_values(reference_solution):
+    lines = placements_to_csv(reference_solution).splitlines()
+    length_line = 2
+    summary_line = next(
+        number for number, line in enumerate(lines, start=1) if line.startswith("tau_eq_2,")
+    )
+    lines[length_line - 1] = lines[length_line - 1].split(",")[0] + ",nan"
+    lines[summary_line - 1] = "tau_eq_2,inf"
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_placements_csv("\n".join(lines) + "\n", source="bad.csv")
+    finite = [line for line, message in excinfo.value.diagnostics if "finite" in message]
+    assert finite == [length_line, summary_line]

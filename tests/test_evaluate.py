@@ -190,3 +190,16 @@ def test_delay_curve_model_validation(reference_solution):
         delay_curve(reference_solution, [1550.0], model="quadratic")
     with pytest.raises(ValueError):
         delay_curve(reference_solution, [1550.0], model="numeric-sweep")
+
+
+def test_first_order_delays_without_dispersion_entries(reference_solution):
+    from dataclasses import replace
+
+    from fmf_ttdl.evaluate import EvaluationError
+
+    no_d = replace(reference_solution, d_eq_ps_per_km_nm=None)
+    assert sample_delays_first_order(no_d, 1550.0).tolist() == list(
+        reference_solution.tau_eq_ps_per_km
+    )
+    with pytest.raises(EvaluationError, match="D_eq_1..D_eq_4"):
+        sample_delays_first_order(no_d, [1550.0, 1551.0])

@@ -219,3 +219,14 @@ def test_load_profile_demo_file(tmp_path):
     path.write_text(PROFILE_TEXT)
     profile = load_profile(path)
     assert len(profile.layers) == 2
+
+
+def test_parse_profile_rejects_non_finite_numbers():
+    text = PROFILE_TEXT.replace("radius_um = 3.0", "radius_um = nan").replace(
+        "delta_percent = 0.72", "delta_percent = -inf"
+    )
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text, source="bad.prof")
+    finite = [line for line, message in excinfo.value.diagnostics if "finite" in message]
+    lines = text.splitlines()
+    assert [lines[line - 1].split("=")[1].strip() for line in finite] == ["nan", "-inf"]

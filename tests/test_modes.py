@@ -312,3 +312,16 @@ def test_mode_table_csv_diagnostics():
     )
     with pytest.raises(FileFormatError, match="differs"):
         parse_mode_table_csv(bad_rows)
+
+
+def test_mode_table_csv_rejects_non_finite_values():
+    text = (
+        "l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm\n"
+        "0,1,1.45,nan,18.9,1550.0\n"
+        "1,1,inf,3489.0,23.7,1550.0\n"
+        "0,2,1.44,2858.6,17.1,1550.0\n"
+    )
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_mode_table_csv(text, source="bad.csv")
+    assert [line for line, _ in excinfo.value.diagnostics] == [2, 3]
+    assert all("finite" in message for _, message in excinfo.value.diagnostics)
