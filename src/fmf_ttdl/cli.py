@@ -211,7 +211,7 @@ def parse_config(argv):
             config.dispersion_rule = rule
         config.fixed_delta_d = _convert(diags, "--fixed-dd", namespace.fixed_dd,
                                         finite_float, None, None, "a dispersion step")
-        if config.dispersion_rule == design_mod.FIXED_DISPERSION and config.fixed_delta_d is None:
+        if config.dispersion_rule == design_mod.FIXED_DISPERSION and namespace.fixed_dd is None:
             diags.append("--fixed-dd is required when --dispersion-rule is 'fixed'")
         if namespace.reference_mode is not None:
             try:

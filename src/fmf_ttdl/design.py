@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .fileio import (
     FileFormatError,
@@ -122,6 +121,9 @@ class ConversionGraph:
         """Structural defects as (sample index, segment position, message).
 
         The position is None for an empty sample; a segment gets at most one.
+        A None segment stands for a line the parser rejected: no check that
+        would need it (the junction before the next segment, a prefix that
+        contains it) is made.
         """
         problems = []
         shared_prefix = {}
@@ -131,8 +133,11 @@ class ConversionGraph:
                 problems.append((index, None, f"sample {number} has no segments"))
             seen_vars = set()
             for position, segment in enumerate(sample):
+                if segment is None:
+                    continue
                 name = segment.length
-                if position and sample[position - 1].mode == segment.mode:
+                previous = sample[position - 1] if position else None
+                if previous is not None and previous.mode == segment.mode:
                     message = (
                         f"sample {number}: consecutive segments both ride "
                         f"{format_mode_label(*segment.mode)} (junction converts nothing)"
@@ -143,6 +148,8 @@ class ConversionGraph:
                     message = f"sample {number}: variable '{name}' used twice"
                 else:
                     seen_vars.add(name)
+                    if None in sample[:position]:
+                        continue
                     prefix = tuple((s.mode, s.length) for s in sample[: position + 1])
                     first, known = shared_prefix.setdefault(name, (number, prefix))
                     if known == prefix:
@@ -379,6 +386,8 @@ def _lp_options():
 
 
 def _solve_lp(system):
+    from scipy.optimize import linprog  # deferred: scipy.optimize takes ~0.5 s to import
+
     matrix, rhs = system.matrix, system.rhs
     nvar = len(system.variables)
     ncols = matrix.shape[1] if matrix.size else nvar + (1 if system.optimize_dispersion else 0)
@@ -660,6 +669,20 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
 
 # --- graph file format ------------------------------------------------------
 
+def _parse_segment(value):
+    """Segment from 'LPlm, <variable|fixed>'; ValueError names what is wrong."""
+    pieces = [p.strip() for p in value.split(",")]
+    if len(pieces) != 2:
+        raise ValueError(f"segment must be 'LPlm, <variable|fixed>', got '{value}'")
+    mode = parse_mode_label(pieces[0])
+    token = pieces[1]
+    if token == "fixed":
+        return Segment(mode, 1.0)
+    if token.isidentifier():
+        return Segment(mode, token)
+    raise ValueError(f"segment length must be a variable name or 'fixed', got '{token}'")
+
+
 def parse_graph(text, source="<graph>"):
     """Parse `[sample N]` sections of `segment = LPlm, <var|fixed>` lines."""
     diagnostics = []
@@ -694,29 +717,12 @@ def parse_graph(text, source="<graph>"):
         if current is None:
             diagnostics.append((number, "segment line before any [sample] section"))
             continue
-        pieces = [p.strip() for p in value.split(",")]
-        if len(pieces) != 2:
-            diagnostics.append(
-                (number, f"segment must be 'LPlm, <variable|fixed>', got '{value}'")
-            )
-            continue
+        segment_lines[-1].append(number)
         try:
-            mode = parse_mode_label(pieces[0])
+            current.append(_parse_segment(value))
         except ValueError as exc:
             diagnostics.append((number, str(exc)))
-            continue
-        token = pieces[1]
-        if token == "fixed":
-            length = 1.0
-        elif token.isidentifier():
-            length = token
-        else:
-            diagnostics.append(
-                (number, f"segment length must be a variable name or 'fixed', got '{token}'")
-            )
-            continue
-        current.append(Segment(mode, length))
-        segment_lines[-1].append(number)
+            current.append(None)  # keeps the checks from bridging the gap
 
     if not samples and not diagnostics:
         diagnostics.append((1, "no [sample] sections found"))
@@ -810,11 +816,11 @@ def parse_placements_csv(text, source="<placements>"):
         diagnostics.append((len(lines), "summary is missing 'reference_mode'"))
 
     def indexed(prefix):
+        """Values of prefix1, prefix2, ...; a rejected one stays as None so it still counts."""
         count = 0
         while f"{prefix}{count + 1}" in summary:
             count += 1
-        values = [summary_float(f"{prefix}{i}") for i in range(1, count + 1)]
-        return [value for value in values if value is not None]
+        return [summary_float(f"{prefix}{i}") for i in range(1, count + 1)]
 
     tau_eq = indexed("tau_eq_")
     if not tau_eq:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from scipy.optimize import brentq
-
 from .fileio import FileFormatError, finite_float, iter_config_lines
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
@@ -146,6 +144,8 @@ def _blend_fraction_for_delta(model, delta):
     """Blend fraction whose index at the calibration wavelength hits 1+delta."""
     if delta == 0.0:
         return 0.0
+    from scipy.optimize import brentq  # deferred: scipy.optimize takes ~0.5 s to import
+
     target = _sellmeier_n(model.silica_terms, BLEND_CALIBRATION_UM) * (1.0 + delta)
     n_silica = _sellmeier_n(model.terms(0.0), BLEND_CALIBRATION_UM)
     n_germania = _sellmeier_n(model.terms(1.0), BLEND_CALIBRATION_UM)
@@ -232,7 +232,7 @@ def parse_profile(text, source="<profile>"):
         missing = [k for k in ("radius_um", "delta_percent") if k not in current]
         for key in missing:
             diagnostics.append((current_line, f"[layer] is missing '{key}'"))
-        if not missing:
+        if not missing and None not in current.values():
             layers.append(
                 (
                     current["radius_um"],
@@ -279,6 +279,7 @@ def parse_profile(text, source="<profile>"):
                 current[key] = finite_float(value)
             except ValueError as exc:
                 diagnostics.append((number, f"{key}: {exc}"))
+                current[key] = None  # present but rejected: not also "missing"
                 continue
             if key == "radius_um":
                 current["radius_line"] = number

@@ -6,14 +6,22 @@ propagating the radial field and its derivative across layer boundaries with
 field oscillates (n_eff below the local index) and I_l/K_l where it is
 evanescent; a power-law basis takes over in the narrow window where the
 transverse wavenumber underflows, which keeps the characteristic function
-continuous across basis switches.  The innermost region keeps only its
-regular solution and the unbounded cladding only K_l; guided effective
-indices are the zeros of the resulting boundary-matching determinant,
-located by uniform-grid bracketing plus bisection.
+continuous across basis switches.  Bessel derivatives come from the
+order-lowering recurrences, so each basis function costs one special-function
+call at orders l-1 and l.  The innermost region keeps only its regular
+solution and the unbounded cladding only K_l; guided effective indices are
+the zeros of the resulting boundary-matching determinant.
+
+Roots are found on a uniform n_eff grid over the guided range: every sign
+change between neighbouring grid points is a bracket, and all brackets of
+one order are bisected in lockstep, one kernel call per step, with the
+arithmetic of scipy.optimize.bisect (xtol = root_tol * _REFINE_FACTOR).
 
 Group delay and chromatic dispersion per mode follow from central finite
-differences of n_eff(lambda), with mode identity across the probe
-wavelengths maintained by nearest-n_eff continuation.
+differences of n_eff(lambda).  Mode identity across the probe wavelengths
+lambda0 -/+ dlambda is kept by nearest-n_eff continuation within
+_CONTINUATION_WINDOW; each probe scans only the cells of its own grid that
+cover that window, which yields the root a scan of the whole grid would.
 """
 
 from __future__ import annotations
@@ -25,11 +33,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.special as sp
-from scipy.constants import c as _C_M_PER_S
-from scipy.optimize import bisect
 
 from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
 
+_C_M_PER_S = 299_792_458.0  # exact by the SI definition of the metre
 _C_KM_PER_S = _C_M_PER_S / 1000.0
 _PS_PER_KM_PER_INDEX = 1.0e12 / _C_KM_PER_S   # group index -> ps/km
 _DISPERSION_SCALE = 1.0e9 / _C_KM_PER_S       # um * um^-2 curvature -> ps/(km nm)
@@ -37,6 +44,8 @@ _DISPERSION_SCALE = 1.0e9 / _C_KM_PER_S       # um * um^-2 curvature -> ps/(km n
 _EDGE_MARGIN = 1e-7        # stay clear of the K_l / Y_l singular limits
 _DEGENERATE_X2 = 1e-12     # (|u| r)^2 below which the power-law basis is used
 _REFINE_FACTOR = 0.01      # bisection xtol = root_tol * this
+_BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
+_BISECT_MAXITER = 100
 _CONTINUATION_WINDOW = 2e-4  # largest accepted n_eff jump when tracking a mode
 
 MODE_TABLE_HEADER = "l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm"
@@ -157,6 +166,18 @@ def _renormalize(state):
     return state / scale[:, None]
 
 
+def _with_derivative(bessel, l, x, lower_sign=1.0):
+    """(f_l(x), f_l'(x)) for x > 0 from `bessel` at orders l and l-1.
+
+    f_l' = lower_sign * f_{l-1} - (l/x) f_l holds with lower_sign = +1 for
+    J, Y and I and -1 for K (Abramowitz & Stegun 9.1.27, 9.6.26), also for
+    the exp(-/+x) scaled ive/kve since both sides carry the same factor.
+    Y is the integer-order yn, which accepts the order -1 that l = 0 needs.
+    """
+    value = bessel(l, x)
+    return value, lower_sign * bessel(l - 1, x) - (l / x) * value
+
+
 def _initial_state(l, u2, radius):
     """(R, R') of the regular solution at the first boundary, per trial index."""
     state = np.empty((u2.shape[0], 2))
@@ -165,14 +186,14 @@ def _initial_state(l, u2, radius):
     evanescent = (u2 < 0.0) & ~degenerate
     if oscillatory.any():
         q = np.sqrt(u2[oscillatory])
-        x = q * radius
-        state[oscillatory, 0] = sp.jv(l, x)
-        state[oscillatory, 1] = q * sp.jvp(l, x)
+        j, jp = _with_derivative(sp.jv, l, q * radius)
+        state[oscillatory, 0] = j
+        state[oscillatory, 1] = q * jp
     if evanescent.any():
         q = np.sqrt(-u2[evanescent])
-        x = q * radius
-        state[evanescent, 0] = sp.ive(l, x)
-        state[evanescent, 1] = q * 0.5 * (sp.ive(l - 1, x) + sp.ive(l + 1, x))
+        i, ip = _with_derivative(sp.ive, l, q * radius)
+        state[evanescent, 0] = i
+        state[evanescent, 1] = q * ip
     if degenerate.any():
         state[degenerate, 0] = 1.0
         state[degenerate, 1] = l / radius
@@ -193,11 +214,9 @@ def _propagator(l, u2, r_inner, r_outer):
 
     if oscillatory.any():
         q = np.sqrt(u2[oscillatory])
-        xa, xb = q * r_inner, q * r_outer
-        ja, ya = sp.jv(l, xa), sp.yv(l, xa)
-        jpa, ypa = sp.jvp(l, xa), sp.yvp(l, xa)
-        jb, yb = sp.jv(l, xb), sp.yv(l, xb)
-        jpb, ypb = sp.jvp(l, xb), sp.yvp(l, xb)
+        ends = np.array((q * r_inner, q * r_outer))
+        (ja, jb), (jpa, jpb) = _with_derivative(sp.jv, l, ends)
+        (ya, yb), (ypa, ypb) = _with_derivative(sp.yn, l, ends)
         # inverse at r_inner from the exact Wronskian: det M = 2 / (pi r)
         half_pi_r = 0.5 * math.pi * r_inner
         i00 = half_pi_r * q * ypa
@@ -213,13 +232,9 @@ def _propagator(l, u2, r_inner, r_outer):
 
     if evanescent.any():
         g = np.sqrt(-u2[evanescent])
-        xa, xb = g * r_inner, g * r_outer
-        ia, ka = sp.ive(l, xa), sp.kve(l, xa)
-        ipa = 0.5 * (sp.ive(l - 1, xa) + sp.ive(l + 1, xa))
-        kpa = -0.5 * (sp.kve(l - 1, xa) + sp.kve(l + 1, xa))
-        ib, kb = sp.ive(l, xb), sp.kve(l, xb)
-        ipb = 0.5 * (sp.ive(l - 1, xb) + sp.ive(l + 1, xb))
-        kpb = -0.5 * (sp.kve(l - 1, xb) + sp.kve(l + 1, xb))
+        ends = np.array((g * r_inner, g * r_outer))
+        (ia, ib), (ipa, ipb) = _with_derivative(sp.ive, l, ends)
+        (ka, kb), (kpa, kpb) = _with_derivative(sp.kve, l, ends, -1.0)
         decay = np.exp(-2.0 * g * (r_outer - r_inner))
         # inverse at r_inner in the scaled basis: det = -1/r
         i00 = -r_inner * g * kpa
@@ -260,9 +275,7 @@ def _char_values(geometry, l, n_eff):
         state = np.einsum("nij,nj->ni", prop, state)
         state = _renormalize(state)
     w = np.sqrt(k02 * (n_eff**2 - geometry.n_clad**2))
-    x = w * geometry.radii[-1]
-    k_val = sp.kve(l, x)
-    k_deriv = -0.5 * (sp.kve(l - 1, x) + sp.kve(l + 1, x))
+    k_val, k_deriv = _with_derivative(sp.kve, l, w * geometry.radii[-1], -1.0)
     a = state[:, 0] * w * k_deriv
     b = state[:, 1] * k_val
     scale = np.abs(a) + np.abs(b)
@@ -285,41 +298,70 @@ def characteristic_value(profile, l, n_eff_trial, wavelength_um):
     return float(_char_values(geometry, l, np.asarray([n_eff_trial]))[0])
 
 
-def _bracket_roots(geometry, l, scan_points, root_tol):
-    """Scan n_eff, bracket sign changes and bisect; roots sorted descending."""
-    n_max = max(geometry.indices)
+def _scan_grid(geometry, scan_points):
+    """The uniform n_eff grid that brackets every root, or None if nothing is guided."""
     lo = geometry.n_clad + _EDGE_MARGIN
-    hi = n_max - _EDGE_MARGIN
-    if hi <= lo:
+    hi = max(geometry.indices) - _EDGE_MARGIN
+    return np.linspace(lo, hi, scan_points) if hi > lo else None
+
+
+def _bisect(geometry, l, xa, xb, fa, xtol):
+    """Roots in the brackets [xa, xb], f(xa) = fa, all bisected in lockstep.
+
+    Each bracket follows the arithmetic of scipy.optimize.bisect step for
+    step (halve dm, xm = xa + dm, keep xa while fm*fa >= 0, stop at fm == 0
+    or |dm| < xtol + rtol*|xm|), so the roots are the same to the bit; one
+    kernel call per step evaluates every bracket still open.
+    """
+    roots = np.empty(xa.shape)
+    pending = np.arange(xa.size)
+    lower, dm = xa, xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = _char_values(geometry, l, xm)
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
+        roots[pending[done]] = xm[done]
+        still = ~done
+        pending, xa, dm, fa = pending[still], xa[still], dm[still], fa[still]
+        if not pending.size:
+            return roots
+    raise BracketRefinementError(l, (lower[pending[0]], xb[pending[0]]))
+
+
+def _grid_roots(geometry, l, grid, start, stop, xtol):
+    """Roots bracketed by the cells of grid[start:stop], sorted descending.
+
+    A grid point where the function is exactly zero is a root of the cell
+    it starts (the last grid point counts on its own); every sign change
+    between neighbours is bisected.
+    """
+    points = grid[start:stop]
+    values = _char_values(geometry, l, points)
+    left, right = values[:-1], values[1:]
+    roots = list(points[:-1][left == 0.0])
+    if stop == len(grid) and values[-1] == 0.0:
+        roots.append(points[-1])
+    cells = np.flatnonzero(left * right < 0.0)
+    if cells.size:
+        roots.extend(_bisect(geometry, l, points[cells], points[cells + 1], left[cells], xtol))
+    return sorted(map(float, roots), reverse=True)
+
+
+def _bracket_roots(geometry, l, scan_points, root_tol):
+    """Every root of order l: scan the whole grid, bisect its sign changes."""
+    grid = _scan_grid(geometry, scan_points)
+    if grid is None:
         return []
-    grid = np.linspace(lo, hi, scan_points)
-    values = _char_values(geometry, l, grid)
-
-    def scalar(x):
-        return float(_char_values(geometry, l, np.asarray([x]))[0])
-
-    xtol = root_tol * _REFINE_FACTOR
-    roots = []
-    for i in range(scan_points - 1):
-        va, vb = values[i], values[i + 1]
-        if va == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if va * vb < 0.0:
-            try:
-                roots.append(float(bisect(scalar, grid[i], grid[i + 1], xtol=xtol)))
-            except Exception as exc:
-                raise BracketRefinementError(l, (grid[i], grid[i + 1])) from exc
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots, reverse=True)
+    return _grid_roots(geometry, l, grid, 0, scan_points, root_tol * _REFINE_FACTOR)
 
 
 def _check_search_params(scan_points, root_tol):
     if scan_points < 500:
         raise ValueError(f"scan_points must be >= 500, got {scan_points}")
-    if root_tol > 1e-10:
-        raise ValueError(f"root_tol must be <= 1e-10, got {root_tol}")
+    if not 0.0 < root_tol <= 1e-10:
+        raise ValueError(f"root_tol must be in (0, 1e-10], got {root_tol}")
 
 
 def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
@@ -366,31 +408,49 @@ def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
     )
 
 
-def _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol):
-    """Roots of order l at the two probe wavelengths lambda0 -/+ dlambda."""
-    return tuple(
-        (lam, _bracket_roots(_geometry(profile, lam), l, scan_points, root_tol))
-        for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um)
-    )
+def _probe_scans(profile, lambda0_um, dlambda_um, scan_points):
+    """(wavelength, geometry, scan grid) at the probes lambda0 -/+ dlambda."""
+    probes = []
+    for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um):
+        geometry = _geometry(profile, lam)
+        probes.append((lam, geometry, _scan_grid(geometry, scan_points)))
+    return probes
 
 
-def _characterize(n_center, probes, l, m, lambda0_um, dlambda_um):
+def _probe_root(n_center, probe, l, m, root_tol):
+    """The root of order l nearest n_center at one probe wavelength.
+
+    Only the cells of the probe's own scan grid that cover
+    n_center +/- _CONTINUATION_WINDOW, one more cell on each side, are
+    scanned: _nearest_root accepts no root outside that window, so it picks
+    the same root a scan of the whole grid would give.
+    """
+    lam, geometry, grid = probe
+    roots = []
+    if grid is not None:
+        start = max(int(np.searchsorted(grid, n_center - _CONTINUATION_WINDOW)) - 2, 0)
+        stop = min(int(np.searchsorted(grid, n_center + _CONTINUATION_WINDOW)) + 2, len(grid))
+        roots = _grid_roots(geometry, l, grid, start, stop, root_tol * _REFINE_FACTOR)
+    return _nearest_root(roots, n_center, l, m, lam)
+
+
+def _characterize(n_center, probes, l, m, lambda0_um, dlambda_um, root_tol):
     """(tau, D) of mode (l, m), continued from n_center to both probe roots."""
-    n_minus, n_plus = (_nearest_root(roots, n_center, l, m, lam) for lam, roots in probes)
+    n_minus, n_plus = (_probe_root(n_center, probe, l, m, root_tol) for probe in probes)
     return _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um)
 
 
 def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
                              root_tol):
-    """(tau, D) of one mode from three scans of its azimuthal order."""
+    """(tau, D) of one mode: a scan of its order, then the two probe windows."""
     _check_search_params(scan_points, root_tol)
     center_roots = _bracket_roots(_geometry(profile, lambda0_um), l, scan_points, root_tol)
     if m > len(center_roots):
         raise ModeContinuationError(
             f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm"
         )
-    probes = _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol)
-    return _characterize(center_roots[m - 1], probes, l, m, lambda0_um, dlambda_um)
+    probes = _probe_scans(profile, lambda0_um, dlambda_um, scan_points)
+    return _characterize(center_roots[m - 1], probes, l, m, lambda0_um, dlambda_um, root_tol)
 
 
 def group_delay(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
@@ -413,14 +473,13 @@ def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                      root_tol=1e-12):
     """Full mode table with tau and D filled for every guided mode."""
     table = find_modes(profile, lambda0_um, scan_points, root_tol)
-    probes = {
-        l: _probe_roots(profile, l, lambda0_um, dlambda_um, scan_points, root_tol)
-        for l in sorted({record.l for record in table.modes})
-    }
+    if not table.modes:
+        return table
+    probes = _probe_scans(profile, lambda0_um, dlambda_um, scan_points)
     filled = []
     for record in table.modes:
         tau, disp = _characterize(
-            record.n_eff, probes[record.l], record.l, record.m, lambda0_um, dlambda_um
+            record.n_eff, probes, record.l, record.m, lambda0_um, dlambda_um, root_tol
         )
         filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
     return ModeTable(tuple(filled), lambda0_um)

@@ -256,6 +256,15 @@ def test_non_finite_flags_and_file_values_are_config_errors(tmp_path, capsys):
     assert "--amplitudes" in capsys.readouterr().err
 
 
+def test_rejected_fixed_dd_is_not_also_missing(tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(design_args(tmp_path) + ["--dispersion-rule", "fixed", "--fixed-dd", "nan"])
+    assert len(excinfo.value.diagnostics) == 1
+    assert excinfo.value.diagnostics[0].startswith("--fixed-dd: expected")
+    with pytest.raises(ConfigError, match="--fixed-dd is required"):
+        parse_config(design_args(tmp_path) + ["--dispersion-rule", "fixed"])
+
+
 def test_placements_without_dispersion_entries(tmp_path, capsys):
     assert main(design_args(tmp_path)) == 0
     kept = [
@@ -290,3 +299,21 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 2
     assert "missing command" in result.stderr
+
+
+def test_import_leaves_out_optimize_and_constants():
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, fmf_ttdl; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.constants') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -523,6 +523,22 @@ def test_parse_graph_shared_prefix_diagnostic():
         parse_graph(text, source="bad.graph")
 
 
+def test_parse_graph_checks_do_not_bridge_a_rejected_segment():
+    text = "[sample 1]\nsegment = LP01, a\nsegment = LP11, 9bad\nsegment = LP01, c\n"
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_graph(text, source="bad.graph")
+    assert [line for line, _ in excinfo.value.diagnostics] == [3]
+    assert "9bad" in excinfo.value.diagnostics[0][1]
+    # a prefix that holds a rejected segment is not compared with other samples
+    text = (
+        "[sample 1]\nsegment = LP02, a\nsegment = LP12, b\n"
+        "[sample 2]\nsegment = LX02, a\nsegment = LP12, b\n"
+    )
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_graph(text, source="bad.graph")
+    assert [line for line, _ in excinfo.value.diagnostics] == [5]
+
+
 def test_load_graph_demo_file():
     graph = load_graph("demo/four_sample.graph")
     assert len(graph.samples) == 4
@@ -562,3 +578,15 @@ def test_placements_csv_rejects_non_finite_values(reference_solution):
         parse_placements_csv("\n".join(lines) + "\n", source="bad.csv")
     finite = [line for line, message in excinfo.value.diagnostics if "finite" in message]
     assert finite == [length_line, summary_line]
+
+
+def test_rejected_tau_eq_is_not_also_a_count_mismatch(reference_solution):
+    lines = placements_to_csv(reference_solution).splitlines()
+    assert any(line.startswith("D_eq_4,") for line in lines)
+    summary_line = next(
+        number for number, line in enumerate(lines, start=1) if line.startswith("tau_eq_2,")
+    )
+    lines[summary_line - 1] = "tau_eq_2,nan"
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_placements_csv("\n".join(lines) + "\n", source="bad.csv")
+    assert [line for line, _ in excinfo.value.diagnostics] == [summary_line]

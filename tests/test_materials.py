@@ -230,3 +230,12 @@ def test_parse_profile_rejects_non_finite_numbers():
     finite = [line for line, message in excinfo.value.diagnostics if "finite" in message]
     lines = text.splitlines()
     assert [lines[line - 1].split("=")[1].strip() for line in finite] == ["nan", "-inf"]
+
+
+def test_rejected_layer_value_is_not_also_missing():
+    text = PROFILE_TEXT.replace("radius_um = 3.0", "radius_um = nan")
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text, source="bad.prof")
+    assert len(excinfo.value.diagnostics) == 1
+    line, message = excinfo.value.diagnostics[0]
+    assert line == 6 and "finite" in message

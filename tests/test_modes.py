@@ -325,3 +325,83 @@ def test_mode_table_csv_rejects_non_finite_values():
         parse_mode_table_csv(text, source="bad.csv")
     assert [line for line, _ in excinfo.value.diagnostics] == [2, 3]
     assert all("finite" in message for _, message in excinfo.value.diagnostics)
+
+
+# --- root-finding internals -----------------------------------------------------
+
+def test_lockstep_bisection_matches_scipy_bisect_bit_for_bit(ring_profile):
+    from scipy.optimize import bisect
+
+    from fmf_ttdl import modes
+
+    geometry = modes._geometry(ring_profile, 1.55)
+    grid = modes._scan_grid(geometry, 2000)
+    xtol = 1e-12 * modes._REFINE_FACTOR
+    brackets = 0
+    for l in range(6):
+        values = modes._char_values(geometry, l, grid)
+        cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+        brackets += cells.size
+        if not cells.size:
+            continue
+        lockstep = modes._bisect(geometry, l, grid[cells], grid[cells + 1], values[cells], xtol)
+
+        def scalar(x, l=l):
+            return float(modes._char_values(geometry, l, np.asarray([x]))[0])
+
+        expected = [bisect(scalar, grid[i], grid[i + 1], xtol=xtol) for i in cells]
+        assert lockstep.tolist() == expected
+    assert brackets == len(EXPECTED_ORDER)
+
+
+def _probe_outcome(solve):
+    try:
+        return solve()
+    except ModeContinuationError:
+        return "lost"
+
+
+@pytest.mark.parametrize(
+    "layers, lam, dlambda",
+    [
+        (((3.0, 0.0021), (10.0, 0.0072)), 1.55, 5e-4),
+        (((7.3, 0.0016),), 1.50, 5e-4),   # LP11 window clipped at the cladding edge
+        (((25.0, 0.0016),), 1.55, 5e-4),  # LP01 window clipped at the core edge
+        (((7.3, 0.0016),), 1.50, 0.2),    # LP11 cut off at the long probe
+    ],
+)
+def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda):
+    from fmf_ttdl import modes
+
+    profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
+    table = find_modes(profile, lam)
+    for probe in modes._probe_scans(profile, lam, dlambda, 2000):
+        probe_lam, geometry, _ = probe
+        for r in table.modes:
+            full = modes._bracket_roots(geometry, r.l, 2000, 1e-12)
+            expected = _probe_outcome(
+                lambda: modes._nearest_root(full, r.n_eff, r.l, r.m, probe_lam))
+            windowed = _probe_outcome(
+                lambda: modes._probe_root(r.n_eff, probe, r.l, r.m, 1e-12))
+            assert windowed == expected, (r.label, probe_lam)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 5, 9])
+def test_recurrence_derivatives_match_scipy(l):
+    from fmf_ttdl.modes import _with_derivative
+
+    x = np.linspace(0.05, 60.0, 4001)
+    cases = (
+        (sp.jv, sp.jvp, 1.0),
+        (sp.yn, sp.yvp, 1.0),
+        (sp.ive, lambda l, x: sp.ivp(l, x) * np.exp(-x), 1.0),
+        (sp.kve, lambda l, x: sp.kvp(l, x) * np.exp(x), -1.0),
+    )
+    for bessel, reference, sign in cases:
+        value, derivative = _with_derivative(bessel, l, x, sign)
+        expected = reference(l, x)
+        # away from the zeros of f_l', where the two recurrence terms cancel
+        away = np.abs(expected) > 1e-2 * np.maximum(np.abs(value), np.abs(bessel(l - 1, x)))
+        assert away.mean() > 0.99
+        assert np.all(value == bessel(l, x))
+        np.testing.assert_allclose(derivative[away], expected[away], rtol=1e-12, atol=0.0)
