@@ -13,11 +13,19 @@ constraint system forces
 The resulting problem is a small dense linear program over box-bounded
 lengths; fully determined systems (the usual case for hand-built
 topologies) collapse to a single linear solve.
+
+Assembly, the direct solve and the checks of a solution work on stacks of
+T systems that share one graph.  A single design is the stack with T = 1;
+the robustness trials of perturb_and_redesign run a block of perturbed
+systems through the same code at once, so each trial gets the bits its
+own design would.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -32,7 +40,7 @@ from .fileio import (
     iter_config_lines,
     um_from_nm,
 )
-from .modes import ModeTable, format_mode_label, parse_mode_label
+from .modes import format_mode_label, parse_mode_label
 
 MAXIMIZE_DISPERSION = "maximize"
 FIXED_DISPERSION = "fixed"
@@ -94,7 +102,10 @@ class Segment:
 
 
 def path_sum(sample, weights, lengths):
-    """Length-weighted sum of weights[mode] along a sample's path, in path order."""
+    """Length-weighted sum of weights[mode] along a sample's path, in path order.
+
+    Weights and lengths may be floats or arrays with one value per trial.
+    """
     total = 0.0
     for segment in sample:
         total += weights[segment.mode] * segment.resolve(lengths)
@@ -212,7 +223,11 @@ class DesignTargets:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Equality system over normalized lengths (plus the dispersion unknown)."""
+    """Equality system over normalized lengths (plus the dispersion unknown).
+
+    weights holds the modal_weights maps (tau - tau_ref, D) the rows were
+    built from; a mode's D is None where the mode table lacks it.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -220,7 +235,7 @@ class ConstraintSystem:
     optimize_dispersion: bool
     row_labels: tuple
     graph: ConversionGraph
-    table: ModeTable
+    weights: tuple
     targets: DesignTargets
 
 
@@ -232,6 +247,10 @@ def _ladder_order(graph, targets):
             f"ladder must be a permutation of 0..{n - 1}, got {ladder}"
         )
     return sorted(range(n), key=lambda i: ladder[i])
+
+
+def _needs_dispersion(graph, targets):
+    return targets.dispersion_rule != DELAYS_ONLY and len(graph.samples) >= 2
 
 
 def modal_weights(table, reference_mode):
@@ -257,22 +276,42 @@ def assemble_constraints(graph, table, targets):
                 f"mode {format_mode_label(*mode)} is not in the mode table"
             )
 
-    need_dispersion = targets.dispersion_rule != DELAYS_ONLY and len(graph.samples) >= 2
+    need_dispersion = _needs_dispersion(graph, targets)
     if need_dispersion and any(disp[mode] is None for mode in graph.modes()):
         raise DesignError("mode table lacks dispersion values; characterize it first")
     optimize = targets.dispersion_rule == MAXIMIZE_DISPERSION and need_dispersion
+    matrix, rhs, labels = _assemble(graph, targets, optimize, (tau, disp), 1)
+    return ConstraintSystem(
+        matrix=matrix[0],
+        rhs=rhs[0],
+        variables=graph.variables(),
+        optimize_dispersion=optimize,
+        row_labels=labels,
+        graph=graph,
+        weights=(tau, disp),
+        targets=targets,
+    )
 
+
+def _assemble(graph, targets, optimize, weights, trials):
+    """Equality rows of `trials` designs at once: (T, rows, cols) matrix, (T, rows) rhs.
+
+    weights maps each mode to a float or to one value per trial.  Every
+    coefficient is accumulated in path order, so trial t gets the bits a
+    design of its own weights alone would get.
+    """
+    tau, disp = weights
     variables = graph.variables()
     column = {name: i for i, name in enumerate(variables)}
     ncols = len(variables) + (1 if optimize else 0)
 
     def sample_terms(index, weights):
-        coeffs = np.zeros(ncols)
+        coeffs = np.zeros((trials, ncols))
         const = 0.0
         for segment in graph.samples[index]:
             weight = weights[segment.mode]
             if isinstance(segment.length, str):
-                coeffs[column[segment.length]] += weight
+                coeffs[:, column[segment.length]] += weight
             else:
                 const += weight * segment.length
         return coeffs, const
@@ -299,30 +338,24 @@ def assemble_constraints(graph, table, targets):
         rhs.append(targets.delta_tau_ps_per_km - k_high + k_low)
         labels.append(f"delay[sample {low + 1}->{high + 1}]")
 
-    if need_dispersion:
+    if _needs_dispersion(graph, targets):
         for low, high in zip(order, order[1:]):
             c_low, k_low = sample_terms(low, disp)
             c_high, k_high = sample_terms(high, disp)
             row = c_high - c_low
             if optimize:
-                row[-1] = -1.0
+                row[:, -1] = -1.0
                 rhs.append(k_low - k_high)
             else:
                 rhs.append(targets.fixed_delta_d_ps_per_km_nm - k_high + k_low)
             rows.append(row)
             labels.append(f"dispersion[sample {low + 1}->{high + 1}]")
 
-    matrix = np.array(rows) if rows else np.zeros((0, ncols))
-    return ConstraintSystem(
-        matrix=matrix,
-        rhs=np.array(rhs),
-        variables=variables,
-        optimize_dispersion=optimize,
-        row_labels=tuple(labels),
-        graph=graph,
-        table=table,
-        targets=targets,
-    )
+    matrix = np.stack(rows, axis=1) if rows else np.zeros((trials, 0, ncols))
+    values = np.empty((trials, len(rhs)))
+    for row, value in enumerate(rhs):
+        values[:, row] = value
+    return matrix, values, tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -346,12 +379,42 @@ class PlacementSolution:
         return len(self.tau_eq_ps_per_km)
 
 
+def _out_of_bounds(values):
+    return (values < -_BOUND_SLACK) | (values > 1.0 + _BOUND_SLACK)
+
+
 def _bound_violations(variables, values):
-    violations = []
-    for name, value in zip(variables, values):
-        if value < -_BOUND_SLACK or value > 1.0 + _BOUND_SLACK:
-            violations.append(f"{name} = {value}")
-    return violations
+    return [
+        f"{name} = {value}"
+        for name, value, outside in zip(variables, values, _out_of_bounds(values))
+        if outside
+    ]
+
+
+def _residuals(matrix, rhs, x):
+    """|A x - b| per row and each row's scale, for a (T, rows, cols) stack."""
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=-1)))
+    return np.abs(np.matmul(matrix, x[..., None])[..., 0] - rhs), scale
+
+
+def _is_square(matrix):
+    return matrix.shape[-2] == matrix.shape[-1] and matrix.size > 0
+
+
+def _solve_direct(matrix, rhs):
+    """One stacked solve of T square systems: (x, accepted per trial)."""
+    try:
+        x = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack; solve them one by one
+        x = np.full(rhs.shape, np.nan)
+        for t in range(len(x)):
+            try:
+                x[t] = np.linalg.solve(matrix[t:t + 1], rhs[t:t + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+    residual, scale = _residuals(matrix, rhs, x)
+    return x, np.all(residual <= _FEASIBILITY_RTOL * scale, axis=-1)
 
 
 def _infeasibility_report(system):
@@ -385,6 +448,17 @@ def _lp_options():
     }
 
 
+def _raise_for_lp_status(result, system):
+    if result.status == 2:
+        raise InfeasibleDesignError(_infeasibility_report(system))
+    if result.status == 3:
+        raise UnboundedDispersionError(
+            "dispersion increment is unbounded; the topology is under-constrained"
+        )
+    if result.status != 0:
+        raise DesignError(f"linear program failed: {result.message}")
+
+
 def _solve_lp(system):
     from scipy.optimize import linprog  # deferred: scipy.optimize takes ~0.5 s to import
 
@@ -394,38 +468,33 @@ def _solve_lp(system):
     bounds = [(0.0, 1.0)] * nvar + (
         [(None, None)] if system.optimize_dispersion else []
     )
-    cost = np.zeros(ncols)
-    if system.optimize_dispersion:
-        cost[-1] = -1.0
-    result = linprog(
-        cost, A_eq=matrix if matrix.size else None,
-        b_eq=rhs if matrix.size else None,
-        bounds=bounds, method="highs", options=_lp_options(),
-    )
-    if result.status == 2:
-        raise InfeasibleDesignError(_infeasibility_report(system))
-    if result.status == 3:
-        raise UnboundedDispersionError(
-            "dispersion increment is unbounded; the topology is under-constrained"
+
+    def solve(cost, a_eq, b_eq):
+        return linprog(
+            cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+            options=_lp_options(),
         )
-    if result.status != 0:
-        raise DesignError(f"linear program failed: {result.message}")
-    x = result.x
-    # deterministic tie-break: lexicographically smallest length vector
+
     matrix_aug, rhs_aug = matrix, rhs
     if system.optimize_dispersion:
+        cost = np.zeros(ncols)
+        cost[-1] = -1.0
+        result = solve(cost, matrix if matrix.size else None, rhs if matrix.size else None)
+        _raise_for_lp_status(result, system)
+        x = result.x
         pin = np.zeros(ncols)
         pin[-1] = 1.0
         matrix_aug = np.vstack([matrix_aug, pin]) if matrix_aug.size else pin[None, :]
         rhs_aug = np.append(rhs_aug, x[-1])
+    # deterministic tie-break: lexicographically smallest length vector; with
+    # no dispersion objective the first of these LPs also decides feasibility
     for k in range(nvar):
         cost_k = np.zeros(ncols)
         cost_k[k] = 1.0
-        step = linprog(
-            cost_k, A_eq=matrix_aug, b_eq=rhs_aug, bounds=bounds,
-            method="highs", options=_lp_options(),
-        )
-        if step.status != 0:
+        step = solve(cost_k, matrix_aug, rhs_aug)
+        if k == 0 and not system.optimize_dispersion:
+            _raise_for_lp_status(step, system)
+        elif step.status != 0:
             raise DesignError(f"tie-break solve failed: {step.message}")
         x = step.x
         pin = np.zeros(ncols)
@@ -440,95 +509,112 @@ def _solve_lp(system):
 
 def solve_placements(system):
     """Solve for the normalized lengths (and maximal dispersion increment)."""
-    matrix, rhs = system.matrix, system.rhs
     nvar = len(system.variables)
-    ncols = matrix.shape[1] if matrix.size else nvar + (1 if system.optimize_dispersion else 0)
+    ncols = nvar + (1 if system.optimize_dispersion else 0)
     x = None
-    if matrix.shape[0] == ncols and matrix.size:
-        try:
-            candidate = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            candidate = None
-        if candidate is not None:
-            scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=1)))
-            if np.all(np.abs(matrix @ candidate - rhs) <= _FEASIBILITY_RTOL * scale):
-                x = candidate
+    if _is_square(system.matrix):
+        candidate, accepted = _solve_direct(system.matrix[None], system.rhs[None])
+        if accepted[0]:
+            x = candidate[0]
     if x is None and ncols == 0:
         x = np.zeros(0)
     if x is None:
         x = _solve_lp(system)
 
-    violations = _bound_violations(system.variables, x[:nvar])
-    if violations:
-        raise InfeasibleDesignError(
-            "no placement satisfies the constraints with lengths in [0, 1]: "
-            + "; ".join(violations)
-        )
+    checks, lengths, tau_eq, d_eq, delta_d = _solution_checks(
+        system, system.matrix[None], system.rhs[None], system.weights, x[None]
+    )
+    for failed, error, message in checks:
+        if failed[0]:
+            raise error(message(0))
+    targets = system.targets
+    return PlacementSolution(
+        lengths={name: float(value) for name, value in zip(system.variables, lengths[0])},
+        tau_eq_ps_per_km=tuple(float(value[0]) for value in tau_eq),
+        d_eq_ps_per_km_nm=tuple(float(value[0]) for value in d_eq) if d_eq is not None else None,
+        delta_tau_ps_per_km=float(targets.delta_tau_ps_per_km),
+        delta_d_ps_per_km_nm=float(delta_d[0]) if delta_d is not None else None,
+        lambda0_um=targets.lambda0_um,
+        reference_mode=targets.reference_mode,
+    )
+
+
+def _solution_checks(system, matrix, rhs, weights, x):
+    """Every rule a solved placement must pass, for T solutions at once.
+
+    matrix, rhs, weights and x (T, cols) hold T systems built like system.
+    Returns (checks, lengths, tau_eq, d_eq, delta_d).  checks lists
+    (failed per trial, error class, message for trial t) in the order a
+    single design raises them.  lengths are clipped to [0, 1]; tau_eq and
+    d_eq hold one (T,) array per sample in ladder order; delta_d is (T,) or
+    None.
+    """
+    graph, targets, variables = system.graph, system.targets, system.variables
+    trials, nvar = len(x), len(variables)
+    checks = []
+    values = x[:, :nvar]
+    checks.append((
+        _out_of_bounds(values).any(axis=1), InfeasibleDesignError,
+        lambda t: "no placement satisfies the constraints with lengths in [0, 1]: "
+        + "; ".join(_bound_violations(variables, values[t])),
+    ))
     if matrix.size:
-        scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=1)))
-        residual = np.abs(matrix @ x - rhs)
-        if np.any(residual > _FEASIBILITY_RTOL * scale):
-            worst = int(np.argmax(residual / scale))
-            raise DesignError(
-                f"solver left residual {residual[worst]} on {system.row_labels[worst]}"
-            )
-    lengths = {
-        name: float(np.clip(value, 0.0, 1.0))
-        for name, value in zip(system.variables, x[:nvar])
-    }
-    return _build_solution(system, lengths, x)
+        residual, scale = _residuals(matrix, rhs, x)
 
+        def residual_message(t):
+            worst = int(np.argmax(residual[t] / scale[t]))
+            return f"solver left residual {residual[t, worst]} on {system.row_labels[worst]}"
 
-def _build_solution(system, lengths, x):
-    graph, targets = system.graph, system.targets
-    tau, disp = modal_weights(system.table, targets.reference_mode)
-    if any(value is None for value in disp.values()):
-        disp = None
+        checks.append(
+            ((residual > _FEASIBILITY_RTOL * scale).any(axis=1), DesignError, residual_message)
+        )
+
+    lengths = np.clip(values, 0.0, 1.0)
+    columns = dict(zip(variables, lengths.T))
+    tau, disp = weights
     ones = {mode: 1.0 for mode in tau}
     order = _ladder_order(graph, targets)
     samples = [graph.samples[index] for index in order]
 
-    for index, sample in zip(order, samples):
-        total = path_sum(sample, ones, lengths)
-        if abs(total - 1.0) > 1e-9:
-            raise DesignError(
-                f"sample {index + 1} lengths total {total}, expected 1 within 1e-9"
-            )
-    tau_eq = tuple(path_sum(sample, tau, lengths) for sample in samples)
+    def sums(weights):
+        return [np.full(trials, path_sum(s, weights, columns)) for s in samples]
+
+    for index, total in zip(order, sums(ones)):
+        checks.append((
+            np.abs(total - 1.0) > 1e-9, DesignError,
+            lambda t, index=index, total=total: (
+                f"sample {index + 1} lengths total {float(total[t])}, expected 1 within 1e-9"
+            ),
+        ))
+    tau_eq = sums(tau)
     for low, high in zip(tau_eq, tau_eq[1:]):
-        if abs(high - low - targets.delta_tau_ps_per_km) > 1e-6:
-            raise DesignError(
-                f"delay increment {high - low} deviates from target "
+        step = high - low
+        checks.append((
+            np.abs(step - targets.delta_tau_ps_per_km) > 1e-6, DesignError,
+            lambda t, step=step: (
+                f"delay increment {float(step[t])} deviates from target "
                 f"{targets.delta_tau_ps_per_km} by more than 1e-6 ps/km"
-            )
-    d_eq = (
-        tuple(path_sum(sample, disp, lengths) for sample in samples)
-        if disp is not None
-        else None
-    )
+            ),
+        ))
+    d_eq = sums(disp) if all(value is not None for value in disp.values()) else None
 
     if system.optimize_dispersion:
-        delta_d = float(x[-1])
+        delta_d = x[:, -1]
     elif targets.dispersion_rule == FIXED_DISPERSION and len(graph.samples) >= 2:
-        delta_d = float(targets.fixed_delta_d_ps_per_km_nm)
+        delta_d = np.full(trials, float(targets.fixed_delta_d_ps_per_km_nm))
     else:
         delta_d = None
     if delta_d is not None and d_eq is not None:
         for low, high in zip(d_eq, d_eq[1:]):
-            if abs(high - low - delta_d) > 1e-9:
-                raise DesignError(
-                    f"dispersion increment {high - low} deviates from {delta_d} "
-                    f"by more than 1e-9 ps/(km nm)"
-                )
-    return PlacementSolution(
-        lengths=lengths,
-        tau_eq_ps_per_km=tau_eq,
-        d_eq_ps_per_km_nm=d_eq,
-        delta_tau_ps_per_km=float(targets.delta_tau_ps_per_km),
-        delta_d_ps_per_km_nm=delta_d,
-        lambda0_um=targets.lambda0_um,
-        reference_mode=targets.reference_mode,
-    )
+            step = high - low
+            checks.append((
+                np.abs(step - delta_d) > 1e-9, DesignError,
+                lambda t, step=step: (
+                    f"dispersion increment {float(step[t])} deviates from "
+                    f"{float(delta_d[t])} by more than 1e-9 ps/(km nm)"
+                ),
+            ))
+    return checks, lengths, tau_eq, d_eq, delta_d
 
 
 class LpgPosition(NamedTuple):
@@ -611,59 +697,104 @@ class RobustnessReport:
         return "\n".join(lines) + "\n"
 
 
-def _perturbed_table(table, reference_mode, sigma, rng):
-    tau, disp = modal_weights(table, reference_mode)
-    records = []
-    for record in table.modes:
-        g_tau, g_disp = rng.standard_normal(2)
-        mode = (record.l, record.m)
-        records.append(
-            replace(
-                record,
-                tau_ps_per_km=tau[mode] * (1.0 + sigma * g_tau),
-                dispersion_ps_per_km_nm=disp[mode] * (1.0 + sigma * g_disp),
-            )
-        )
-    return ModeTable(tuple(records), table.lambda0_um)
+_TRIAL_BLOCK = 256  # trials perturbed, assembled, solved and checked as one stack
+
+
+def _pick(weights, rows):
+    """The (tau, D) weights of the trials in rows, an index or an index array."""
+    return tuple(
+        {mode: None if value is None else value[rows] for mode, value in part.items()}
+        for part in weights
+    )
 
 
 def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     """Redesign under per-mode Gaussian tau/D perturbations, deterministically.
 
-    Trial k draws from a generator seeded by (seed, k), so parallel and
-    serial execution produce bit-identical reports.
+    Trial k draws one (tau, D) pair per table mode from a generator seeded by
+    (seed, k) and scales each mode's tau - tau_ref and D by 1 + sigma * draw.
+    Trials go in blocks of _TRIAL_BLOCK.  When the system is square, a block
+    is assembled as one (T, n, n) stack, solved with one stacked solve and
+    checked with the rules of a single design, all as arrays.  A trial whose
+    direct solve is not accepted, and every trial of a non-square system, is
+    solved on its own by solve_placements (the LP path), `workers` at a time.
+    Either way a trial gets the bits a design of its perturbed table alone
+    would get, so reports do not depend on the block split or on workers.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not math.isfinite(sigma) or sigma < 0.0:
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    nominal = solve_placements(assemble_constraints(graph, table, targets))
+    system = assemble_constraints(graph, table, targets)
+    nominal = solve_placements(system)
+    nominal_lengths = np.array(list(nominal.lengths.values()))
+    modes = [(record.l, record.m) for record in table.modes]
+    reference = modes.index(targets.reference_mode)
+    tau, disp = system.weights
+    nan = float("nan")
 
-    def run_trial(index):
-        rng = np.random.default_rng([seed, index])
-        perturbed = _perturbed_table(table, targets.reference_mode, sigma, rng)
+    def max_shift(lengths):
+        return np.abs(lengths - nominal_lengths).max(axis=-1, initial=0.0)
+
+    def redesign(item):
+        index, trial_system = item
         try:
-            solution = solve_placements(assemble_constraints(graph, perturbed, targets))
+            solution = solve_placements(trial_system)
         except DesignError:
-            return PerturbationTrial(index, False, float("nan"), float("nan"))
-        deltas = [
-            abs(solution.lengths[name] - nominal.lengths[name])
-            for name in nominal.lengths
-        ]
-        delta_d = (
-            solution.delta_d_ps_per_km_nm
-            if solution.delta_d_ps_per_km_nm is not None
-            else float("nan")
+            return PerturbationTrial(index, False, nan, nan)
+        shift = max_shift(np.array(list(solution.lengths.values())))
+        delta_d = solution.delta_d_ps_per_km_nm
+        return PerturbationTrial(
+            index, True, float(shift), delta_d if delta_d is not None else nan
         )
-        return PerturbationTrial(index, True, max(deltas, default=0.0), delta_d)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(index) for index in range(trials)]
+    results = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for start in range(0, trials, _TRIAL_BLOCK):
+            indices = range(start, min(start + _TRIAL_BLOCK, trials))
+            factors = 1.0 + sigma * np.array([
+                np.random.default_rng([seed, index]).standard_normal((len(modes), 2))
+                for index in indices
+            ])
+            scaled = [tau[mode] * factors[:, i, 0] for i, mode in enumerate(modes)]
+            weights = (
+                {mode: scaled[i] - scaled[reference] for i, mode in enumerate(modes)},
+                {
+                    mode: None if disp[mode] is None else disp[mode] * factors[:, i, 1]
+                    for i, mode in enumerate(modes)
+                },
+            )
+            matrix, rhs, _ = _assemble(
+                graph, targets, system.optimize_dispersion, weights, len(indices)
+            )
+            block = [None] * len(indices)
+            if _is_square(system.matrix):
+                x, accepted = _solve_direct(matrix, rhs)
+                rows = np.flatnonzero(accepted)
+                checks, lengths, _, _, delta_d = _solution_checks(
+                    system, matrix[rows], rhs[rows], _pick(weights, rows), x[rows]
+                )
+                failed = np.any([failed for failed, _, _ in checks], axis=0)
+                shift = max_shift(lengths)
+                for j, row in enumerate(rows):
+                    block[row] = (
+                        PerturbationTrial(indices[row], False, nan, nan) if failed[j]
+                        else PerturbationTrial(
+                            indices[row], True, float(shift[j]),
+                            float(delta_d[j]) if delta_d is not None else nan,
+                        )
+                    )
+            rest = [row for row, trial in enumerate(block) if trial is None]
+            alone = [
+                (indices[row], replace(system, matrix=matrix[row], rhs=rhs[row],
+                                       weights=_pick(weights, row)))
+                for row in rest
+            ]
+            for row, trial in zip(rest, (pool.map if pool else map)(redesign, alone)):
+                block[row] = trial
+            results.extend(block)
     return RobustnessReport(sigma=sigma, seed=seed, trials=tuple(results), nominal=nominal)
 
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.special as sp
 
 from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
 
@@ -180,6 +179,8 @@ def _with_derivative(bessel, l, x, lower_sign=1.0):
 
 def _initial_state(l, u2, radius):
     """(R, R') of the regular solution at the first boundary, per trial index."""
+    import scipy.special as sp  # deferred: ~0.4 s to import; only mode solving needs it
+
     state = np.empty((u2.shape[0], 2))
     degenerate = np.abs(u2) * radius * radius < _DEGENERATE_X2
     oscillatory = (u2 > 0.0) & ~degenerate
@@ -207,6 +208,8 @@ def _propagator(l, u2, r_inner, r_outer):
     exponential growth factored out; the dropped factor is positive so the
     determinant sign pattern is unaffected.
     """
+    import scipy.special as sp  # deferred, as in _initial_state
+
     out = np.empty((u2.shape[0], 2, 2))
     degenerate = np.abs(u2) * r_outer * r_outer < _DEGENERATE_X2
     oscillatory = (u2 > 0.0) & ~degenerate
@@ -264,6 +267,8 @@ def _propagator(l, u2, r_inner, r_outer):
 
 
 def _char_values(geometry, l, n_eff):
+    import scipy.special as sp  # deferred, as in _initial_state
+
     n_eff = np.asarray(n_eff, dtype=float)
     k02 = geometry.k0 * geometry.k0
     state = _initial_state(

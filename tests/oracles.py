@@ -3,12 +3,25 @@
 These deliberately avoid the package's own solution paths: the two-layer
 mode relation is the textbook eigenvalue equation (not a transfer matrix),
 the placement oracle is a literal hand-built matrix, and the dispersion
-maximization oracle is an exhaustive grid search.
+maximization oracle is an exhaustive grid search.  The perturbation oracle
+is the one exception: it checks the batching of perturb_and_redesign, so it
+designs each perturbed table alone with the package's single-design path.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import scipy.special as sp
 from scipy.optimize import bisect
+
+from fmf_ttdl.design import (
+    DesignError,
+    PerturbationTrial,
+    RobustnessReport,
+    assemble_constraints,
+    solve_placements,
+)
+from fmf_ttdl.modes import ModeTable
 
 
 def two_layer_lp_roots(n_core, n_clad, radius_um, wavelength_um, azimuthal,
@@ -155,3 +168,38 @@ def grid_search_two_sample(tau, disp, sample_modes, delta_tau, step=1e-3):
     increments = np.where(feasible, increments, -np.inf)
     best = int(np.argmax(increments))
     return float(increments[best]), stack[best]
+
+
+def perturb_per_trial(graph, table, targets, sigma, trials, seed):
+    """Per-trial reference for design.perturb_and_redesign.
+
+    Trial k rebuilds the mode table record by record, drawing
+    standard_normal(2) per mode from default_rng([seed, k]) to scale
+    tau - tau_ref and D by (1 + sigma g), and designs that table alone.
+    """
+    nominal = solve_placements(assemble_constraints(graph, table, targets))
+    reference = table.mode(*targets.reference_mode).tau_ps_per_km
+    nan = float("nan")
+    results = []
+    for index in range(trials):
+        rng = np.random.default_rng([seed, index])
+        records = []
+        for record in table.modes:
+            g_tau, g_disp = rng.standard_normal(2)
+            records.append(replace(
+                record,
+                tau_ps_per_km=(record.tau_ps_per_km - reference) * (1.0 + sigma * g_tau),
+                dispersion_ps_per_km_nm=record.dispersion_ps_per_km_nm * (1.0 + sigma * g_disp),
+            ))
+        perturbed = ModeTable(tuple(records), table.lambda0_um)
+        try:
+            solution = solve_placements(assemble_constraints(graph, perturbed, targets))
+        except DesignError:
+            results.append(PerturbationTrial(index, False, nan, nan))
+            continue
+        deltas = [abs(solution.lengths[name] - nominal.lengths[name]) for name in nominal.lengths]
+        delta_d = solution.delta_d_ps_per_km_nm
+        results.append(PerturbationTrial(
+            index, True, max(deltas, default=0.0), delta_d if delta_d is not None else nan
+        ))
+    return RobustnessReport(sigma=sigma, seed=seed, trials=tuple(results), nominal=nominal)

@@ -4,9 +4,11 @@ import pytest
 from oracles import (
     PLACEMENT_VARIABLES,
     grid_search_two_sample,
+    perturb_per_trial,
     reference_placement_oracle,
 )
 
+from fmf_ttdl import design
 from fmf_ttdl.design import (
     DELAYS_ONLY,
     ConversionGraph,
@@ -448,6 +450,130 @@ def test_perturb_validates_parameters(four_sample_graph, reference_table, refere
     with pytest.raises(ValueError):
         perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
                              sigma=0.1, trials=0, seed=0)
+
+
+def test_perturb_rejects_non_finite_sigma(four_sample_graph, reference_table, reference_targets):
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
+                                 sigma=sigma, trials=5, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05, 0.2])
+def test_batched_perturbation_matches_per_trial_oracle(
+    sigma, four_sample_graph, reference_table, reference_targets
+):
+    trials = design._TRIAL_BLOCK + 44  # a full block and a partial one
+    args = (four_sample_graph, reference_table, reference_targets, sigma, trials, 11)
+    report = perturb_and_redesign(*args)
+    assert report.to_csv() == perturb_per_trial(*args).to_csv()
+    if sigma == 0.2:
+        assert 0 < sum(t.feasible for t in report.trials) < trials
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05, 0.2])
+def test_non_square_perturbation_matches_per_trial_oracle(
+    sigma, four_sample_graph, reference_table, reference_solution
+):
+    targets = DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule="fixed",
+        fixed_delta_d_ps_per_km_nm=reference_solution.delta_d_ps_per_km_nm,
+    )
+    args = (four_sample_graph, reference_table, targets, sigma, 3, 5)
+    assert assemble_constraints(four_sample_graph, reference_table, targets).matrix.shape == (9, 8)
+    report = perturb_and_redesign(*args, workers=2)
+    assert report.to_csv() == perturb_per_trial(*args).to_csv()
+
+
+def test_delays_only_perturbation_needs_no_dispersion(four_sample_graph, reference_table):
+    from dataclasses import replace
+
+    targets = DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY
+    )
+    no_d = ModeTable(
+        tuple(replace(r, dispersion_ps_per_km_nm=None) for r in reference_table.modes), 1.55
+    )
+    without = perturb_and_redesign(four_sample_graph, no_d, targets, 0.05, 3, 7)
+    with_d = perturb_and_redesign(four_sample_graph, reference_table, targets, 0.05, 3, 7)
+    assert without.to_csv() == with_d.to_csv()
+
+
+def _count_linprog(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05, 0.2])
+def test_singular_direct_system_falls_back_to_lp(sigma, monkeypatch):
+    # LP11 and LP21 share tau and D, so the square system's a and b columns
+    # are equal and every direct solve at sigma = 0 is singular
+    table = make_toy_table(
+        (
+            (0, 1, 1.452, 0.0, 10.0),
+            (1, 1, 1.451, 1024.0, 16.0),
+            (2, 1, 1.450, 1024.0, 16.0),
+            (0, 2, 1.449, 1536.0, 40.0),
+        )
+    )
+    graph = ConversionGraph(
+        ((Segment((1, 1), "a"), Segment((2, 1), "b")), (Segment((0, 2), 1.0),))
+    )
+    targets = DesignTargets(delta_tau_ps_per_km=512.0, lambda0_um=1.55)
+    system = assemble_constraints(graph, table, targets)
+    assert system.matrix.shape == (3, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system.matrix, system.rhs)
+    calls = _count_linprog(monkeypatch)
+    args = (graph, table, targets, sigma, 6, 2)
+    report = perturb_and_redesign(*args)
+    assert report.nominal.lengths == {"a": 0.0, "b": 1.0}
+    assert report.nominal.delta_d_ps_per_km_nm == 24.0
+    if sigma == 0.0:
+        assert len(calls) == 3 * 7  # the nominal design and each trial take the LP path
+        assert all(t.feasible and t.max_abs_delta_length == 0.0 for t in report.trials)
+    assert report.to_csv() == perturb_per_trial(*args).to_csv()
+
+
+def test_lp_count_per_dispersion_rule(monkeypatch, four_sample_graph, reference_table):
+    calls = _count_linprog(monkeypatch)
+    toy = make_toy_table(TOY_ROWS_A)
+    graph = ConversionGraph(
+        (
+            (Segment((0, 1), "a"), Segment((1, 1), "b")),
+            (Segment((2, 1), "c"), Segment((0, 2), "d")),
+        )
+    )
+    targets = DesignTargets(delta_tau_ps_per_km=1500.0, lambda0_um=1.55)
+    solve_placements(assemble_constraints(graph, toy, targets))
+    assert len(calls) == 1 + 4  # the dispersion LP, then one tie-break LP per length
+
+    calls.clear()
+    targets = DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY
+    )
+    solve_placements(assemble_constraints(four_sample_graph, reference_table, targets))
+    assert len(calls) == 8  # the tie-break LPs alone; the first decides feasibility
+
+    calls.clear()
+    targets = DesignTargets(
+        delta_tau_ps_per_km=1e6, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY
+    )
+    system = assemble_constraints(four_sample_graph, reference_table, targets)
+    with pytest.raises(InfeasibleDesignError) as info:
+        solve_placements(system)
+    assert str(info.value) == design._infeasibility_report(system)
+    assert str(info.value).startswith("no placement satisfies")
+    assert len(calls) == 1
 
 
 # --- graph and placement files -------------------------------------------------------
