@@ -343,6 +343,14 @@ def _design_report(config, solution, positions):
 def run_pipeline(config):
     """Execute the configured stage and write its artifacts atomically."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    if config.command in ("design", "perturb"):
+        targets = design_mod.DesignTargets(
+            delta_tau_ps_per_km=config.delta_tau,
+            lambda0_um=config.mode_table.lambda0_um,
+            dispersion_rule=config.dispersion_rule,
+            fixed_delta_d_ps_per_km_nm=config.fixed_delta_d,
+            reference_mode=config.reference_mode,
+        )
     if config.command == "solve-modes":
         table = modes_mod.solve_mode_table(
             config.profile,
@@ -358,13 +366,6 @@ def run_pipeline(config):
         print(f"wrote {out} ({len(table)} modes at {fmt_float(config.lambda0_nm)} nm{gap})")
 
     elif config.command == "design":
-        targets = design_mod.DesignTargets(
-            delta_tau_ps_per_km=config.delta_tau,
-            lambda0_um=config.mode_table.lambda0_um,
-            dispersion_rule=config.dispersion_rule,
-            fixed_delta_d_ps_per_km_nm=config.fixed_delta_d,
-            reference_mode=config.reference_mode,
-        )
         system = design_mod.assemble_constraints(config.graph, config.mode_table, targets)
         solution = design_mod.solve_placements(system)
         positions = design_mod.lpg_positions(solution, config.graph, config.length_km)
@@ -418,13 +419,6 @@ def run_pipeline(config):
         print(f"wrote {out} ({len(grid)} frequencies; FSR {fsr})")
 
     elif config.command == "perturb":
-        targets = design_mod.DesignTargets(
-            delta_tau_ps_per_km=config.delta_tau,
-            lambda0_um=config.mode_table.lambda0_um,
-            dispersion_rule=config.dispersion_rule,
-            fixed_delta_d_ps_per_km_nm=config.fixed_delta_d,
-            reference_mode=config.reference_mode,
-        )
         report = design_mod.perturb_and_redesign(
             config.graph, config.mode_table, targets,
             sigma=config.sigma, trials=config.trials, seed=config.seed,

@@ -14,11 +14,16 @@ The resulting problem is a small dense linear program over box-bounded
 lengths; fully determined systems (the usual case for hand-built
 topologies) collapse to a single linear solve.
 
-Assembly, the direct solve and the checks of a solution work on stacks of
-T systems that share one graph.  A single design is the stack with T = 1;
-the robustness trials of perturb_and_redesign run a block of perturbed
-systems through the same code at once, so each trial gets the bits its
-own design would.
+Assembly, solving and the checks of a solution work on stacks of T
+systems that share one graph.  _design_stack makes the one decision
+between the paths: a full-rank square system whose direct solution meets
+the residual budget is accepted, and every other system is solved alone by
+the LP.  A single design (solve_placements) is the stack with T = 1; the
+robustness trials of perturb_and_redesign run blocks of perturbed systems
+through the same function, so each trial gets the bits its own design would.
+
+The placements and the perturbation report are written and read through
+the table-file codec of fileio (csv_text, read_csv).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,9 +40,11 @@ import numpy as np
 from .fileio import (
     FileFormatError,
     atomic_write_text,
+    csv_text,
     finite_float,
     fmt_float,
     iter_config_lines,
+    read_csv,
     um_from_nm,
 )
 from .modes import format_mode_label, parse_mode_label
@@ -51,7 +58,6 @@ _FEASIBILITY_RTOL = 1e-9
 _BOUND_SLACK = 1e-9
 
 PLACEMENTS_HEADER = "variable,value"
-SUMMARY_HEADER = "key,value"
 POSITIONS_HEADER = "junction,from_mode,to_mode,z_km"
 
 
@@ -397,18 +403,20 @@ def _residuals(matrix, rhs, x):
     return np.abs(np.matmul(matrix, x[..., None])[..., 0] - rhs), scale
 
 
-def _is_square(matrix):
-    return matrix.shape[-2] == matrix.shape[-1] and matrix.size > 0
-
-
 def _solve_direct(matrix, rhs):
-    """One stacked solve of T square systems: (x, accepted per trial)."""
+    """One stacked solve of T square systems: (x, accepted per trial).
+
+    Only a full-rank system whose solution meets the residual budget is
+    accepted: a rank-deficient one has a family of solutions, of which the
+    LP finds one inside the bounds if there is any.
+    """
+    x = np.full(rhs.shape, np.nan)
+    full = np.flatnonzero(np.linalg.matrix_rank(matrix) == matrix.shape[-1])
     try:
-        x = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+        x[full] = np.linalg.solve(matrix[full], rhs[full, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        # one singular system fails the whole stack; solve them one by one
-        x = np.full(rhs.shape, np.nan)
-        for t in range(len(x)):
+        # an exactly singular pivot fails the whole stack; solve one by one
+        for t in full:
             try:
                 x[t] = np.linalg.solve(matrix[t:t + 1], rhs[t:t + 1, :, None])[0, :, 0]
             except np.linalg.LinAlgError:
@@ -417,10 +425,13 @@ def _solve_direct(matrix, rhs):
     return x, np.all(residual <= _FEASIBILITY_RTOL * scale, axis=-1)
 
 
-def _infeasibility_report(system):
-    solution, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)
-    residuals = system.matrix @ solution - system.rhs
-    budget = 1e-6 * max(1.0, np.abs(system.rhs).max())
+def _infeasibility_report(system, matrix=None, rhs=None):
+    """Why no placement solves system, or the matrix and rhs of one of its trials."""
+    matrix = system.matrix if matrix is None else matrix
+    rhs = system.rhs if rhs is None else rhs
+    solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+    residuals = matrix @ solution - rhs
+    budget = 1e-6 * max(1.0, np.abs(rhs).max())
     bad_rows = [
         f"{label} (residual {value})"
         for label, value in zip(system.row_labels, residuals)
@@ -438,19 +449,9 @@ def _infeasibility_report(system):
     return "constraint system is infeasible"
 
 
-def _lp_options():
-    # 1e-10 is the tightest feasibility HiGHS accepts; a least-squares
-    # polish after the solve brings residuals down to machine precision
-    return {
-        "presolve": True,
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    }
-
-
-def _raise_for_lp_status(result, system):
+def _raise_for_lp_status(result, system, matrix, rhs):
     if result.status == 2:
-        raise InfeasibleDesignError(_infeasibility_report(system))
+        raise InfeasibleDesignError(_infeasibility_report(system, matrix, rhs))
     if result.status == 3:
         raise UnboundedDispersionError(
             "dispersion increment is unbounded; the topology is under-constrained"
@@ -459,74 +460,45 @@ def _raise_for_lp_status(result, system):
         raise DesignError(f"linear program failed: {result.message}")
 
 
-def _solve_lp(system):
+def _solve_lp(system, matrix, rhs):
+    """Lengths (and dispersion increment) of one system built like system.
+
+    The first LP maximizes the dispersion increment if it is an unknown.
+    Then one LP per length, with each value found so far pinned, picks the
+    lexicographically smallest length vector.  The first LP decides
+    feasibility.
+    """
     from scipy.optimize import linprog  # deferred: scipy.optimize takes ~0.5 s to import
 
-    matrix, rhs = system.matrix, system.rhs
-    nvar = len(system.variables)
-    ncols = matrix.shape[1] if matrix.size else nvar + (1 if system.optimize_dispersion else 0)
-    bounds = [(0.0, 1.0)] * nvar + (
-        [(None, None)] if system.optimize_dispersion else []
-    )
-
-    def solve(cost, a_eq, b_eq):
-        return linprog(
-            cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-            options=_lp_options(),
-        )
-
-    matrix_aug, rhs_aug = matrix, rhs
-    if system.optimize_dispersion:
+    nvar, ncols = len(system.variables), matrix.shape[1]
+    bounds = [(0.0, 1.0)] * nvar + [(None, None)] * (ncols - nvar)
+    # 1e-10 is the tightest feasibility HiGHS accepts; a least-squares
+    # polish after the solve brings residuals down to machine precision
+    options = {"presolve": True, "primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+    a_eq, b_eq = matrix, rhs
+    for k in ([nvar] if system.optimize_dispersion else []) + list(range(nvar)):
         cost = np.zeros(ncols)
-        cost[-1] = -1.0
-        result = solve(cost, matrix if matrix.size else None, rhs if matrix.size else None)
-        _raise_for_lp_status(result, system)
-        x = result.x
-        pin = np.zeros(ncols)
-        pin[-1] = 1.0
-        matrix_aug = np.vstack([matrix_aug, pin]) if matrix_aug.size else pin[None, :]
-        rhs_aug = np.append(rhs_aug, x[-1])
-    # deterministic tie-break: lexicographically smallest length vector; with
-    # no dispersion objective the first of these LPs also decides feasibility
-    for k in range(nvar):
-        cost_k = np.zeros(ncols)
-        cost_k[k] = 1.0
-        step = solve(cost_k, matrix_aug, rhs_aug)
-        if k == 0 and not system.optimize_dispersion:
-            _raise_for_lp_status(step, system)
+        cost[k] = -1.0 if k == nvar else 1.0
+        step = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                       options=options)
+        if a_eq is matrix:
+            _raise_for_lp_status(step, system, matrix, rhs)
         elif step.status != 0:
             raise DesignError(f"tie-break solve failed: {step.message}")
-        x = step.x
-        pin = np.zeros(ncols)
-        pin[k] = 1.0
-        matrix_aug = np.vstack([matrix_aug, pin])
-        rhs_aug = np.append(rhs_aug, x[k])
-    if matrix.size:
-        correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ x, rcond=None)
-        x = x + correction
-    return x
+        a_eq = np.vstack([a_eq, np.eye(ncols)[k]])
+        b_eq = np.append(b_eq, step.x[k])
+    correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ step.x, rcond=None)
+    return step.x + correction
 
 
 def solve_placements(system):
     """Solve for the normalized lengths (and maximal dispersion increment)."""
-    nvar = len(system.variables)
-    ncols = nvar + (1 if system.optimize_dispersion else 0)
-    x = None
-    if _is_square(system.matrix):
-        candidate, accepted = _solve_direct(system.matrix[None], system.rhs[None])
-        if accepted[0]:
-            x = candidate[0]
-    if x is None and ncols == 0:
-        x = np.zeros(0)
-    if x is None:
-        x = _solve_lp(system)
-
-    checks, lengths, tau_eq, d_eq, delta_d = _solution_checks(
-        system, system.matrix[None], system.rhs[None], system.weights, x[None]
+    errors, lengths, tau_eq, d_eq, delta_d = _design_stack(
+        system, system.matrix[None], system.rhs[None], system.weights
     )
-    for failed, error, message in checks:
-        if failed[0]:
-            raise error(message(0))
+    if errors[0] is not None:
+        raise errors[0]
     targets = system.targets
     return PlacementSolution(
         lengths={name: float(value) for name, value in zip(system.variables, lengths[0])},
@@ -537,6 +509,44 @@ def solve_placements(system):
         lambda0_um=targets.lambda0_um,
         reference_mode=targets.reference_mode,
     )
+
+
+def _design_stack(system, matrix, rhs, weights, pool=None):
+    """Solve and check T systems built like system, each as a design of its own.
+
+    matrix, rhs and weights hold the T systems as _assemble builds them.  A
+    square stack gets one stacked direct solve; every trial it does not
+    accept is solved alone by the LP, through pool.map if a pool is given.
+    Returns (errors, lengths, tau_eq, d_eq, delta_d): the DesignError each
+    trial raises, or None, and the arrays of _solution_checks.
+    """
+    trials, ncols = matrix.shape[0], matrix.shape[-1]
+    if ncols == 0:
+        x, accepted = np.zeros((trials, 0)), np.ones(trials, dtype=bool)
+    elif matrix.shape[1] == ncols:
+        x, accepted = _solve_direct(matrix, rhs)
+    else:
+        x, accepted = np.full((trials, ncols), np.nan), np.zeros(trials, dtype=bool)
+
+    def solve_lp(t):
+        try:
+            return _solve_lp(system, matrix[t], rhs[t])
+        except DesignError as exc:
+            return exc
+
+    errors = [None] * trials
+    rest = np.flatnonzero(~accepted)
+    for t, result in zip(rest, (pool.map if pool else map)(solve_lp, rest)):
+        if isinstance(result, DesignError):
+            errors[t] = result
+        else:
+            x[t] = result
+    checks, lengths, tau_eq, d_eq, delta_d = _solution_checks(system, matrix, rhs, weights, x)
+    for failed, error, message in checks:
+        for t in np.flatnonzero(failed):
+            if errors[t] is None:
+                errors[t] = error(message(t))
+    return errors, lengths, tau_eq, d_eq, delta_d
 
 
 def _solution_checks(system, matrix, rhs, weights, x):
@@ -679,33 +689,24 @@ class RobustnessReport:
         return float(np.median(deltas)) if deltas else float("nan")
 
     def to_csv(self):
-        lines = ["trial,feasible,max_abs_delta_length,delta_D_ps_per_km_nm"]
-        for t in self.trials:
-            lines.append(
-                f"{t.trial},{int(t.feasible)},{fmt_float(t.max_abs_delta_length)},"
-                f"{fmt_float(t.delta_d_ps_per_km_nm)}"
-            )
-        lines.append("[summary]")
-        lines.append(SUMMARY_HEADER)
-        lines.append(f"sigma,{fmt_float(self.sigma)}")
-        lines.append(f"seed,{self.seed}")
-        lines.append(f"trials,{len(self.trials)}")
-        lines.append(f"feasible_fraction,{fmt_float(self.feasible_fraction)}")
-        lines.append(
-            f"median_max_abs_delta_length,{fmt_float(self.median_max_abs_delta_length)}"
+        return csv_text(
+            "trial,feasible,max_abs_delta_length,delta_D_ps_per_km_nm",
+            (
+                (str(t.trial), str(int(t.feasible)), fmt_float(t.max_abs_delta_length),
+                 fmt_float(t.delta_d_ps_per_km_nm))
+                for t in self.trials
+            ),
+            [
+                ("sigma", fmt_float(self.sigma)),
+                ("seed", self.seed),
+                ("trials", len(self.trials)),
+                ("feasible_fraction", fmt_float(self.feasible_fraction)),
+                ("median_max_abs_delta_length", fmt_float(self.median_max_abs_delta_length)),
+            ],
         )
-        return "\n".join(lines) + "\n"
 
 
 _TRIAL_BLOCK = 256  # trials perturbed, assembled, solved and checked as one stack
-
-
-def _pick(weights, rows):
-    """The (tau, D) weights of the trials in rows, an index or an index array."""
-    return tuple(
-        {mode: None if value is None else value[rows] for mode, value in part.items()}
-        for part in weights
-    )
 
 
 def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
@@ -713,13 +714,11 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
 
     Trial k draws one (tau, D) pair per table mode from a generator seeded by
     (seed, k) and scales each mode's tau - tau_ref and D by 1 + sigma * draw.
-    Trials go in blocks of _TRIAL_BLOCK.  When the system is square, a block
-    is assembled as one (T, n, n) stack, solved with one stacked solve and
-    checked with the rules of a single design, all as arrays.  A trial whose
-    direct solve is not accepted, and every trial of a non-square system, is
-    solved on its own by solve_placements (the LP path), `workers` at a time.
-    Either way a trial gets the bits a design of its perturbed table alone
-    would get, so reports do not depend on the block split or on workers.
+    Trials go in blocks of _TRIAL_BLOCK; each block is assembled as one stack
+    and goes through _design_stack, like a single design, with `workers`
+    threads for its LP-path trials.  A trial gets the bits a design of its
+    perturbed table alone would get, so reports do not depend on the block
+    split or on workers.
     """
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
@@ -734,22 +733,6 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     reference = modes.index(targets.reference_mode)
     tau, disp = system.weights
     nan = float("nan")
-
-    def max_shift(lengths):
-        return np.abs(lengths - nominal_lengths).max(axis=-1, initial=0.0)
-
-    def redesign(item):
-        index, trial_system = item
-        try:
-            solution = solve_placements(trial_system)
-        except DesignError:
-            return PerturbationTrial(index, False, nan, nan)
-        shift = max_shift(np.array(list(solution.lengths.values())))
-        delta_d = solution.delta_d_ps_per_km_nm
-        return PerturbationTrial(
-            index, True, float(shift), delta_d if delta_d is not None else nan
-        )
-
     results = []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, trials, _TRIAL_BLOCK):
@@ -769,32 +752,16 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
             matrix, rhs, _ = _assemble(
                 graph, targets, system.optimize_dispersion, weights, len(indices)
             )
-            block = [None] * len(indices)
-            if _is_square(system.matrix):
-                x, accepted = _solve_direct(matrix, rhs)
-                rows = np.flatnonzero(accepted)
-                checks, lengths, _, _, delta_d = _solution_checks(
-                    system, matrix[rows], rhs[rows], _pick(weights, rows), x[rows]
+            errors, lengths, _, _, delta_d = _design_stack(system, matrix, rhs, weights, pool)
+            shift = np.abs(lengths - nominal_lengths).max(axis=-1, initial=0.0)
+            results.extend(
+                PerturbationTrial(index, False, nan, nan) if error is not None
+                else PerturbationTrial(
+                    index, True, float(shift[t]),
+                    float(delta_d[t]) if delta_d is not None else nan,
                 )
-                failed = np.any([failed for failed, _, _ in checks], axis=0)
-                shift = max_shift(lengths)
-                for j, row in enumerate(rows):
-                    block[row] = (
-                        PerturbationTrial(indices[row], False, nan, nan) if failed[j]
-                        else PerturbationTrial(
-                            indices[row], True, float(shift[j]),
-                            float(delta_d[j]) if delta_d is not None else nan,
-                        )
-                    )
-            rest = [row for row, trial in enumerate(block) if trial is None]
-            alone = [
-                (indices[row], replace(system, matrix=matrix[row], rhs=rhs[row],
-                                       weights=_pick(weights, row)))
-                for row in rest
-            ]
-            for row, trial in zip(rest, (pool.map if pool else map)(redesign, alone)):
-                block[row] = trial
-            results.extend(block)
+                for t, (index, error) in enumerate(zip(indices, errors))
+            )
     return RobustnessReport(sigma=sigma, seed=seed, trials=tuple(results), nominal=nominal)
 
 
@@ -872,22 +839,18 @@ def load_graph(path):
 # --- placements CSV ---------------------------------------------------------
 
 def placements_to_csv(solution):
-    lines = [PLACEMENTS_HEADER]
-    for name, value in solution.lengths.items():
-        lines.append(f"{name},{fmt_float(value)}")
-    lines.append("[summary]")
-    lines.append(SUMMARY_HEADER)
-    lines.append(f"lambda0_nm,{fmt_float(solution.lambda0_um * 1e3)}")
-    lines.append(f"reference_mode,{format_mode_label(*solution.reference_mode)}")
-    lines.append(f"delta_tau_ps_per_km,{fmt_float(solution.delta_tau_ps_per_km)}")
+    summary = [
+        ("lambda0_nm", fmt_float(solution.lambda0_um * 1e3)),
+        ("reference_mode", format_mode_label(*solution.reference_mode)),
+        ("delta_tau_ps_per_km", fmt_float(solution.delta_tau_ps_per_km)),
+    ]
     if solution.delta_d_ps_per_km_nm is not None:
-        lines.append(f"delta_D_ps_per_km_nm,{fmt_float(solution.delta_d_ps_per_km_nm)}")
-    for index, value in enumerate(solution.tau_eq_ps_per_km, start=1):
-        lines.append(f"tau_eq_{index},{fmt_float(value)}")
-    if solution.d_eq_ps_per_km_nm is not None:
-        for index, value in enumerate(solution.d_eq_ps_per_km_nm, start=1):
-            lines.append(f"D_eq_{index},{fmt_float(value)}")
-    return "\n".join(lines) + "\n"
+        summary.append(("delta_D_ps_per_km_nm", fmt_float(solution.delta_d_ps_per_km_nm)))
+    for prefix, values in (("tau_eq_", solution.tau_eq_ps_per_km),
+                           ("D_eq_", solution.d_eq_ps_per_km_nm or ())):
+        summary += [(f"{prefix}{i}", fmt_float(v)) for i, v in enumerate(values, start=1)]
+    rows = [(name, fmt_float(value)) for name, value in solution.lengths.items()]
+    return csv_text(PLACEMENTS_HEADER, rows, summary)
 
 
 def write_placements(solution, path):
@@ -895,47 +858,49 @@ def write_placements(solution, path):
 
 
 def parse_placements_csv(text, source="<placements>"):
-    lines = text.splitlines()
+    rows, summary_rows = read_csv(text, PLACEMENTS_HEADER, source)
+    last = len(text.splitlines())
     diagnostics = []
-    if not lines or lines[0].strip() != PLACEMENTS_HEADER:
-        raise FileFormatError(source, [(1, f"expected header '{PLACEMENTS_HEADER}'")])
-    lengths = {}
-    summary = {}
-    in_summary = False
-    for number, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped == "[summary]":
-            in_summary = True
-            continue
-        if in_summary and stripped == SUMMARY_HEADER:
-            continue
-        left, comma, right = stripped.partition(",")
-        if not comma:
-            diagnostics.append((number, f"expected 'name,value', got '{stripped}'"))
-            continue
-        if not in_summary:
-            try:
-                lengths[left] = finite_float(right)
-            except ValueError as exc:
-                diagnostics.append((number, f"bad length value for '{left}': {exc}"))
-        else:
-            summary[left] = (number, right)
 
-    def summary_float(key):
+    def pairs(entries, what):
+        """name -> (line, raw value); a malformed or repeated entry is reported."""
+        found = {}
+        for number, fields in entries:
+            if len(fields) != 2:
+                diagnostics.append((number, f"expected 'name,value', got '{','.join(fields)}'"))
+            elif fields[0] in found:
+                diagnostics.append((number, f"repeated {what} '{fields[0]}' "
+                                            f"(first on line {found[fields[0]][0]})"))
+            else:
+                found[fields[0]] = (number, fields[1])
+        return found
+
+    lengths = {}
+    for name, (number, raw) in pairs(rows, "length variable").items():
+        try:
+            lengths[name] = finite_float(raw)
+            if not 0.0 <= lengths[name] <= 1.0:
+                raise ValueError(f"must lie in [0, 1], got {raw}")
+        except ValueError as exc:
+            diagnostics.append((number, f"bad length value for '{name}': {exc}"))
+    summary = pairs(summary_rows, "summary key")
+
+    def summary_float(key, positive=False):
         if key not in summary:
-            diagnostics.append((len(lines), f"summary is missing '{key}'"))
+            diagnostics.append((last, f"summary is missing '{key}'"))
             return None
         number, raw = summary[key]
         try:
-            return finite_float(raw)
+            value = finite_float(raw)
+            if positive and not value > 0.0:
+                raise ValueError(f"must be > 0, got {raw}")
+            return value
         except ValueError as exc:
             diagnostics.append((number, f"bad value for '{key}': {exc}"))
             return None
 
-    lambda_nm = summary_float("lambda0_nm")
-    delta_tau = summary_float("delta_tau_ps_per_km")
+    lambda_nm = summary_float("lambda0_nm", positive=True)
+    delta_tau = summary_float("delta_tau_ps_per_km", positive=True)
     reference = (0, 1)
     if "reference_mode" in summary:
         number, raw = summary["reference_mode"]
@@ -944,7 +909,7 @@ def parse_placements_csv(text, source="<placements>"):
         except ValueError as exc:
             diagnostics.append((number, str(exc)))
     else:
-        diagnostics.append((len(lines), "summary is missing 'reference_mode'"))
+        diagnostics.append((last, "summary is missing 'reference_mode'"))
 
     def indexed(prefix):
         """Values of prefix1, prefix2, ...; a rejected one stays as None so it still counts."""
@@ -955,11 +920,11 @@ def parse_placements_csv(text, source="<placements>"):
 
     tau_eq = indexed("tau_eq_")
     if not tau_eq:
-        diagnostics.append((len(lines), "summary holds no tau_eq_<i> entries"))
+        diagnostics.append((last, "summary holds no tau_eq_<i> entries"))
     d_eq = indexed("D_eq_")
     if d_eq and len(d_eq) != len(tau_eq):
         diagnostics.append(
-            (len(lines), f"{len(d_eq)} D_eq entries for {len(tau_eq)} tau_eq entries")
+            (last, f"{len(d_eq)} D_eq entries for {len(tau_eq)} tau_eq entries")
         )
     delta_d = None
     if "delta_D_ps_per_km_nm" in summary:
@@ -982,12 +947,10 @@ def read_placements(path):
 
 
 def positions_to_csv(positions):
-    lines = [POSITIONS_HEADER]
-    for entry in positions:
-        lines.append(
-            f"{entry.junction},{entry.from_mode},{entry.to_mode},{fmt_float(entry.z_km)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(POSITIONS_HEADER, (
+        (str(entry.junction), entry.from_mode, entry.to_mode, fmt_float(entry.z_km))
+        for entry in positions
+    ))
 
 
 def write_positions(positions, path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import modal_weights, path_sum
-from .fileio import atomic_write_text, fmt_float, um_from_nm
+from .fileio import atomic_write_text, csv_text, fmt_float, um_from_nm
 from .modes import ModeSolverError, format_mode_label, solve_mode_table
 
 FIRST_ORDER = "first-order"
@@ -230,14 +230,11 @@ def delay_curve_to_csv(curve):
     header = ["lambda_nm"]
     header += [f"tau{i}" for i in range(1, n_samples + 1)]
     header += [f"dtau{i + 1}{i}" for i in range(1, n_samples)]
-    lines = [",".join(header)]
-    differentials = curve.differential_delays
-    for j, lam in enumerate(curve.wavelengths_nm):
-        row = [fmt_float(lam)]
-        row += [fmt_float(v) for v in curve.sample_delays_ps_per_km[:, j]]
-        row += [fmt_float(v) for v in differentials[:, j]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    columns = np.vstack([curve.sample_delays_ps_per_km, curve.differential_delays])
+    return csv_text(",".join(header), (
+        [fmt_float(lam), *map(fmt_float, columns[:, j])]
+        for j, lam in enumerate(curve.wavelengths_nm)
+    ))
 
 
 def write_delay_curve(curve, path):
@@ -245,11 +242,10 @@ def write_delay_curve(curve, path):
 
 
 def rf_response_to_csv(result):
-    lines = ["f_GHz,re,im,mag_db"]
-    mag_db = result.magnitude_db
-    for f, h, db in zip(result.frequencies_ghz, result.response, mag_db):
-        lines.append(f"{fmt_float(f)},{fmt_float(h.real)},{fmt_float(h.imag)},{fmt_float(db)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("f_GHz,re,im,mag_db", (
+        map(fmt_float, (f, h.real, h.imag, db))
+        for f, h, db in zip(result.frequencies_ghz, result.response, result.magnitude_db)
+    ))
 
 
 def write_rf_response(result, path):

@@ -1,4 +1,18 @@
-"""Shared text-file helpers: diagnostics, config-line parsing, atomic writes."""
+"""Shared text-file helpers: diagnostics, config lines, table files, atomic writes.
+
+Every CSV file of the pipeline (mode table, placements, grating positions,
+perturbation report, delay curve, RF response) is a table file: one header
+line, one comma-separated line per row and, for the placements and the
+perturbation report, a trailing block
+
+    [summary]
+    key,value
+    <key>,<value>
+    ...
+
+csv_text writes that layout and read_csv reads it back; the readers of the
+mode table and the placements check only their own columns and values.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +50,41 @@ def iter_config_lines(text):
             yield number, "pair", (key.strip(), value.strip())
         else:
             yield number, "error", f"expected 'key = value' or '[section]', got {line!r}"
+
+
+SUMMARY_SECTION = "[summary]"
+SUMMARY_HEADER = "key,value"
+
+
+def csv_text(header, rows, summary=None):
+    """Table-file text: the header line, one line per row of formatted fields,
+    then, if summary (key, formatted value) pairs are given, the summary block.
+    """
+    lines = [header, *(",".join(row) for row in rows)]
+    if summary is not None:
+        lines += [SUMMARY_SECTION, SUMMARY_HEADER, *(f"{key},{value}" for key, value in summary)]
+    return "\n".join(lines) + "\n"
+
+
+def read_csv(text, header, source):
+    """Split a table file into (rows, summary), each a list of (line, fields).
+
+    The first line must be header, or FileFormatError is raised.  Blank lines
+    and the summary block's own header are skipped; fields are the stripped
+    line split at every comma.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise FileFormatError(source, [(1, f"expected header '{header}'")])
+    rows, summary = [], []
+    section = rows
+    for number, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if stripped == SUMMARY_SECTION:
+            section = summary
+        elif stripped and not (section is summary and stripped == SUMMARY_HEADER):
+            section.append((number, stripped.split(",")))
+    return rows, summary
 
 
 def finite_float(text):

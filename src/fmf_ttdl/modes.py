@@ -33,7 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
+from .fileio import (
+    FileFormatError,
+    atomic_write_text,
+    csv_text,
+    finite_float,
+    fmt_float,
+    read_csv,
+    um_from_nm,
+)
 
 _C_M_PER_S = 299_792_458.0  # exact by the SI definition of the metre
 _C_KM_PER_S = _C_M_PER_S / 1000.0
@@ -114,17 +122,31 @@ class ModeTable:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        problems = self.problems(self.modes)
+        if problems:
+            raise ValueError("; ".join(message for _, message in problems))
+
+    @staticmethod
+    def problems(records):
+        """Defects of a record sequence as (row index, message), at most one a row.
+
+        A row may name an invalid mode, repeat an earlier mode, or fail to lie
+        strictly below the row above it in n_eff.
+        """
+        problems = []
         seen = set()
-        for record in self.modes:
-            if (record.l, record.m) in seen:
-                raise ValueError(f"duplicate mode {record.label} in table")
+        for index, record in enumerate(records):
+            above = records[index - 1] if index else None
+            if record.l < 0 or record.m < 1:
+                problems.append((index, f"invalid mode l = {record.l}, m = {record.m} "
+                                        f"(needs l >= 0 and m >= 1)"))
+            elif (record.l, record.m) in seen:
+                problems.append((index, f"duplicate mode {record.label} in table"))
+            elif above is not None and not above.n_eff > record.n_eff:
+                problems.append((index, f"modes must be sorted strictly descending in n_eff "
+                                        f"({above.label} vs {record.label})"))
             seen.add((record.l, record.m))
-        for above, below in zip(self.modes, self.modes[1:]):
-            if not above.n_eff > below.n_eff:
-                raise ValueError(
-                    f"modes must be sorted strictly descending in n_eff "
-                    f"({above.label} vs {below.label})"
-                )
+        return problems
 
     def __len__(self):
         return len(self.modes)
@@ -533,26 +555,17 @@ def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
 
 
 def mode_table_to_csv(table):
-    lines = [MODE_TABLE_HEADER]
-    lambda_nm = table.lambda0_um * 1e3
+    lambda_nm = fmt_float(table.lambda0_um * 1e3)
     for record in table.modes:
         if record.tau_ps_per_km is None or record.dispersion_ps_per_km_nm is None:
             raise ValueError(
                 f"mode {record.label} lacks tau/D; characterize the table before export"
             )
-        lines.append(
-            ",".join(
-                (
-                    str(record.l),
-                    str(record.m),
-                    fmt_float(record.n_eff),
-                    fmt_float(record.tau_ps_per_km),
-                    fmt_float(record.dispersion_ps_per_km_nm),
-                    fmt_float(lambda_nm),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(MODE_TABLE_HEADER, (
+        (str(r.l), str(r.m), fmt_float(r.n_eff), fmt_float(r.tau_ps_per_km),
+         fmt_float(r.dispersion_ps_per_km_nm), lambda_nm)
+        for r in table.modes
+    ))
 
 
 def write_mode_table(table, path):
@@ -560,18 +573,11 @@ def write_mode_table(table, path):
 
 
 def parse_mode_table_csv(text, source="<modes>"):
-    lines = text.splitlines()
-    diagnostics = []
-    if not lines or lines[0].strip() != MODE_TABLE_HEADER:
-        raise FileFormatError(
-            source, [(1, f"expected header '{MODE_TABLE_HEADER}'")]
-        )
-    rows = []
+    rows, summary = read_csv(text, MODE_TABLE_HEADER, source)
+    diagnostics = [(number, "a mode table has no summary block") for number, _ in summary]
+    records, lines = [], []
     lambda_nm = None
-    for number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
+    for number, fields in rows:
         if len(fields) != 6:
             diagnostics.append((number, f"expected 6 columns, got {len(fields)}"))
             continue
@@ -579,38 +585,23 @@ def parse_mode_table_csv(text, source="<modes>"):
             l, m = int(fields[0]), int(fields[1])
             n_eff, tau, disp, lam = (finite_float(field) for field in fields[2:])
         except ValueError as exc:
-            diagnostics.append((number, f"malformed row: {line!r} ({exc})"))
+            diagnostics.append((number, f"malformed row: {','.join(fields)!r} ({exc})"))
             continue
         if lambda_nm is None:
-            lambda_nm = lam
+            lambda_nm, lambda0_um = lam, um_from_nm(lam)
         elif lam != lambda_nm:
             diagnostics.append(
                 (number, f"lambda0_nm {lam} differs from first row ({lambda_nm})")
             )
             continue
-        rows.append((l, m, n_eff, tau, disp))
+        records.append(ModeRecord(l, m, n_eff, lambda0_um, tau, disp))
+        lines.append(number)
+    diagnostics += [(lines[index], message) for index, message in ModeTable.problems(records)]
     if lambda_nm is None and not diagnostics:
         diagnostics.append((2, "no mode rows found"))
     if diagnostics:
         raise FileFormatError(source, diagnostics)
-    lambda0_um = um_from_nm(lambda_nm)
-    try:
-        return ModeTable(
-            tuple(
-                ModeRecord(
-                    l=l,
-                    m=m,
-                    n_eff=n_eff,
-                    lambda0_um=lambda0_um,
-                    tau_ps_per_km=tau,
-                    dispersion_ps_per_km_nm=disp,
-                )
-                for l, m, n_eff, tau, disp in rows
-            ),
-            lambda0_um,
-        )
-    except ValueError as exc:
-        raise FileFormatError(source, [(2, str(exc))]) from exc
+    return ModeTable(records, lambda0_um)
 
 
 def read_mode_table(path):

@@ -544,6 +544,31 @@ def test_singular_direct_system_falls_back_to_lp(sigma, monkeypatch):
     assert report.to_csv() == perturb_per_trial(*args).to_csv()
 
 
+def test_rank_deficient_square_system_takes_the_lp_path(
+    four_sample_graph, reference_table, reference_targets
+):
+    # LP11 and LP31 share tau and D, so the 9x9 system loses a rank but stays
+    # consistent, and np.linalg.solve returns a point outside the bounds
+    from dataclasses import replace
+
+    tau, disp = 9225.66042032218, 27.031451578803704
+    table = ModeTable(tuple(
+        replace(r, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp)
+        if (r.l, r.m) in ((1, 1), (3, 1)) else r
+        for r in reference_table.modes
+    ), 1.55)
+    system = assemble_constraints(four_sample_graph, table, reference_targets)
+    assert system.matrix.shape == (9, 9)
+    assert np.linalg.matrix_rank(system.matrix) == 8
+    direct = dict(zip(system.variables, np.linalg.solve(system.matrix, system.rhs)))
+    assert direct["l11_3"] < -1.0 and direct["l31_3"] > 1.0
+    solution = solve_placements(system)
+    assert solution.lengths["l11_3"] == pytest.approx(0.0, abs=1e-12)
+    assert solution.lengths["l31_3"] == pytest.approx(0.6393240139306796, abs=1e-12)
+    report = perturb_and_redesign(four_sample_graph, table, reference_targets, 0.0, 3, 1)
+    assert all(t.feasible and t.max_abs_delta_length == 0.0 for t in report.trials)
+
+
 def test_lp_count_per_dispersion_rule(monkeypatch, four_sample_graph, reference_table):
     calls = _count_linprog(monkeypatch)
     toy = make_toy_table(TOY_ROWS_A)
@@ -704,6 +729,32 @@ def test_placements_csv_rejects_non_finite_values(reference_solution):
         parse_placements_csv("\n".join(lines) + "\n", source="bad.csv")
     finite = [line for line, message in excinfo.value.diagnostics if "finite" in message]
     assert finite == [length_line, summary_line]
+
+
+def test_placements_reader_rejects_repeats_and_out_of_range_values(reference_solution):
+    lines = placements_to_csv(reference_solution).splitlines()
+    assert lines[1].startswith("l02,")
+    lines[1] = "l02,1.5"
+    lines.insert(2, "l02,0.9")
+    lines = [
+        "lambda0_nm,0" if line.startswith("lambda0_nm,")
+        else "delta_tau_ps_per_km,-100.0" if line.startswith("delta_tau_ps_per_km,")
+        else line
+        for line in lines
+    ]
+    lines.append("tau_eq_1,1.0")
+    number = {line: index for index, line in enumerate(lines, start=1)}
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_placements_csv("\n".join(lines) + "\n", source="bad.csv")
+    first_tau = next(n for line, n in number.items() if line.startswith("tau_eq_1,"))
+    assert excinfo.value.diagnostics == (
+        (2, "bad length value for 'l02': must lie in [0, 1], got 1.5"),
+        (3, "repeated length variable 'l02' (first on line 2)"),
+        (number["lambda0_nm,0"], "bad value for 'lambda0_nm': must be > 0, got 0"),
+        (number["delta_tau_ps_per_km,-100.0"],
+         "bad value for 'delta_tau_ps_per_km': must be > 0, got -100.0"),
+        (len(lines), f"repeated summary key 'tau_eq_1' (first on line {first_tau})"),
+    )
 
 
 def test_rejected_tau_eq_is_not_also_a_count_mismatch(reference_solution):

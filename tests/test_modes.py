@@ -327,6 +327,30 @@ def test_mode_table_csv_rejects_non_finite_values():
     assert all("finite" in message for _, message in excinfo.value.diagnostics)
 
 
+def test_mode_table_reader_reports_each_bad_row_at_its_line():
+    demo = (Path(__file__).resolve().parent.parent / "demo" / "reference_modes.csv")
+    lines = demo.read_text().splitlines()
+    assert lines[3].startswith("2,1,") and lines[5].startswith("0,2,")
+
+    def diagnostics(rows):
+        with pytest.raises(FileFormatError) as excinfo:
+            parse_mode_table_csv("\n".join(rows) + "\n", source="m.csv")
+        return excinfo.value.diagnostics
+
+    assert diagnostics(lines + ["", lines[3]]) == ((10, "duplicate mode LP21 in table"),)
+    swapped = lines[:5] + [lines[6], lines[5]] + lines[7:]
+    assert diagnostics(swapped) == (
+        (7, "modes must be sorted strictly descending in n_eff (LP12 vs LP02)"),
+    )
+    invalid = lines[:1] + ["-1,1,1.46,0.0,1.0,1550.0", "1,0,1.459,0.0,1.0,1550.0"] + lines[1:]
+    assert diagnostics(invalid) == (
+        (2, "invalid mode l = -1, m = 1 (needs l >= 0 and m >= 1)"),
+        (3, "invalid mode l = 1, m = 0 (needs l >= 0 and m >= 1)"),
+    )
+    with pytest.raises(ValueError, match="invalid mode"):
+        ModeTable((ModeRecord(l=0, m=0, n_eff=1.45, lambda0_um=1.55),), 1.55)
+
+
 # --- root-finding internals -----------------------------------------------------
 
 def test_lockstep_bisection_matches_scipy_bisect_bit_for_bit(ring_profile):
