@@ -797,7 +797,7 @@ def parse_graph(text, source="<graph>"):
             parts = payload.split()
             if len(parts) == 2 and parts[0] == "sample" and parts[1].isdigit():
                 expected = len(samples) + 1
-                if int(parts[1]) != expected:
+                if parts[1].lstrip("0") != str(expected):  # int() fails on "²", 5000 digits
                     diagnostics.append(
                         (number, f"expected [sample {expected}], got [sample {parts[1]}]")
                     )
@@ -929,6 +929,11 @@ def parse_placements_csv(text, source="<placements>"):
     delta_d = None
     if "delta_D_ps_per_km_nm" in summary:
         delta_d = summary_float("delta_D_ps_per_km_nm")
+    written = {"lambda0_nm", "reference_mode", "delta_tau_ps_per_km", "delta_D_ps_per_km_nm",
+               *(f"tau_eq_{i}" for i in range(1, len(tau_eq) + 1)),
+               *(f"D_eq_{i}" for i in range(1, len(d_eq) + 1))}
+    diagnostics += [(number, f"unknown summary key '{key}'")
+                    for key, (number, _) in summary.items() if key not in written]
     if diagnostics:
         raise FileFormatError(source, diagnostics)
     return PlacementSolution(

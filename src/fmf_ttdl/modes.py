@@ -10,12 +10,15 @@ continuous across basis switches.  Bessel derivatives come from the
 order-lowering recurrences, so each basis function costs one special-function
 call at orders l-1 and l.  The innermost region keeps only its regular
 solution and the unbounded cladding only K_l; guided effective indices are
-the zeros of the resulting boundary-matching determinant.
+the zeros of the resulting boundary-matching determinant.  The kernel takes
+an order and a wavelength per trial point.
 
 Roots are found on a uniform n_eff grid over the guided range: every sign
-change between neighbouring grid points is a bracket, and all brackets of
-one order are bisected in lockstep, one kernel call per step, with the
-arithmetic of scipy.optimize.bisect (xtol = root_tol * _REFINE_FACTOR).
+change between neighbouring grid points is a bracket.  Each solve (all orders
+of find_modes, all probe windows of a table, all orders at all sweep
+wavelengths) collects its brackets first and bisects them all in lockstep,
+one kernel call per step, with the arithmetic of scipy.optimize.bisect
+(xtol = root_tol * _REFINE_FACTOR).
 
 Group delay and chromatic dispersion per mode follow from central finite
 differences of n_eff(lambda).  Mode identity across the probe wavelengths
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -91,7 +95,7 @@ def parse_mode_label(text):
         left, right = body[0], body[1]
     else:
         raise ValueError(f"mode label must look like 'LP01' or 'LP10_1', got '{text}'")
-    if not (left.isdigit() and right.isdigit()):
+    if not (left.isdecimal() and right.isdecimal()):
         raise ValueError(f"mode label must look like 'LP01', got '{text}'")
     l, m = int(left), int(right)
     if m < 1:
@@ -165,21 +169,25 @@ class ModeTable:
         return -np.diff(values)
 
 
-@dataclass(frozen=True)
-class _Geometry:
-    radii: tuple
-    indices: tuple
-    n_clad: float
-    k0: float
+_Geometry = namedtuple("_Geometry", "radii indices n_clad k0")
 
 
 def _geometry(profile, wavelength_um):
     n_clad = profile.cladding_index(wavelength_um)
-    indices = tuple(
-        profile.layer_index(j, wavelength_um) for j in range(len(profile.layers))
-    )
+    indices = tuple(profile.layer_index(j, wavelength_um) for j in range(len(profile.layers)))
     radii = tuple(layer.radius_um for layer in profile.layers)
     return _Geometry(radii, indices, n_clad, 2.0 * math.pi / wavelength_um)
+
+
+def _points(geometries, counts):
+    """Kernel input (radii, rows) for counts[i] trial points on geometries[i].
+
+    All geometries are of one profile.  A point's row holds k0^2, n_clad^2
+    and each layer's index^2 of its geometry as Python floats, because
+    Python's x ** 2 and NumPy's x * x can differ in the last bit.
+    """
+    scalars = [(g.k0 * g.k0, g.n_clad ** 2, *(n ** 2 for n in g.indices)) for g in geometries]
+    return geometries[0].radii, np.repeat(np.array(scalars), counts, axis=0)
 
 
 def _renormalize(state):
@@ -193,14 +201,15 @@ def _with_derivative(bessel, l, x, lower_sign=1.0):
     f_l' = lower_sign * f_{l-1} - (l/x) f_l holds with lower_sign = +1 for
     J, Y and I and -1 for K (Abramowitz & Stegun 9.1.27, 9.6.26), also for
     the exp(-/+x) scaled ive/kve since both sides carry the same factor.
-    Y is the integer-order yn, which accepts the order -1 that l = 0 needs.
+    Y is the integer-order yn, which accepts the order -1 that l = 0 needs;
+    an integer array l keeps yn on that loop.
     """
     value = bessel(l, x)
     return value, lower_sign * bessel(l - 1, x) - (l / x) * value
 
 
 def _initial_state(l, u2, radius):
-    """(R, R') of the regular solution at the first boundary, per trial index."""
+    """(R, R') of the regular solution at the first boundary, per trial point."""
     import scipy.special as sp  # deferred: ~0.4 s to import; only mode solving needs it
 
     state = np.empty((u2.shape[0], 2))
@@ -209,22 +218,22 @@ def _initial_state(l, u2, radius):
     evanescent = (u2 < 0.0) & ~degenerate
     if oscillatory.any():
         q = np.sqrt(u2[oscillatory])
-        j, jp = _with_derivative(sp.jv, l, q * radius)
+        j, jp = _with_derivative(sp.jv, l[oscillatory], q * radius)
         state[oscillatory, 0] = j
         state[oscillatory, 1] = q * jp
     if evanescent.any():
         q = np.sqrt(-u2[evanescent])
-        i, ip = _with_derivative(sp.ive, l, q * radius)
+        i, ip = _with_derivative(sp.ive, l[evanescent], q * radius)
         state[evanescent, 0] = i
         state[evanescent, 1] = q * ip
     if degenerate.any():
         state[degenerate, 0] = 1.0
-        state[degenerate, 1] = l / radius
+        state[degenerate, 1] = l[degenerate] / radius
     return _renormalize(state)
 
 
 def _propagator(l, u2, r_inner, r_outer):
-    """Exact 2x2 propagator of (R, R') across one annulus, per trial index.
+    """Exact 2x2 propagator of (R, R') across one annulus, per trial point.
 
     Evanescent matrices carry scaled Bessel functions with the common
     exponential growth factored out; the dropped factor is positive so the
@@ -240,8 +249,8 @@ def _propagator(l, u2, r_inner, r_outer):
     if oscillatory.any():
         q = np.sqrt(u2[oscillatory])
         ends = np.array((q * r_inner, q * r_outer))
-        (ja, jb), (jpa, jpb) = _with_derivative(sp.jv, l, ends)
-        (ya, yb), (ypa, ypb) = _with_derivative(sp.yn, l, ends)
+        (ja, jb), (jpa, jpb) = _with_derivative(sp.jv, l[oscillatory], ends)
+        (ya, yb), (ypa, ypb) = _with_derivative(sp.yn, l[oscillatory], ends)
         # inverse at r_inner from the exact Wronskian: det M = 2 / (pi r)
         half_pi_r = 0.5 * math.pi * r_inner
         i00 = half_pi_r * q * ypa
@@ -258,8 +267,8 @@ def _propagator(l, u2, r_inner, r_outer):
     if evanescent.any():
         g = np.sqrt(-u2[evanescent])
         ends = np.array((g * r_inner, g * r_outer))
-        (ia, ib), (ipa, ipb) = _with_derivative(sp.ive, l, ends)
-        (ka, kb), (kpa, kpb) = _with_derivative(sp.kve, l, ends, -1.0)
+        (ia, ib), (ipa, ipb) = _with_derivative(sp.ive, l[evanescent], ends)
+        (ka, kb), (kpa, kpb) = _with_derivative(sp.kve, l[evanescent], ends, -1.0)
         decay = np.exp(-2.0 * g * (r_outer - r_inner))
         # inverse at r_inner in the scaled basis: det = -1/r
         i00 = -r_inner * g * kpa
@@ -273,42 +282,38 @@ def _propagator(l, u2, r_inner, r_outer):
         out[evanescent, 1, 0] = m10 * i00 + m11 * i10
         out[evanescent, 1, 1] = m10 * i01 + m11 * i11
 
-    if degenerate.any():
-        if l == 0:
-            out[degenerate, 0, 0] = 1.0
-            out[degenerate, 0, 1] = r_inner * math.log(r_outer / r_inner)
-            out[degenerate, 1, 0] = 0.0
-            out[degenerate, 1, 1] = r_inner / r_outer
-        else:
-            grow = (r_outer / r_inner) ** l
-            out[degenerate, 0, 0] = 0.5 * (grow + 1.0 / grow)
-            out[degenerate, 0, 1] = r_inner * (grow - 1.0 / grow) / (2.0 * l)
-            out[degenerate, 1, 0] = l * (grow - 1.0 / grow) / (2.0 * r_outer)
-            out[degenerate, 1, 1] = (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)
+    # power-law basis r^l, r^-l (1, log r for l = 0), in Python floats per order
+    for order in np.unique(l[degenerate]).tolist():
+        rows = degenerate & (l == order)
+        if order == 0:
+            out[rows] = ((1.0, r_inner * math.log(r_outer / r_inner)), (0.0, r_inner / r_outer))
+            continue
+        grow = (r_outer / r_inner) ** order
+        out[rows] = ((0.5 * (grow + 1.0 / grow), r_inner * (grow - 1.0 / grow) / (2.0 * order)),
+                     (order * (grow - 1.0 / grow) / (2.0 * r_outer),
+                      (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)))
     return out
 
 
-def _char_values(geometry, l, n_eff):
+def _char_values(points, l, n_eff):
+    """Scale-normalized determinant at n_eff[i] for order l[i] on row i of points."""
     import scipy.special as sp  # deferred, as in _initial_state
 
     n_eff = np.asarray(n_eff, dtype=float)
-    k02 = geometry.k0 * geometry.k0
-    state = _initial_state(
-        l, k02 * (geometry.indices[0] ** 2 - n_eff**2), geometry.radii[0]
-    )
-    for j in range(1, len(geometry.radii)):
-        u2 = k02 * (geometry.indices[j] ** 2 - n_eff**2)
-        prop = _propagator(l, u2, geometry.radii[j - 1], geometry.radii[j])
-        state = np.einsum("nij,nj->ni", prop, state)
-        state = _renormalize(state)
-    w = np.sqrt(k02 * (n_eff**2 - geometry.n_clad**2))
-    k_val, k_deriv = _with_derivative(sp.kve, l, w * geometry.radii[-1], -1.0)
+    radii, rows = points
+    k02 = rows[:, 0]
+    state = _initial_state(l, k02 * (rows[:, 2] - n_eff**2), radii[0])
+    for j in range(1, len(radii)):
+        u2 = k02 * (rows[:, 2 + j] - n_eff**2)
+        prop = _propagator(l, u2, radii[j - 1], radii[j])
+        state = _renormalize(np.einsum("nij,nj->ni", prop, state))
+    w = np.sqrt(k02 * (n_eff**2 - rows[:, 1]))
+    k_val, k_deriv = _with_derivative(sp.kve, l, w * radii[-1], -1.0)
     a = state[:, 0] * w * k_deriv
     b = state[:, 1] * k_val
     scale = np.abs(a) + np.abs(b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        values = np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, 1.0), 0.0)
-    return values
+        return np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, 1.0), 0.0)
 
 
 def characteristic_value(profile, l, n_eff_trial, wavelength_um):
@@ -322,66 +327,92 @@ def characteristic_value(profile, l, n_eff_trial, wavelength_um):
             f"trial index {n_eff_trial} outside guided range "
             f"({geometry.n_clad}, {n_max})"
         )
-    return float(_char_values(geometry, l, np.asarray([n_eff_trial]))[0])
+    return float(_char_values(_points([geometry], [1]), np.array([l]), np.array([n_eff_trial]))[0])
 
 
 def _scan_grid(geometry, scan_points):
-    """The uniform n_eff grid that brackets every root, or None if nothing is guided."""
+    """The uniform n_eff grid that brackets every root; empty if nothing is guided."""
     lo = geometry.n_clad + _EDGE_MARGIN
     hi = max(geometry.indices) - _EDGE_MARGIN
-    return np.linspace(lo, hi, scan_points) if hi > lo else None
+    return np.linspace(lo, hi, scan_points) if hi > lo else np.empty(0)
 
 
-def _bisect(geometry, l, xa, xb, fa, xtol):
+# A scan's exact grid zeros and its sign-change cells [lower, upper], f_lower = f(lower)
+_Brackets = namedtuple("_Brackets", "geometry l zeros lower upper f_lower")
+
+
+def _scan(scans):
+    """The _Brackets of each scan (geometry, l, points, closed), from one kernel call.
+
+    A point where the function is exactly zero is a root of the cell it starts;
+    the last point counts on its own only where it closes the grid (closed).
+    """
+    geometries, orders, grids, _ = zip(*scans)
+    counts = [len(points) for points in grids]
+    values = _char_values(_points(geometries, counts), np.repeat(orders, counts),
+                          np.concatenate(grids))
+    found = []
+    for (geometry, l, points, closed), f in zip(scans, np.split(values, np.cumsum(counts)[:-1])):
+        last = len(f) if closed else len(f) - 1
+        cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+        found.append(_Brackets(geometry, l, points[:last][f[:last] == 0.0],
+                               points[cells], points[cells + 1], f[cells]))
+    return found
+
+
+def _bisect(points, l, xa, xb, fa, xtol):
     """Roots in the brackets [xa, xb], f(xa) = fa, all bisected in lockstep.
 
-    Each bracket follows the arithmetic of scipy.optimize.bisect step for
-    step (halve dm, xm = xa + dm, keep xa while fm*fa >= 0, stop at fm == 0
-    or |dm| < xtol + rtol*|xm|), so the roots are the same to the bit; one
-    kernel call per step evaluates every bracket still open.
+    Bracket i has order l[i] and the geometry of row i of points.  Each
+    follows the arithmetic of scipy.optimize.bisect step for step (halve dm,
+    xm = xa + dm, keep xa while fm*fa >= 0, stop at fm == 0 or
+    |dm| < xtol + rtol*|xm|), so the roots are the same to the bit; one
+    kernel call per step evaluates every bracket still open.  A bracket still
+    open after _BISECT_MAXITER steps gets nan.
     """
-    roots = np.empty(xa.shape)
+    roots = np.full(xa.shape, np.nan)
     pending = np.arange(xa.size)
-    lower, dm = xa, xb - xa
+    dm = xb - xa
     for _ in range(_BISECT_MAXITER):
         dm = dm * 0.5
         xm = xa + dm
-        fm = _char_values(geometry, l, xm)
+        fm = _char_values(points, l, xm)
         xa = np.where(fm * fa >= 0.0, xm, xa)
         done = (fm == 0.0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
         roots[pending[done]] = xm[done]
         still = ~done
-        pending, xa, dm, fa = pending[still], xa[still], dm[still], fa[still]
+        pending, xa, dm, fa, l = pending[still], xa[still], dm[still], fa[still], l[still]
         if not pending.size:
-            return roots
-    raise BracketRefinementError(l, (lower[pending[0]], xb[pending[0]]))
+            break
+        points = points[0], points[1][still]
+    return roots
 
 
-def _grid_roots(geometry, l, grid, start, stop, xtol):
-    """Roots bracketed by the cells of grid[start:stop], sorted descending.
+def _roots(found, xtol):
+    """The roots of each _Brackets in turn, sorted descending.
 
-    A grid point where the function is exactly zero is a root of the cell
-    it starts (the last grid point counts on its own); every sign change
-    between neighbours is bisected.
+    One lockstep bisection refines every bracket.  A set with a bracket
+    still open raises BracketRefinementError when its turn comes, so errors
+    arrive in the order in which a loop over the sets would raise them.
     """
-    points = grid[start:stop]
-    values = _char_values(geometry, l, points)
-    left, right = values[:-1], values[1:]
-    roots = list(points[:-1][left == 0.0])
-    if stop == len(grid) and values[-1] == 0.0:
-        roots.append(points[-1])
-    cells = np.flatnonzero(left * right < 0.0)
-    if cells.size:
-        roots.extend(_bisect(geometry, l, points[cells], points[cells + 1], left[cells], xtol))
-    return sorted(map(float, roots), reverse=True)
+    counts = [brackets.lower.size for brackets in found]
+    refined = np.empty(0)
+    if sum(counts):
+        geometries, orders, _, lower, upper, f_lower = zip(*found)
+        refined = _bisect(_points(geometries, counts), np.repeat(orders, counts),
+                          np.concatenate(lower), np.concatenate(upper),
+                          np.concatenate(f_lower), xtol)
+    for brackets, roots in zip(found, np.split(refined, np.cumsum(counts)[:-1])):
+        if np.isnan(roots).any():
+            k = np.isnan(roots).argmax()
+            raise BracketRefinementError(brackets.l, (brackets.lower[k], brackets.upper[k]))
+        yield sorted(map(float, (*brackets.zeros, *roots)), reverse=True)
 
 
 def _bracket_roots(geometry, l, scan_points, root_tol):
     """Every root of order l: scan the whole grid, bisect its sign changes."""
     grid = _scan_grid(geometry, scan_points)
-    if grid is None:
-        return []
-    return _grid_roots(geometry, l, grid, 0, scan_points, root_tol * _REFINE_FACTOR)
+    return next(_roots(_scan([(geometry, l, grid, True)]), root_tol * _REFINE_FACTOR))
 
 
 def _check_search_params(scan_points, root_tol):
@@ -391,27 +422,41 @@ def _check_search_params(scan_points, root_tol):
         raise ValueError(f"root_tol must be in (0, 1e-10], got {root_tol}")
 
 
+def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal):
+    """The ModeTable (n_eff only) at each wavelength, in turn.
+
+    Each wavelength scans order after order over its whole grid, one kernel
+    call each, up to its first order without a root; then one lockstep
+    bisection refines the brackets of all wavelengths.  Tables, warnings and
+    errors come in wavelength order.
+    """
+    orders, exhausted = [], []
+    for geometry in [_geometry(profile, lam) for lam in wavelengths_um]:
+        found, grid = [], np.empty(0)
+        if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * _EDGE_MARGIN:
+            grid = _scan_grid(geometry, scan_points)
+        while grid.size and len(found) <= max_azimuthal:
+            [brackets] = _scan([(geometry, len(found), grid, True)])
+            if not (brackets.zeros.size or brackets.lower.size):
+                break
+            found.append(brackets)
+        orders.append(found)
+        exhausted.append(grid.size > 0 and len(found) > max_azimuthal)
+    roots = _roots([brackets for found in orders for brackets in found], root_tol * _REFINE_FACTOR)
+    for lam, found, stopped in zip(wavelengths_um, orders, exhausted):
+        records = [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=lam)
+                   for l in range(len(found)) for m, n_eff in enumerate(next(roots), start=1)]
+        if stopped:
+            warnings.warn(f"azimuthal scan stopped at l={max_azimuthal} with modes still guided")
+        records.sort(key=lambda record: -record.n_eff)
+        yield ModeTable(tuple(records), lam)
+
+
 def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
                max_azimuthal=64):
     """All guided LP modes at one wavelength (effective indices only)."""
     _check_search_params(scan_points, root_tol)
-    geometry = _geometry(profile, wavelength_um)
-    records = []
-    if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * _EDGE_MARGIN:
-        for l in range(max_azimuthal + 1):
-            roots = _bracket_roots(geometry, l, scan_points, root_tol)
-            if not roots:
-                break
-            for m, n_eff in enumerate(roots, start=1):
-                records.append(
-                    ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=wavelength_um)
-                )
-        else:
-            warnings.warn(
-                f"azimuthal scan stopped at l={max_azimuthal} with modes still guided"
-            )
-    records.sort(key=lambda record: -record.n_eff)
-    return ModeTable(tuple(records), wavelength_um)
+    return next(_find_tables(profile, [wavelength_um], scan_points, root_tol, max_azimuthal))
 
 
 def _nearest_root(roots, n_reference, l, m, wavelength_um):
@@ -419,52 +464,49 @@ def _nearest_root(roots, n_reference, l, m, wavelength_um):
         candidate = min(roots, key=lambda value: abs(value - n_reference))
         if abs(candidate - n_reference) <= _CONTINUATION_WINDOW:
             return candidate
-    raise ModeContinuationError(
-        f"mode {format_mode_label(l, m)} not resolvable at "
-        f"{wavelength_um * 1e3} nm (cutoff crossed?)"
-    )
+    raise ModeContinuationError(f"mode {format_mode_label(l, m)} not resolvable at "
+                                f"{wavelength_um * 1e3} nm (cutoff crossed?)")
 
 
 def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
     """(group delay ps/km, dispersion ps/(km nm)) from central differences."""
     slope = (n_plus - n_minus) / (2.0 * dlambda_um)
     curvature = (n_plus - 2.0 * n_center + n_minus) / (dlambda_um * dlambda_um)
-    return (
-        (n_center - lambda0_um * slope) * _PS_PER_KM_PER_INDEX,
-        -lambda0_um * curvature * _DISPERSION_SCALE,
-    )
+    return ((n_center - lambda0_um * slope) * _PS_PER_KM_PER_INDEX,
+            -lambda0_um * curvature * _DISPERSION_SCALE)
 
 
-def _probe_scans(profile, lambda0_um, dlambda_um, scan_points):
-    """(wavelength, geometry, scan grid) at the probes lambda0 -/+ dlambda."""
-    probes = []
-    for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um):
-        geometry = _geometry(profile, lam)
-        probes.append((lam, geometry, _scan_grid(geometry, scan_points)))
-    return probes
+def _probe_roots(profile, records, wavelengths_um, scan_points, root_tol):
+    """The root of each record's order nearest its n_eff at each wavelength, in turn.
 
-
-def _probe_root(n_center, probe, l, m, root_tol):
-    """The root of order l nearest n_center at one probe wavelength.
-
-    Only the cells of the probe's own scan grid that cover
-    n_center +/- _CONTINUATION_WINDOW, one more cell on each side, are
-    scanned: _nearest_root accepts no root outside that window, so it picks
-    the same root a scan of the whole grid would give.
+    Only the cells of the wavelength's own scan grid that cover
+    n_eff +/- _CONTINUATION_WINDOW, one more cell on each side, are scanned:
+    _nearest_root accepts no root outside that window, so it picks the same
+    root a scan of the whole grid would give.  One kernel call scans every
+    window; errors come in (record, wavelength) order.
     """
-    lam, geometry, grid = probe
-    roots = []
-    if grid is not None:
-        start = max(int(np.searchsorted(grid, n_center - _CONTINUATION_WINDOW)) - 2, 0)
-        stop = min(int(np.searchsorted(grid, n_center + _CONTINUATION_WINDOW)) + 2, len(grid))
-        roots = _grid_roots(geometry, l, grid, start, stop, root_tol * _REFINE_FACTOR)
-    return _nearest_root(roots, n_center, l, m, lam)
+    geometries = [_geometry(profile, lam) for lam in wavelengths_um]
+    grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
+    scans = []
+    for record in records:
+        for geometry, grid in zip(geometries, grids):
+            start = max(int(np.searchsorted(grid, record.n_eff - _CONTINUATION_WINDOW)) - 2, 0)
+            stop = min(int(np.searchsorted(grid, record.n_eff + _CONTINUATION_WINDOW)) + 2,
+                       len(grid))
+            scans.append((geometry, record.l, grid[start:stop], stop == len(grid)))
+    roots = _roots(_scan(scans), root_tol * _REFINE_FACTOR)
+    for record in records:
+        for lam in wavelengths_um:
+            yield _nearest_root(next(roots), record.n_eff, record.l, record.m, lam)
 
 
-def _characterize(n_center, probes, l, m, lambda0_um, dlambda_um, root_tol):
-    """(tau, D) of mode (l, m), continued from n_center to both probe roots."""
-    n_minus, n_plus = (_probe_root(n_center, probe, l, m, root_tol) for probe in probes)
-    return _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um)
+def _characterized(profile, records, lambda0_um, dlambda_um, scan_points, root_tol):
+    """(tau, D) of each record in turn, continued from its n_eff to both probes."""
+    probes = (lambda0_um - dlambda_um, lambda0_um + dlambda_um)
+    roots = _probe_roots(profile, records, probes, scan_points, root_tol)
+    for record in records:
+        n_minus, n_plus = next(roots), next(roots)
+        yield _tau_and_dispersion(n_minus, record.n_eff, n_plus, lambda0_um, dlambda_um)
 
 
 def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
@@ -476,24 +518,20 @@ def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
         raise ModeContinuationError(
             f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm"
         )
-    probes = _probe_scans(profile, lambda0_um, dlambda_um, scan_points)
-    return _characterize(center_roots[m - 1], probes, l, m, lambda0_um, dlambda_um, root_tol)
+    records = [ModeRecord(l, m, center_roots[m - 1], lambda0_um)]
+    return next(_characterized(profile, records, lambda0_um, dlambda_um, scan_points, root_tol))
 
 
 def group_delay(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                 root_tol=1e-12):
     """Absolute group delay per unit length, ps/km."""
-    return _mode_tau_and_dispersion(
-        profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol
-    )[0]
+    return _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol)[0]
 
 
 def dispersion(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                root_tol=1e-12):
     """Chromatic dispersion, ps/(km nm)."""
-    return _mode_tau_and_dispersion(
-        profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol
-    )[1]
+    return _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol)[1]
 
 
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
@@ -502,22 +540,17 @@ def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
     table = find_modes(profile, lambda0_um, scan_points, root_tol)
     if not table.modes:
         return table
-    probes = _probe_scans(profile, lambda0_um, dlambda_um, scan_points)
-    filled = []
-    for record in table.modes:
-        tau, disp = _characterize(
-            record.n_eff, probes, record.l, record.m, lambda0_um, dlambda_um, root_tol
-        )
-        filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
+    characterized = _characterized(profile, table.modes, lambda0_um, dlambda_um,
+                                   scan_points, root_tol)
+    filled = [replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp)
+              for record, (tau, disp) in zip(table.modes, characterized)]
     return ModeTable(tuple(filled), lambda0_um)
 
 
 def _relabel(table, previous):
     """Carry radial indices from the previous sweep step by position within each order."""
     relabeled = []
-    orders = sorted(
-        {record.l for record in table.modes} | {record.l for record in previous.modes}
-    )
+    orders = sorted({record.l for record in table.modes} | {record.l for record in previous.modes})
     for l in orders:
         current = [record for record in table.modes if record.l == l]
         prior = [record for record in previous.modes if record.l == l]
@@ -527,9 +560,7 @@ def _relabel(table, previous):
             else:
                 relabeled.append(record)
         for lost in prior[len(current):]:
-            warnings.warn(
-                f"mode {lost.label} lost at {table.lambda0_um * 1e3} nm (cutoff)"
-            )
+            warnings.warn(f"mode {lost.label} lost at {table.lambda0_um * 1e3} nm (cutoff)")
     relabeled.sort(key=lambda record: -record.n_eff)
     return ModeTable(tuple(relabeled), table.lambda0_um)
 
@@ -541,16 +572,12 @@ def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
         raise ValueError(f"step must be > 0 nm, got {step_nm}")
     if stop_nm < start_nm:
         raise ValueError(f"stop {stop_nm} nm precedes start {start_nm} nm")
+    _check_search_params(scan_points, root_tol)
     count = int(math.floor((stop_nm - start_nm) / step_nm + 1e-9)) + 1
+    wavelengths = [um_from_nm(start_nm + k * step_nm) for k in range(count)]
     tables = []
-    previous = None
-    for k in range(count):
-        lam_nm = start_nm + k * step_nm
-        table = find_modes(profile, um_from_nm(lam_nm), scan_points, root_tol)
-        if previous is not None:
-            table = _relabel(table, previous)
-        tables.append(table)
-        previous = table
+    for table in _find_tables(profile, wavelengths, scan_points, root_tol, 64):
+        tables.append(_relabel(table, tables[-1]) if tables else table)
     return tables
 
 
@@ -584,6 +611,8 @@ def parse_mode_table_csv(text, source="<modes>"):
         try:
             l, m = int(fields[0]), int(fields[1])
             n_eff, tau, disp, lam = (finite_float(field) for field in fields[2:])
+            if not lam > 0.0:
+                raise ValueError(f"lambda0_nm must be > 0, got {fields[5]}")
         except ValueError as exc:
             diagnostics.append((number, f"malformed row: {','.join(fields)!r} ({exc})"))
             continue

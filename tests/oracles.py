@@ -3,11 +3,16 @@
 These deliberately avoid the package's own solution paths: the two-layer
 mode relation is the textbook eigenvalue equation (not a transfer matrix),
 the placement oracle is a literal hand-built matrix, and the dispersion
-maximization oracle is an exhaustive grid search.  The perturbation oracle
-is the one exception: it checks the batching of perturb_and_redesign, so it
-designs each perturbed table alone with the package's single-design path.
+maximization oracle is an exhaustive grid search.  Two oracles check
+batching instead and reuse the package's kernels: the perturbation oracle
+designs each perturbed table alone with the single-design path, and the
+per-order mode search scans and bisects one order at one wavelength at a
+time, against which the solver's one lockstep bisection per solve must give
+the same floats and the same errors.
 """
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +26,9 @@ from fmf_ttdl.design import (
     assemble_constraints,
     solve_placements,
 )
-from fmf_ttdl.modes import ModeTable
+from fmf_ttdl import modes
+from fmf_ttdl.fileio import um_from_nm
+from fmf_ttdl.modes import ModeRecord, ModeTable
 
 
 def two_layer_lp_roots(n_core, n_clad, radius_um, wavelength_um, azimuthal,
@@ -203,3 +210,143 @@ def perturb_per_trial(graph, table, targets, sigma, trials, seed):
             index, True, max(deltas, default=0.0), delta_d if delta_d is not None else nan
         ))
     return RobustnessReport(sigma=sigma, seed=seed, trials=tuple(results), nominal=nominal)
+
+
+# --- per-order mode search ----------------------------------------------------
+
+def _order_values(geometry, l, n_eff):
+    """The characteristic function of order l on one geometry (modes._char_values)."""
+    n_eff = np.asarray(n_eff, dtype=float)
+    points = modes._points([geometry], [n_eff.size])
+    return modes._char_values(points, np.full(n_eff.size, l), n_eff)
+
+
+def _bisect_order(geometry, l, xa, xb, fa, xtol):
+    """The brackets of one order bisected in lockstep, scipy.optimize.bisect's arithmetic."""
+    roots = np.empty(xa.shape)
+    pending = np.arange(xa.size)
+    lower, dm = xa, xb - xa
+    for _ in range(modes._BISECT_MAXITER):
+        dm = dm * 0.5
+        xm = xa + dm
+        fm = _order_values(geometry, l, xm)
+        xa = np.where(fm * fa >= 0.0, xm, xa)
+        done = (fm == 0.0) | (np.abs(dm) < xtol + modes._BISECT_RTOL * np.abs(xm))
+        roots[pending[done]] = xm[done]
+        still = ~done
+        pending, xa, dm, fa = pending[still], xa[still], dm[still], fa[still]
+        if not pending.size:
+            return roots
+    raise modes.BracketRefinementError(l, (lower[pending[0]], xb[pending[0]]))
+
+
+def _grid_roots(geometry, l, grid, start, stop, xtol):
+    """Roots bracketed by the cells of grid[start:stop], sorted descending."""
+    points = grid[start:stop]
+    values = _order_values(geometry, l, points)
+    left, right = values[:-1], values[1:]
+    roots = list(points[:-1][left == 0.0])
+    if stop == len(grid) and values[-1] == 0.0:
+        roots.append(points[-1])
+    cells = np.flatnonzero(left * right < 0.0)
+    if cells.size:
+        roots.extend(_bisect_order(geometry, l, points[cells], points[cells + 1],
+                                   left[cells], xtol))
+    return sorted(map(float, roots), reverse=True)
+
+
+def _order_roots(geometry, l, scan_points, root_tol):
+    grid = modes._scan_grid(geometry, scan_points)
+    if not grid.size:
+        return []
+    return _grid_roots(geometry, l, grid, 0, scan_points, root_tol * modes._REFINE_FACTOR)
+
+
+def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
+                         max_azimuthal=64):
+    """modes.find_modes, one order after the other until the first without a root."""
+    modes._check_search_params(scan_points, root_tol)
+    geometry = modes._geometry(profile, wavelength_um)
+    records = []
+    if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * modes._EDGE_MARGIN:
+        for l in range(max_azimuthal + 1):
+            roots = _order_roots(geometry, l, scan_points, root_tol)
+            if not roots:
+                break
+            records += [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=wavelength_um)
+                        for m, n_eff in enumerate(roots, start=1)]
+        else:
+            warnings.warn(f"azimuthal scan stopped at l={max_azimuthal} with modes still guided")
+    records.sort(key=lambda record: -record.n_eff)
+    return ModeTable(tuple(records), wavelength_um)
+
+
+def _probe_root(record, probe, root_tol):
+    """The root of the record's order nearest its n_eff in a window of the probe's grid."""
+    lam, geometry, grid = probe
+    roots = []
+    if grid.size:
+        window = modes._CONTINUATION_WINDOW
+        start = max(int(np.searchsorted(grid, record.n_eff - window)) - 2, 0)
+        stop = min(int(np.searchsorted(grid, record.n_eff + window)) + 2, len(grid))
+        roots = _grid_roots(geometry, record.l, grid, start, stop,
+                            root_tol * modes._REFINE_FACTOR)
+    return modes._nearest_root(roots, record.n_eff, record.l, record.m, lam)
+
+
+def _probes(profile, lambda0_um, dlambda_um, scan_points):
+    """(wavelength, geometry, scan grid) at lambda0 - dlambda, then lambda0 + dlambda."""
+    probes = []
+    for lam in (lambda0_um - dlambda_um, lambda0_um + dlambda_um):
+        geometry = modes._geometry(profile, lam)
+        probes.append((lam, geometry, modes._scan_grid(geometry, scan_points)))
+    return probes
+
+
+def _characterize(record, probes, lambda0_um, dlambda_um, root_tol):
+    """(tau, D) of one record from its roots at both probes, the minus probe first."""
+    n_minus, n_plus = (_probe_root(record, probe, root_tol) for probe in probes)
+    return modes._tau_and_dispersion(n_minus, record.n_eff, n_plus, lambda0_um, dlambda_um)
+
+
+def solve_mode_table_per_order(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
+                               root_tol=1e-12):
+    """modes.solve_mode_table, one mode and one probe at a time."""
+    table = find_modes_per_order(profile, lambda0_um, scan_points, root_tol)
+    if not table.modes:
+        return table
+    probes = _probes(profile, lambda0_um, dlambda_um, scan_points)
+    filled = []
+    for record in table.modes:
+        tau, disp = _characterize(record, probes, lambda0_um, dlambda_um, root_tol)
+        filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
+    return ModeTable(tuple(filled), lambda0_um)
+
+
+def tau_and_dispersion_per_order(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
+                                 root_tol=1e-12):
+    """(modes.group_delay, modes.dispersion) from a scan of order l alone."""
+    modes._check_search_params(scan_points, root_tol)
+    roots = _order_roots(modes._geometry(profile, lambda0_um), l, scan_points, root_tol)
+    if m > len(roots):
+        raise modes.ModeContinuationError(
+            f"mode {modes.format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm")
+    probes = _probes(profile, lambda0_um, dlambda_um, scan_points)
+    return _characterize(ModeRecord(l, m, roots[m - 1], lambda0_um), probes, lambda0_um,
+                         dlambda_um, root_tol)
+
+
+def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
+                          root_tol=1e-12):
+    """modes.sweep_modes, one wavelength after the other."""
+    if step_nm <= 0.0:
+        raise ValueError(f"step must be > 0 nm, got {step_nm}")
+    if stop_nm < start_nm:
+        raise ValueError(f"stop {stop_nm} nm precedes start {start_nm} nm")
+    count = int(math.floor((stop_nm - start_nm) / step_nm + 1e-9)) + 1
+    tables = []
+    for k in range(count):
+        table = find_modes_per_order(profile, um_from_nm(start_nm + k * step_nm), scan_points,
+                                     root_tol)
+        tables.append(modes._relabel(table, tables[-1]) if tables else table)
+    return tables

@@ -757,6 +757,27 @@ def test_placements_reader_rejects_repeats_and_out_of_range_values(reference_sol
     )
 
 
+def test_placements_reader_reports_unknown_summary_keys(reference_solution):
+    lines = placements_to_csv(reference_solution).splitlines()
+    number = {line.split(",")[0]: index for index, line in enumerate(lines, start=1)}
+    renamed = [line.replace("delta_D_ps_per_km_nm,", "delta_D_ps_per_km,") for line in lines]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_placements_csv("\n".join(renamed) + "\n", source="bad.csv")
+    assert excinfo.value.diagnostics == (
+        (number["delta_D_ps_per_km_nm"], "unknown summary key 'delta_D_ps_per_km'"),
+    )
+    # a gap in the numbering: tau_eq_1, tau_eq_3, ... and D_eq_1, D_eq_3, ...
+    gapped = [line for line in lines if not line.startswith(("tau_eq_2,", "D_eq_2,"))]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_placements_csv("\n".join(gapped) + "\n", source="bad.csv")
+    later = [key for key in number if key[-1] in "34" and key.startswith(("tau_eq_", "D_eq_"))]
+    assert later == ["tau_eq_3", "tau_eq_4", "D_eq_3", "D_eq_4"]
+    assert excinfo.value.diagnostics == tuple(
+        (number[key] - (1 if key.startswith("tau") else 2), f"unknown summary key '{key}'")
+        for key in later
+    )
+
+
 def test_rejected_tau_eq_is_not_also_a_count_mismatch(reference_solution):
     lines = placements_to_csv(reference_solution).splitlines()
     assert any(line.startswith("D_eq_4,") for line in lines)

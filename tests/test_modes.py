@@ -1,16 +1,19 @@
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+import oracles
 from oracles import two_layer_lp_modes, two_layer_lp_roots
 
 from fmf_ttdl.fileio import FileFormatError
 from fmf_ttdl.materials import FiberProfile, Layer
 from fmf_ttdl.modes import (
     ModeContinuationError,
+    ModeSolverError,
     ModeRecord,
     ModeTable,
     characteristic_value,
@@ -54,6 +57,9 @@ def test_mode_label_round_trip():
     assert format_mode_label(10, 1) == "LP10_1"
     for bad in ("LP", "LP0", "L01", "LP0x", "LP00"):
         with pytest.raises(ValueError):
+            parse_mode_label(bad)
+    for bad in ("LP²1", "LP1_²"):  # digits that int() does not read
+        with pytest.raises(ValueError, match="must look like"):
             parse_mode_label(bad)
 
 
@@ -327,6 +333,22 @@ def test_mode_table_csv_rejects_non_finite_values():
     assert all("finite" in message for _, message in excinfo.value.diagnostics)
 
 
+def test_mode_table_reader_rejects_non_positive_wavelength_at_its_line():
+    demo = (Path(__file__).resolve().parent.parent / "demo" / "reference_modes.csv")
+    text = demo.read_text()
+    assert text.count("1550.0") == 7
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_mode_table_csv(text.replace("1550.0", "-1550.0"), source="m.csv")
+    assert [line for line, _ in excinfo.value.diagnostics] == list(range(2, 9))
+    assert all("lambda0_nm must be > 0, got -1550.0" in message
+               for _, message in excinfo.value.diagnostics)
+    lines = text.splitlines()
+    lines[3] = lines[3].replace("1550.0", "0.0")
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_mode_table_csv("\n".join(lines) + "\n", source="m.csv")
+    assert [line for line, _ in excinfo.value.diagnostics] == [4]
+
+
 def test_mode_table_reader_reports_each_bad_row_at_its_line():
     demo = (Path(__file__).resolve().parent.parent / "demo" / "reference_modes.csv")
     lines = demo.read_text().splitlines()
@@ -361,21 +383,24 @@ def test_lockstep_bisection_matches_scipy_bisect_bit_for_bit(ring_profile):
     geometry = modes._geometry(ring_profile, 1.55)
     grid = modes._scan_grid(geometry, 2000)
     xtol = 1e-12 * modes._REFINE_FACTOR
-    brackets = 0
+
+    def kernel(l, x):
+        x = np.atleast_1d(x)
+        return modes._char_values(modes._points([geometry], [x.size]), np.full(x.size, l), x)
+
+    brackets = []
     for l in range(6):
-        values = modes._char_values(geometry, l, grid)
+        values = kernel(l, grid)
         cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-        brackets += cells.size
-        if not cells.size:
-            continue
-        lockstep = modes._bisect(geometry, l, grid[cells], grid[cells + 1], values[cells], xtol)
-
-        def scalar(x, l=l):
-            return float(modes._char_values(geometry, l, np.asarray([x]))[0])
-
-        expected = [bisect(scalar, grid[i], grid[i + 1], xtol=xtol) for i in cells]
-        assert lockstep.tolist() == expected
-    assert brackets == len(EXPECTED_ORDER)
+        brackets += [(l, cell, values[cell]) for cell in cells]
+    assert len(brackets) == len(EXPECTED_ORDER)
+    orders, cells, f_lower = (np.array(column) for column in zip(*brackets))
+    # all seven brackets, of five orders, in one lockstep bisection
+    lockstep = modes._bisect(modes._points([geometry], [len(brackets)]), orders,
+                             grid[cells], grid[cells + 1], f_lower, xtol)
+    expected = [bisect(lambda x, l=l: float(kernel(l, x)[0]), grid[i], grid[i + 1], xtol=xtol)
+                for l, i in zip(orders.tolist(), cells)]
+    assert lockstep.tolist() == expected
 
 
 def _probe_outcome(solve):
@@ -399,14 +424,14 @@ def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda):
 
     profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
     table = find_modes(profile, lam)
-    for probe in modes._probe_scans(profile, lam, dlambda, 2000):
-        probe_lam, geometry, _ = probe
+    for probe_lam in (lam - dlambda, lam + dlambda):
+        geometry = modes._geometry(profile, probe_lam)
         for r in table.modes:
             full = modes._bracket_roots(geometry, r.l, 2000, 1e-12)
             expected = _probe_outcome(
                 lambda: modes._nearest_root(full, r.n_eff, r.l, r.m, probe_lam))
             windowed = _probe_outcome(
-                lambda: modes._probe_root(r.n_eff, probe, r.l, r.m, 1e-12))
+                lambda: next(modes._probe_roots(profile, [r], [probe_lam], 2000, 1e-12)))
             assert windowed == expected, (r.label, probe_lam)
 
 
@@ -429,3 +454,129 @@ def test_recurrence_derivatives_match_scipy(l):
         assert away.mean() > 0.99
         assert np.all(value == bessel(l, x))
         np.testing.assert_allclose(derivative[away], expected[away], rtol=1e-12, atol=0.0)
+
+
+# --- lockstep solves against the per-order search -------------------------------
+
+def _solver_outcome(solve):
+    """(result or (error type, message), warning texts) of one solve."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solve()
+        except ModeSolverError as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _assert_same_solves(profile, lam, dlambda, sweep):
+    from fmf_ttdl import modes
+
+    cases = [
+        (lambda: find_modes(profile, lam), lambda: oracles.find_modes_per_order(profile, lam)),
+        (lambda: solve_mode_table(profile, lam, dlambda),
+         lambda: oracles.solve_mode_table_per_order(profile, lam, dlambda)),
+        (lambda: sweep_modes(profile, *sweep),
+         lambda: oracles.sweep_modes_per_order(profile, *sweep)),
+        (lambda: modes._mode_tau_and_dispersion(profile, 1, 1, lam, dlambda, 2000, 1e-12),
+         lambda: oracles.tau_and_dispersion_per_order(profile, 1, 1, lam, dlambda)),
+    ]
+    for lockstep, per_order in cases:
+        assert _solver_outcome(lockstep) == _solver_outcome(per_order)
+
+
+@pytest.mark.parametrize("blend", [False, True])
+def test_lockstep_solves_match_per_order_search_on_demo(ring_profile, ring_profile_blend, blend):
+    profile = ring_profile_blend if blend else ring_profile
+    _assert_same_solves(profile, 1.55, 5e-4, (1549.0, 1551.0, 1.0))
+    stopped = _solver_outcome(lambda: find_modes(profile, 1.55, max_azimuthal=2))
+    assert stopped[1] == ["azimuthal scan stopped at l=2 with modes still guided"]
+    assert stopped == _solver_outcome(
+        lambda: oracles.find_modes_per_order(profile, 1.55, max_azimuthal=2))
+
+
+DEMO_TABLE_CSV = """\
+l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm
+0,1,1.4526445389262397,4915313.897838449,21.407399703562465,1550.0
+1,1,1.451865942422838,4918851.05746139,26.276282538974396,1550.0
+2,1,1.4502102241634427,4923488.726008999,29.66560954821462,1550.0
+3,1,1.4480386555829488,4928247.4705807,30.958165931955744,1550.0
+0,2,1.447505022137939,4917775.173563486,18.254799973354192,1550.0
+1,2,1.4460230567601438,4923715.088833443,10.293134085134428,1550.0
+4,1,1.4455052006061948,4932487.143421976,25.861684909686904,1550.0
+"""
+
+
+def test_demo_table_keeps_its_bits(ring_profile):
+    # the kernel's scalars per point keep the arithmetic of the scalar code
+    assert mode_table_to_csv(solve_mode_table(ring_profile, 1.55)) == DEMO_TABLE_CSV
+
+
+def test_lockstep_solves_match_per_order_search_where_lp11_is_lost():
+    profile = FiberProfile(layers=(Layer(7.3, 0.0016),))
+    outcome, _ = _solver_outcome(lambda: solve_mode_table(profile, 1.50, 0.2))
+    assert outcome[0] == "ModeContinuationError"
+    _assert_same_solves(profile, 1.50, 0.2, (1400.0, 1700.0, 100.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lockstep_solves_match_per_order_search_on_random_profiles(seed):
+    rng = np.random.default_rng([2026, seed])
+    count = int(rng.integers(1, 4))
+    radii = np.cumsum(rng.uniform(2.0, 5.5, count))
+    deltas = rng.uniform(-0.003, 0.007, count)
+    deltas[rng.integers(count)] = rng.uniform(0.002, 0.007)  # one layer that guides
+    profile = FiberProfile(layers=tuple(Layer(float(r), float(d)) for r, d in zip(radii, deltas)))
+    lam = float(rng.uniform(1.3, 1.7))
+    dlambda = float(rng.choice([5e-4, 5e-3, 0.05]))
+    start = float(rng.uniform(1300.0, 1650.0))
+    _assert_same_solves(profile, lam, dlambda, (start, start + 40.0, 20.0))
+
+
+def test_bracket_error_names_the_failing_brackets_own_order(ring_profile, monkeypatch):
+    from fmf_ttdl import modes
+
+    kernel = modes._char_values
+
+    def order_zero_settles(points, l, n_eff):
+        values = kernel(points, l, n_eff)
+        if len(values) < 100:  # a bisection step, not a scan
+            values[l == 0] = 0.0
+        return values
+
+    monkeypatch.setattr(modes, "_BISECT_MAXITER", 5)
+    monkeypatch.setattr(modes, "_char_values", order_zero_settles)
+    for lockstep, per_order in (
+        (lambda: find_modes(ring_profile, 1.55),
+         lambda: oracles.find_modes_per_order(ring_profile, 1.55)),
+        (lambda: sweep_modes(ring_profile, 1550.0, 1550.2, 0.1),
+         lambda: oracles.sweep_modes_per_order(ring_profile, 1550.0, 1550.2, 0.1)),
+    ):
+        with pytest.raises(modes.BracketRefinementError) as excinfo:
+            lockstep()
+        # the batch starts with the LP01 and LP02 brackets, which settle at once
+        assert excinfo.value.azimuthal == 1
+        assert _solver_outcome(lockstep) == _solver_outcome(per_order)
+    monkeypatch.setattr(modes, "_char_values", kernel)
+    outcome = _solver_outcome(lambda: solve_mode_table(ring_profile, 1.55))
+    assert outcome[0][0] == "BracketRefinementError" and "l=0" in outcome[0][1]
+    assert outcome == _solver_outcome(
+        lambda: oracles.solve_mode_table_per_order(ring_profile, 1.55))
+
+
+def test_kernel_call_budget(ring_profile, monkeypatch):
+    from fmf_ttdl import modes
+
+    kernel = modes._char_values
+    calls = []
+
+    def counting(points, l, n_eff):
+        calls.append(len(n_eff))
+        return kernel(points, l, n_eff)
+
+    monkeypatch.setattr(modes, "_char_values", counting)
+    solve_mode_table(ring_profile, 1.55)
+    assert 0 < len(calls) <= 100
+    calls.clear()
+    assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
+    assert 0 < len(calls) <= 300
