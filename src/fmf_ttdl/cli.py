@@ -1,5 +1,10 @@
 """Command-line front end: solve-modes, design, evaluate, rf-response, perturb.
 
+Every flag is declared once, in the table _FLAGS: its RunConfig field and
+commands, how its text converts, the range rule it must pass (the library's
+own, from fileio, modes or design) and when it is required.  The parser and
+parse_config loop over that table; the defaults are RunConfig's.
+
 Every command validates its whole flag/file set before computing anything and
 reports all failures at once, file diagnostics ordered by (file, line).
 Artifacts are written through temp-file renames so a failing stage never
@@ -13,19 +18,19 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import design as design_mod
 from . import evaluate as evaluate_mod
+from . import fileio
 from . import modes as modes_mod
 from .fileio import FileFormatError, atomic_write_text, finite_float, fmt_float, um_from_nm
-from .materials import MaterialError, load_profile
+from .materials import load_profile
 from .modes import ModeSolverError, parse_mode_label
 
 OUT_DIR_ENV = "FMF_TTDL_OUT"
-
-_COMMANDS = ("solve-modes", "design", "evaluate", "rf-response", "perturb")
 
 
 class ConfigError(Exception):
@@ -67,93 +72,106 @@ class RunConfig:
     placements: object = None
 
 
-def _build_parser():
-    parser = _Parser(prog="fmf-ttdl", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
-
-    def add(name, *flags):
-        p = sub.add_parser(name, add_help=True)
-        for flag in flags:
-            p.add_argument(flag, type=str)
-        p.add_argument("--out-dir", type=str)
-        return p
-
-    p = add("solve-modes", "--profile", "--lambda-nm", "--dlambda-nm",
-            "--scan-points", "--root-tol")
-    p.add_argument("--out", type=str)
-
-    p = add("design", "--modes", "--graph", "--dtau", "--dispersion-rule",
-            "--fixed-dd", "--reference-mode", "--length-km")
-    p.add_argument("--out-placements", type=str)
-    p.add_argument("--out-positions", type=str)
-    p.add_argument("--out-report", type=str)
-
-    p = add("evaluate", "--placements", "--lambda-range", "--lpg-bandwidth-nm")
-    p.add_argument("--out", type=str)
-
-    p = add("rf-response", "--placements", "--length-km", "--lambda-nm",
-            "--f-range", "--amplitudes")
-    p.add_argument("--out", type=str)
-
-    p = add("perturb", "--modes", "--graph", "--dtau", "--dispersion-rule",
-            "--fixed-dd", "--reference-mode", "--sigma", "--trials", "--seed",
-            "--workers")
-    p.add_argument("--out", type=str)
-    return parser
+def _out_dir(raw):
+    return Path(raw or os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _convert(diags, flag, raw, kind, default=None, check=None, describe=""):
-    if raw is None:
-        return default
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError):
-        diags.append(f"{flag}: expected {describe or kind.__name__}, got '{raw}'")
-        return default
-    if check is not None:
-        message = check(value)
-        if message:
-            diags.append(f"{flag}: {message}")
-            return default
-    return value
-
-
-def _parse_triplet(raw):
+def _triplet(raw):
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(raw)
     return tuple(finite_float(p) for p in parts)
 
 
-def _range_check(label):
-    def check(value):
-        start, stop, step = value
-        if step <= 0.0:
-            return f"step must be > 0, got {step}"
-        if stop < start:
-            return f"stop {stop} precedes start {start}"
-        return None
-
-    return check
+def _always(config):
+    return True
 
 
-def _load_file(diags, file_diags, flag, raw, loader, required):
-    if raw is None:
-        if required:
-            diags.append(f"{flag} is required for this command")
-        return None
-    path = Path(raw)
-    try:
-        return loader(path)
-    except FileNotFoundError:
-        diags.append(f"{flag}: no such file: {path}")
-    except OSError as exc:
-        diags.append(f"{flag}: cannot read {path}: {exc}")
-    except FileFormatError as exc:
-        file_diags.extend(
-            (exc.source, line, message) for line, message in exc.diagnostics
-        )
-    return None
+class _Flag(NamedTuple):
+    """One flag: the RunConfig field it sets, for its commands.
+
+    Text that convert rejects draws "expected <expected>, got '<text>'", or
+    convert's own message where expected is empty; a value that rule rejects
+    draws the rule's problem; a missing flag draws "is required <when>" where
+    required(config) holds.  An output flag maps each command to (outputs key,
+    default file name).
+    """
+
+    flag: str
+    field: str
+    commands: tuple | dict
+    convert: Callable = finite_float
+    expected: str = ""
+    rule: Callable | None = None
+    required: Callable | None = None
+    when: str = "for this command"
+
+
+_DESIGNS = ("design", "perturb")
+
+# --out-dir comes first: it belongs to every command, in the order they are listed.  File
+# loaders are looked up when called, so a wrapper put on a module attribute sees each load.
+_FLAGS = (
+    _Flag("--out-dir", "out_dir", ("solve-modes", "design", "evaluate", "rf-response", "perturb"),
+          _out_dir),
+    _Flag("--profile", "profile", ("solve-modes",), lambda raw: load_profile(Path(raw)),
+          required=_always),
+    _Flag("--modes", "mode_table", _DESIGNS, lambda raw: modes_mod.read_mode_table(Path(raw)),
+          required=_always),
+    _Flag("--graph", "graph", _DESIGNS, lambda raw: design_mod.load_graph(Path(raw)),
+          required=_always),
+    _Flag("--dtau", "delta_tau", _DESIGNS, finite_float, "a delay step in ps/km",
+          fileio.positive, _always),
+    _Flag("--dispersion-rule", "dispersion_rule", _DESIGNS,
+          lambda raw: raw or design_mod.MAXIMIZE_DISPERSION, rule=design_mod.dispersion_rule_rule),
+    _Flag("--fixed-dd", "fixed_delta_d", _DESIGNS, finite_float, "a dispersion step",
+          required=lambda config: config.dispersion_rule == design_mod.FIXED_DISPERSION,
+          when="when --dispersion-rule is 'fixed'"),
+    _Flag("--reference-mode", "reference_mode", _DESIGNS, parse_mode_label),
+    _Flag("--placements", "placements", ("evaluate", "rf-response"),
+          lambda raw: design_mod.read_placements(Path(raw)), required=_always),
+    _Flag("--lambda-range", "lambda_range", ("evaluate",), _triplet, "start:stop:step in nm",
+          fileio.span_rule, _always, "for this command (start:stop:step nm)"),
+    _Flag("--lpg-bandwidth-nm", "lpg_bandwidth_nm", ("evaluate",), finite_float,
+          "a bandwidth in nm", fileio.positive),
+    _Flag("--length-km", "length_km", ("design", "rf-response"), finite_float, "a length in km",
+          fileio.positive, lambda config: config.command == "rf-response"),
+    _Flag("--f-range", "f_range", ("rf-response",), _triplet, "start:stop:step in GHz",
+          fileio.span_rule, _always, "for this command (start:stop:step GHz)"),
+    _Flag("--lambda-nm", "lambda0_nm", ("solve-modes", "rf-response"), finite_float,
+          "a wavelength in nm", fileio.positive),
+    _Flag("--amplitudes", "amplitudes", ("rf-response",),
+          lambda raw: tuple(finite_float(p) for p in raw.split(",")),
+          "comma-separated finite numbers"),
+    _Flag("--dlambda-nm", "dlambda_nm", ("solve-modes",), finite_float, "a step in nm",
+          fileio.positive),
+    _Flag("--scan-points", "scan_points", ("solve-modes",), int, "an integer",
+          modes_mod.scan_points_rule),
+    _Flag("--root-tol", "root_tol", ("solve-modes",), finite_float, "a tolerance",
+          modes_mod.root_tol_rule),
+    _Flag("--sigma", "sigma", ("perturb",), finite_float, "a relative deviation",
+          fileio.non_negative, _always),
+    _Flag("--trials", "trials", ("perturb",), int, "an integer", design_mod.trials_rule),
+    _Flag("--seed", "seed", ("perturb",), int, "an integer", fileio.non_negative),
+    _Flag("--workers", "workers", ("perturb",), int, "an integer", fileio.at_least(1)),
+    _Flag("--out", "outputs", {"solve-modes": ("modes", "modes.csv"),
+                               "evaluate": ("curve", "delay_curve.csv"),
+                               "rf-response": ("rf", "rf_response.csv"),
+                               "perturb": ("perturb", "perturb_report.csv")}),
+    _Flag("--out-placements", "outputs", {"design": ("placements", "placements.csv")}),
+    _Flag("--out-positions", "outputs", {"design": ("positions", "lpg_positions.csv")}),
+    _Flag("--out-report", "outputs", {"design": ("report", "design_report.txt")}),
+)
+
+
+def _build_parser():
+    parser = _Parser(prog="fmf-ttdl", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command")
+    commands = {name: sub.add_parser(name) for name in _FLAGS[0].commands}
+    for spec in _FLAGS:
+        for name in spec.commands:
+            commands[name].add_argument(spec.flag, type=str)
+    return parser
 
 
 def parse_config(argv):
@@ -161,144 +179,60 @@ def parse_config(argv):
 
     Raises ConfigError carrying every failure, not just the first.
     """
-    parser = _build_parser()
-    namespace, extras = parser.parse_known_args(argv)
-    diags = []
+    namespace, extras = _build_parser().parse_known_args(argv)
+    diags = [f"unknown argument: {extra}" for extra in extras]
     file_diags = []
-    for extra in extras:
-        diags.append(f"unknown argument: {extra}")
     command = namespace.command
     if command is None:
-        raise ConfigError([f"missing command (expected one of: {', '.join(_COMMANDS)})"])
+        raise ConfigError([f"missing command (expected one of: {', '.join(_FLAGS[0].commands)})"])
 
-    out_dir = Path(namespace.out_dir or os.environ.get(OUT_DIR_ENV, "."))
-    config = RunConfig(command=command, out_dir=out_dir)
-    positive = lambda v: None if v > 0 else f"must be > 0, got {v}"
-    non_negative = lambda v: None if v >= 0 else f"must be >= 0, got {v}"
+    config = RunConfig(command=command, out_dir=_out_dir(None))
+    for spec in (spec for spec in _FLAGS if command in spec.commands):
+        raw = getattr(namespace, spec.flag[2:].replace("-", "_"))
+        if spec.field == "outputs":
+            key, default = spec.commands[command]
+            config.outputs[key] = raw or default
+            continue
+        if raw is None:
+            if spec.required and spec.required(config):
+                diags.append(f"{spec.flag} is required {spec.when}")
+            continue
+        try:
+            value = spec.convert(raw)
+        except FileFormatError as exc:
+            file_diags.extend((exc.source, line, message) for line, message in exc.diagnostics)
+            continue
+        except FileNotFoundError:
+            diags.append(f"{spec.flag}: no such file: {Path(raw)}")
+            continue
+        except OSError as exc:
+            diags.append(f"{spec.flag}: cannot read {Path(raw)}: {exc}")
+            continue
+        except ValueError as exc:
+            diags.append(f"{spec.flag}: expected {spec.expected}, got '{raw}'" if spec.expected
+                         else f"{spec.flag}: {exc}")
+            continue
+        problem = spec.rule(value) if spec.rule else None
+        if problem:
+            diags.append(f"{spec.flag}: {problem}")
+        else:
+            setattr(config, spec.field, value)
 
-    if command == "solve-modes":
-        config.profile = _load_file(diags, file_diags, "--profile", namespace.profile,
-                                    load_profile, required=True)
-        config.lambda0_nm = _convert(diags, "--lambda-nm", namespace.lambda_nm, finite_float,
-                                     1550.0, positive, "a wavelength in nm")
-        config.dlambda_nm = _convert(diags, "--dlambda-nm", namespace.dlambda_nm, finite_float,
-                                     0.5, positive, "a step in nm")
-        config.scan_points = _convert(
-            diags, "--scan-points", namespace.scan_points, int, 2000,
-            lambda v: None if v >= 500 else f"must be >= 500, got {v}", "an integer")
-        config.root_tol = _convert(
-            diags, "--root-tol", namespace.root_tol, finite_float, 1e-12,
-            lambda v: None if 0 < v <= 1e-10 else f"must be in (0, 1e-10], got {v}",
-            "a tolerance")
-        config.outputs["modes"] = namespace.out or "modes.csv"
-
-    elif command in ("design", "perturb"):
-        config.mode_table = _load_file(diags, file_diags, "--modes", namespace.modes,
-                                       modes_mod.read_mode_table, required=True)
-        config.graph = _load_file(diags, file_diags, "--graph", namespace.graph,
-                                  design_mod.load_graph, required=True)
-        if namespace.dtau is None:
-            diags.append("--dtau is required for this command")
-        config.delta_tau = _convert(diags, "--dtau", namespace.dtau, finite_float, None,
-                                    positive, "a delay step in ps/km")
-        rule = namespace.dispersion_rule or design_mod.MAXIMIZE_DISPERSION
-        if rule not in design_mod.DISPERSION_RULES:
+    placements = config.placements
+    if command == "rf-response" and namespace.lambda_nm is None and placements is not None:
+        config.lambda0_nm = placements.lambda0_um * 1e3
+    if config.amplitudes is not None:
+        if any(a < 0 for a in config.amplitudes):
+            diags.append("--amplitudes: values must be >= 0")
+        if placements is not None and len(config.amplitudes) != placements.n_samples:
             diags.append(
-                f"--dispersion-rule: must be one of {', '.join(design_mod.DISPERSION_RULES)}, "
-                f"got '{rule}'"
-            )
-        else:
-            config.dispersion_rule = rule
-        config.fixed_delta_d = _convert(diags, "--fixed-dd", namespace.fixed_dd,
-                                        finite_float, None, None, "a dispersion step")
-        if config.dispersion_rule == design_mod.FIXED_DISPERSION and namespace.fixed_dd is None:
-            diags.append("--fixed-dd is required when --dispersion-rule is 'fixed'")
-        if namespace.reference_mode is not None:
-            try:
-                config.reference_mode = parse_mode_label(namespace.reference_mode)
-            except ValueError as exc:
-                diags.append(f"--reference-mode: {exc}")
-        if command == "design":
-            config.length_km = _convert(diags, "--length-km", namespace.length_km,
-                                        finite_float, 1.0, positive, "a length in km")
-            config.outputs["placements"] = namespace.out_placements or "placements.csv"
-            config.outputs["positions"] = namespace.out_positions or "lpg_positions.csv"
-            config.outputs["report"] = namespace.out_report or "design_report.txt"
-        else:
-            if namespace.sigma is None:
-                diags.append("--sigma is required for this command")
-            config.sigma = _convert(diags, "--sigma", namespace.sigma, finite_float, 0.0,
-                                    non_negative, "a relative deviation")
-            config.trials = _convert(
-                diags, "--trials", namespace.trials, int, 100,
-                lambda v: None if v >= 1 else f"must be >= 1, got {v}", "an integer")
-            config.seed = _convert(diags, "--seed", namespace.seed, int, 0,
-                                   non_negative, "an integer")
-            config.workers = _convert(
-                diags, "--workers", namespace.workers, int, 1,
-                lambda v: None if v >= 1 else f"must be >= 1, got {v}", "an integer")
-            config.outputs["perturb"] = namespace.out or "perturb_report.csv"
-
-    elif command == "evaluate":
-        config.placements = _load_file(diags, file_diags, "--placements",
-                                       namespace.placements,
-                                       design_mod.read_placements, required=True)
-        if namespace.lambda_range is None:
-            diags.append("--lambda-range is required for this command (start:stop:step nm)")
-        config.lambda_range = _convert(
-            diags, "--lambda-range", namespace.lambda_range, _parse_triplet, None,
-            _range_check("lambda"), "start:stop:step in nm")
-        config.lpg_bandwidth_nm = _convert(
-            diags, "--lpg-bandwidth-nm", namespace.lpg_bandwidth_nm, finite_float, 20.0,
-            positive, "a bandwidth in nm")
-        config.outputs["curve"] = namespace.out or "delay_curve.csv"
-
-    elif command == "rf-response":
-        config.placements = _load_file(diags, file_diags, "--placements",
-                                       namespace.placements,
-                                       design_mod.read_placements, required=True)
-        if namespace.length_km is None:
-            diags.append("--length-km is required for this command")
-        config.length_km = _convert(diags, "--length-km", namespace.length_km,
-                                    finite_float, 1.0, positive, "a length in km")
-        if namespace.f_range is None:
-            diags.append("--f-range is required for this command (start:stop:step GHz)")
-        config.f_range = _convert(diags, "--f-range", namespace.f_range,
-                                  _parse_triplet, None, _range_check("f"),
-                                  "start:stop:step in GHz")
-        if namespace.lambda_nm is not None:
-            config.lambda0_nm = _convert(diags, "--lambda-nm", namespace.lambda_nm,
-                                         finite_float, 1550.0, positive, "a wavelength in nm")
-        elif config.placements is not None:
-            config.lambda0_nm = config.placements.lambda0_um * 1e3
-        if namespace.amplitudes is not None:
-            try:
-                config.amplitudes = tuple(
-                    finite_float(p) for p in namespace.amplitudes.split(","))
-            except ValueError:
-                diags.append(
-                    f"--amplitudes: expected comma-separated finite numbers, got "
-                    f"'{namespace.amplitudes}'")
-            else:
-                if any(a < 0 for a in config.amplitudes):
-                    diags.append("--amplitudes: values must be >= 0")
-                if (config.placements is not None
-                        and len(config.amplitudes) != config.placements.n_samples):
-                    diags.append(
-                        f"--amplitudes: {len(config.amplitudes)} values for "
-                        f"{config.placements.n_samples} samples")
-        config.outputs["rf"] = namespace.out or "rf_response.csv"
+                f"--amplitudes: {len(config.amplitudes)} values for {placements.n_samples} samples")
 
     file_diags.sort()
     diags.extend(f"{source}:{line}: {message}" for source, line, message in file_diags)
     if diags:
         raise ConfigError(diags)
     return config
-
-
-def _grid(start, stop, step):
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return np.array([start + k * step for k in range(count)])
 
 
 def _resolve(config, key):
@@ -381,8 +315,8 @@ def run_pipeline(config):
         print(f"wrote {placements_path}, {positions_path}, {report_path} ({summary})")
 
     elif config.command == "evaluate":
-        start, stop, step = config.lambda_range
-        grid = _grid(start, stop, step)
+        start, stop, _ = config.lambda_range
+        grid = np.array(fileio.grid_points(*config.lambda_range))
         curve = evaluate_mod.delay_curve(config.placements, grid)
         out = _resolve(config, "curve")
         evaluate_mod.write_delay_curve(curve, out)
@@ -410,8 +344,7 @@ def run_pipeline(config):
             if config.amplitudes is not None
             else np.ones(config.placements.n_samples)
         )
-        start, stop, step = config.f_range
-        grid = _grid(start, stop, step)
+        grid = np.array(fileio.grid_points(*config.f_range))
         result = evaluate_mod.rf_response(delays, amplitudes, grid)
         out = _resolve(config, "rf")
         evaluate_mod.write_rf_response(result, out)
@@ -445,9 +378,8 @@ def main(argv=None):
         return 2
     try:
         run_pipeline(config)
-    except (design_mod.DesignError, ModeSolverError, MaterialError,
-            evaluate_mod.EvaluationError, evaluate_mod.DegenerateFilterError,
-            FileFormatError, ValueError, OSError) as err:
+    except (design_mod.DesignError, ModeSolverError, evaluate_mod.EvaluationError,
+            ValueError, OSError) as err:  # file, material and filter errors are ValueErrors
         print(f"{config.command}: {err}", file=sys.stderr)
         return 1
     return 0

@@ -39,11 +39,15 @@ import numpy as np
 
 from .fileio import (
     FileFormatError,
+    at_least,
     atomic_write_text,
+    check,
     csv_text,
     finite_float,
     fmt_float,
     iter_config_lines,
+    non_negative,
+    positive,
     read_csv,
     um_from_nm,
 )
@@ -53,6 +57,14 @@ MAXIMIZE_DISPERSION = "maximize"
 FIXED_DISPERSION = "fixed"
 DELAYS_ONLY = "delays-only"
 DISPERSION_RULES = (MAXIMIZE_DISPERSION, FIXED_DISPERSION, DELAYS_ONLY)
+
+trials_rule = at_least(1)
+
+
+def dispersion_rule_rule(rule):
+    known = ", ".join(DISPERSION_RULES)
+    return None if rule in DISPERSION_RULES else f"must be one of {known}, got '{rule}'"
+
 
 _FEASIBILITY_RTOL = 1e-9
 _BOUND_SLACK = 1e-9
@@ -208,15 +220,8 @@ class DesignTargets:
     ladder: tuple | None = None
 
     def __post_init__(self):
-        if not self.delta_tau_ps_per_km > 0.0:
-            raise ValueError(
-                f"delay step must be > 0 ps/km, got {self.delta_tau_ps_per_km}"
-            )
-        if self.dispersion_rule not in DISPERSION_RULES:
-            raise ValueError(
-                f"dispersion_rule must be one of {DISPERSION_RULES}, "
-                f"got '{self.dispersion_rule}'"
-            )
+        check("delay step", positive, self.delta_tau_ps_per_km)
+        check("dispersion_rule", dispersion_rule_rule, self.dispersion_rule)
         if self.dispersion_rule == FIXED_DISPERSION and self.fixed_delta_d_ps_per_km_nm is None:
             raise ValueError("fixed dispersion rule needs fixed_delta_d_ps_per_km_nm")
         object.__setattr__(
@@ -636,8 +641,7 @@ class LpgPosition(NamedTuple):
 
 def lpg_positions(solution, graph, length_km):
     """Physical grating positions; shared-prefix junctions are merged."""
-    if not length_km > 0.0:
-        raise ValueError(f"length must be > 0 km, got {length_km}")
+    check("length", positive, length_km)
     merged = []  # (z_km, from_label, to_label)
     for sample in graph.samples:
         values = [segment.resolve(solution.lengths) for segment in sample]
@@ -720,12 +724,11 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     perturbed table alone would get, so reports do not depend on the block
     split or on workers.
     """
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    check("sigma", non_negative, sigma)
+    check("trials", trials_rule, trials)
+    check("seed", non_negative, seed)
     system = assemble_constraints(graph, table, targets)
     nominal = solve_placements(system)
     nominal_lengths = np.array(list(nominal.lengths.values()))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import modal_weights, path_sum
-from .fileio import atomic_write_text, csv_text, fmt_float, um_from_nm
+from .fileio import atomic_write_text, check, csv_text, fmt_float, positive, um_from_nm
 from .modes import ModeSolverError, format_mode_label, solve_mode_table
 
 FIRST_ORDER = "first-order"
@@ -164,8 +164,7 @@ def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
 
 def tap_delays_ps(solution, length_km, wavelength_nm=None):
     """Absolute per-sample tap delays (ps) for a link of the given length."""
-    if not length_km > 0.0:
-        raise ValueError(f"length must be > 0 km, got {length_km}")
+    check("length", positive, length_km)
     if wavelength_nm is None:
         wavelength_nm = solution.lambda0_um * 1e3
     per_km = sample_delays_first_order(solution, float(wavelength_nm))

@@ -12,6 +12,10 @@ perturbation report, a trailing block
 
 csv_text writes that layout and read_csv reads it back; the readers of the
 mode table and the placements check only their own columns and values.
+
+A range rule (positive, at_least(bound), span_rule, ...) returns what is wrong
+with a value ("must be > 0, got -1.0") or None.  The library raises it through
+check as ValueError("<name> must be ..."); the CLI reports "--<flag>: must be ...".
 """
 
 from __future__ import annotations
@@ -96,6 +100,36 @@ def finite_float(text):
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got '{text}'")
     return value
+
+
+def positive(value):
+    return None if value > 0 else f"must be > 0, got {value}"
+
+
+def at_least(bound):
+    return lambda value: None if value >= bound else f"must be >= {bound}, got {value}"
+
+
+non_negative = at_least(0)
+
+
+def span_rule(span):
+    start, stop, step = span
+    if step <= 0.0:
+        return f"step must be > 0, got {step}"
+    return f"stop {stop} precedes start {start}" if stop < start else None
+
+
+def check(name, rule, value):
+    """Raise ValueError("<name> <problem>") if rule finds a problem with value."""
+    if problem := rule(value):
+        raise ValueError(f"{name} {problem}")
+
+
+def grid_points(start, stop, step):
+    """start, start + step, ... up to stop (within 1e-9 of a step)."""
+    check("grid", span_rule, (start, stop, step))
+    return [start + k * step for k in range(math.floor((stop - start) / step + 1e-9) + 1)]
 
 
 def fmt_float(value):

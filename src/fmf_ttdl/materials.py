@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .fileio import FileFormatError, finite_float, iter_config_lines
+from .fileio import FileFormatError, check, finite_float, iter_config_lines, non_negative
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
 SILICA_SELLMEIER = (
@@ -73,6 +73,11 @@ def _sellmeier_n(terms, wavelength_um):
     return math.sqrt(total)
 
 
+def kind_rule(kind):
+    known = kind in (SCALED_SILICA, SELLMEIER_BLEND)
+    return None if known else f"must be '{SCALED_SILICA}' or '{SELLMEIER_BLEND}', got '{kind}'"
+
+
 @dataclass(frozen=True)
 class MaterialModel:
     """Sellmeier description of the cladding glass and its doped variants."""
@@ -82,10 +87,8 @@ class MaterialModel:
     germania_terms: tuple = GERMANIA_SELLMEIER
 
     def __post_init__(self):
-        if self.kind not in (SCALED_SILICA, SELLMEIER_BLEND):
-            raise MaterialError(
-                f"kind must be '{SCALED_SILICA}' or '{SELLMEIER_BLEND}', got '{self.kind}'"
-            )
+        if problem := kind_rule(self.kind):
+            raise MaterialError(f"kind {problem}")
         object.__setattr__(self, "silica_terms", tuple(tuple(t) for t in self.silica_terms))
         object.__setattr__(self, "germania_terms", tuple(tuple(t) for t in self.germania_terms))
         endpoint_fractions = (0.0, 1.0) if self.kind == SELLMEIER_BLEND else (0.0,)
@@ -208,8 +211,7 @@ class FiberProfile:
 
 def profile_index(profile, radius_um, wavelength_um):
     """Index at radial position r; boundary radii belong to the inner layer."""
-    if radius_um < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius_um}")
+    check("radius", non_negative, radius_um)
     for position, layer in enumerate(profile.layers):
         if radius_um <= layer.radius_um:
             return profile.layer_index(position, wavelength_um)
@@ -259,16 +261,10 @@ def parse_profile(text, source="<profile>"):
             if key == "name":
                 name = value
             elif key == "material_model":
-                if value in (SCALED_SILICA, SELLMEIER_BLEND):
-                    kind = value
+                if problem := kind_rule(value):
+                    diagnostics.append((number, f"material_model {problem}"))
                 else:
-                    diagnostics.append(
-                        (
-                            number,
-                            f"material_model must be '{SCALED_SILICA}' or "
-                            f"'{SELLMEIER_BLEND}', got '{value}'",
-                        )
-                    )
+                    kind = value
             else:
                 diagnostics.append((number, f"unknown key '{key}'"))
         elif key in ("radius_um", "delta_percent"):

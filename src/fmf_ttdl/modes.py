@@ -39,10 +39,13 @@ import numpy as np
 
 from .fileio import (
     FileFormatError,
+    at_least,
     atomic_write_text,
+    check,
     csv_text,
     finite_float,
     fmt_float,
+    grid_points,
     read_csv,
     um_from_nm,
 )
@@ -95,9 +98,12 @@ def parse_mode_label(text):
         left, right = body[0], body[1]
     else:
         raise ValueError(f"mode label must look like 'LP01' or 'LP10_1', got '{text}'")
-    if not (left.isdecimal() and right.isdecimal()):
-        raise ValueError(f"mode label must look like 'LP01', got '{text}'")
-    l, m = int(left), int(right)
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+        if not (left.isdecimal() and right.isdecimal()):
+            raise ValueError
+        l, m = int(left), int(right)
+    except ValueError:
+        raise ValueError(f"mode label must look like 'LP01', got '{text}'") from None
     if m < 1:
         raise ValueError(f"radial order must be >= 1, got '{text}'")
     return l, m
@@ -333,7 +339,7 @@ def characteristic_value(profile, l, n_eff_trial, wavelength_um):
 def _scan_grid(geometry, scan_points):
     """The uniform n_eff grid that brackets every root; empty if nothing is guided."""
     lo = geometry.n_clad + _EDGE_MARGIN
-    hi = max(geometry.indices) - _EDGE_MARGIN
+    hi = max(geometry.indices, default=geometry.n_clad) - _EDGE_MARGIN
     return np.linspace(lo, hi, scan_points) if hi > lo else np.empty(0)
 
 
@@ -346,11 +352,12 @@ def _scan(scans):
 
     A point where the function is exactly zero is a root of the cell it starts;
     the last point counts on its own only where it closes the grid (closed).
+    Scans without points (nothing guided, or no layers) make no kernel call.
     """
     geometries, orders, grids, _ = zip(*scans)
     counts = [len(points) for points in grids]
     values = _char_values(_points(geometries, counts), np.repeat(orders, counts),
-                          np.concatenate(grids))
+                          np.concatenate(grids)) if sum(counts) else np.empty(0)
     found = []
     for (geometry, l, points, closed), f in zip(scans, np.split(values, np.cumsum(counts)[:-1])):
         last = len(f) if closed else len(f) - 1
@@ -415,11 +422,16 @@ def _bracket_roots(geometry, l, scan_points, root_tol):
     return next(_roots(_scan([(geometry, l, grid, True)]), root_tol * _REFINE_FACTOR))
 
 
+scan_points_rule = at_least(500)
+
+
+def root_tol_rule(root_tol):
+    return None if 0.0 < root_tol <= 1e-10 else f"must be in (0, 1e-10], got {root_tol}"
+
+
 def _check_search_params(scan_points, root_tol):
-    if scan_points < 500:
-        raise ValueError(f"scan_points must be >= 500, got {scan_points}")
-    if not 0.0 < root_tol <= 1e-10:
-        raise ValueError(f"root_tol must be in (0, 1e-10], got {root_tol}")
+    check("scan_points", scan_points_rule, scan_points)
+    check("root_tol", root_tol_rule, root_tol)
 
 
 def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal):
@@ -432,9 +444,7 @@ def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal):
     """
     orders, exhausted = [], []
     for geometry in [_geometry(profile, lam) for lam in wavelengths_um]:
-        found, grid = [], np.empty(0)
-        if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * _EDGE_MARGIN:
-            grid = _scan_grid(geometry, scan_points)
+        found, grid = [], _scan_grid(geometry, scan_points)
         while grid.size and len(found) <= max_azimuthal:
             [brackets] = _scan([(geometry, len(found), grid, True)])
             if not (brackets.zeros.size or brackets.lower.size):
@@ -568,13 +578,8 @@ def _relabel(table, previous):
 def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
                 root_tol=1e-12):
     """One ModeTable per wavelength with mode identity carried between steps."""
-    if step_nm <= 0.0:
-        raise ValueError(f"step must be > 0 nm, got {step_nm}")
-    if stop_nm < start_nm:
-        raise ValueError(f"stop {stop_nm} nm precedes start {start_nm} nm")
+    wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
     _check_search_params(scan_points, root_tol)
-    count = int(math.floor((stop_nm - start_nm) / step_nm + 1e-9)) + 1
-    wavelengths = [um_from_nm(start_nm + k * step_nm) for k in range(count)]
     tables = []
     for table in _find_tables(profile, wavelengths, scan_points, root_tol, 64):
         tables.append(_relabel(table, tables[-1]) if tables else table)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fmf_ttdl.cli import ConfigError, main, parse_config
-from fmf_ttdl.design import read_placements
-from fmf_ttdl.modes import read_mode_table
+from fmf_ttdl.design import DesignTargets, load_graph, perturb_and_redesign, read_placements
+from fmf_ttdl.materials import load_profile
+from fmf_ttdl.modes import find_modes, read_mode_table, sweep_modes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 PROFILE = str(DEMO / "ring_core.prof")
 GRAPH = str(DEMO / "four_sample.graph")
 MODES = str(DEMO / "reference_modes.csv")
+TARGETS = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55)
 
 
 def design_args(out_dir):
@@ -318,3 +320,58 @@ def test_import_leaves_out_optimize_and_constants():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_unreadable_text_file_is_a_config_error(tmp_path, capsys):
+    binary = tmp_path / "binary.prof"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert main(["solve-modes", "--profile", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("--profile: 'utf-8' codec can't decode")
+
+
+SOLVE = ["solve-modes", "--profile", PROFILE]
+EVALUATE = ["evaluate", "--placements", str(DEMO / "absent.csv")]
+PERTURB = ["perturb", "--modes", MODES, "--graph", GRAPH, "--dtau", "100", "--sigma", "0.1"]
+
+
+def _perturb(sigma, trials, seed):
+    return perturb_and_redesign(load_graph(GRAPH), read_mode_table(MODES), TARGETS, sigma,
+                                trials, seed)
+
+
+@pytest.mark.parametrize("argv, flag, value, call", [
+    (SOLVE, "--scan-points", "400", lambda: find_modes(load_profile(PROFILE), 1.55, 400)),
+    (SOLVE, "--root-tol", "1e-9", lambda: find_modes(load_profile(PROFILE), 1.55, 2000, 1e-9)),
+    (PERTURB, "--dtau", "-5", lambda: DesignTargets(-5.0, 1.55)),
+    (PERTURB, "--dispersion-rule", "often", lambda: DesignTargets(100.0, 1.55, "often")),
+    (PERTURB, "--sigma", "-1", lambda: _perturb(-1.0, 5, 0)),
+    (PERTURB, "--trials", "0", lambda: _perturb(0.1, 0, 0)),
+    (PERTURB, "--seed", "-1", lambda: _perturb(0.1, 5, -1)),
+    (EVALUATE, "--lambda-range", "1560:1540:1",
+     lambda: sweep_modes(load_profile(PROFILE), 1560.0, 1540.0, 1.0)),
+    (EVALUATE, "--lambda-range", "1540:1560:0",
+     lambda: sweep_modes(load_profile(PROFILE), 1540.0, 1560.0, 0.0)),
+])
+def test_cli_reports_the_library_rule_text(argv, flag, value, call):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(argv + [flag, value])
+    [diagnostic] = [d for d in excinfo.value.diagnostics if d.startswith(flag + ":")]
+    with pytest.raises(ValueError) as library:
+        call()
+    assert str(library.value).endswith(" " + diagnostic[len(flag) + 2:])
+
+
+def test_parse_config_calls_the_loaders_bound_on_their_modules(monkeypatch):
+    from fmf_ttdl import cli, design, modes
+
+    calls = []
+    for module, name in ((cli, "load_profile"), (modes, "read_mode_table"),
+                         (design, "load_graph"), (design, "read_placements")):
+        loader = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda path, loader=loader, name=name: (
+            calls.append(name), loader(path))[1])
+    parse_config(SOLVE)
+    parse_config(PERTURB)
+    with pytest.raises(ConfigError):
+        parse_config(EVALUATE)
+    assert calls == ["load_profile", "read_mode_table", "load_graph", "read_placements"]

@@ -58,7 +58,7 @@ def test_mode_label_round_trip():
     for bad in ("LP", "LP0", "L01", "LP0x", "LP00"):
         with pytest.raises(ValueError):
             parse_mode_label(bad)
-    for bad in ("LP²1", "LP1_²"):  # digits that int() does not read
+    for bad in ("LP²1", "LP1_²", "LP" + "1" * 5000 + "_1"):  # digits that int() does not read
         with pytest.raises(ValueError, match="must look like"):
             parse_mode_label(bad)
 
@@ -209,6 +209,15 @@ def test_continuation_error_when_mode_lost():
 def test_group_delay_for_unguided_mode_raises(ring_profile):
     with pytest.raises(ModeContinuationError):
         group_delay(ring_profile, 0, 3, 1.55)
+
+
+@pytest.mark.parametrize("layers", [(), (Layer(3.0, 0.0),)])
+def test_profile_that_guides_nothing_has_no_group_delay(layers):
+    profile = FiberProfile(layers=layers)
+    assert len(find_modes(profile, 1.55)) == 0
+    for quantity in (group_delay, dispersion):
+        with pytest.raises(ModeContinuationError, match="mode LP01 not guided at 1550.0 nm"):
+            quantity(profile, 0, 1, 1.55)
 
 
 def test_bracket_error_names_order_and_bracket():

@@ -60,6 +60,13 @@ def test_parse_graph_gives_a_graph_or_line_diagnostics(text):
     _check(parse_graph, text, ConversionGraph)
 
 
+def test_graph_mode_label_that_int_rejects_is_a_diagnostic():
+    label = "LP" + "1" * 5000 + "_1"
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_graph(f"[sample 1]\nsegment = {label}, a\n", source="g.graph")
+    assert excinfo.value.diagnostics == ((2, f"mode label must look like 'LP01', got '{label}'"),)
+
+
 @pytest.mark.parametrize("number", ["²", "9" * 5000])
 def test_graph_sample_number_that_int_rejects_is_a_diagnostic(number):
     with pytest.raises(FileFormatError) as excinfo:
