@@ -222,11 +222,9 @@ def parse_config(argv):
     if command == "rf-response" and namespace.lambda_nm is None and placements is not None:
         config.lambda0_nm = placements.lambda0_um * 1e3
     if config.amplitudes is not None:
-        if any(a < 0 for a in config.amplitudes):
-            diags.append("--amplitudes: values must be >= 0")
-        if placements is not None and len(config.amplitudes) != placements.n_samples:
-            diags.append(
-                f"--amplitudes: {len(config.amplitudes)} values for {placements.n_samples} samples")
+        n_taps = getattr(placements, "n_samples", None)  # no count check without placements
+        diags.extend(f"--amplitudes: {problem}"
+                     for problem in evaluate_mod.amplitude_problems(config.amplitudes, n_taps))
 
     file_diags.sort()
     diags.extend(f"{source}:{line}: {message}" for source, line, message in file_diags)

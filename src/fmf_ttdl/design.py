@@ -733,7 +733,6 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     nominal = solve_placements(system)
     nominal_lengths = np.array(list(nominal.lengths.values()))
     modes = [(record.l, record.m) for record in table.modes]
-    reference = modes.index(targets.reference_mode)
     tau, disp = system.weights
     nan = float("nan")
     results = []
@@ -744,9 +743,8 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
                 np.random.default_rng([seed, index]).standard_normal((len(modes), 2))
                 for index in indices
             ])
-            scaled = [tau[mode] * factors[:, i, 0] for i, mode in enumerate(modes)]
             weights = (
-                {mode: scaled[i] - scaled[reference] for i, mode in enumerate(modes)},
+                {mode: tau[mode] * factors[:, i, 0] for i, mode in enumerate(modes)},
                 {
                     mode: None if disp[mode] is None else disp[mode] * factors[:, i, 1]
                     for i, mode in enumerate(modes)

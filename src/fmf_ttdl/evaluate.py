@@ -191,6 +191,14 @@ class RfResponse:
             return 20.0 * np.log10(self.magnitude)
 
 
+def amplitude_problems(amplitudes, n_taps=None):
+    """What is wrong with tap amplitudes: a value < 0, or not one value per tap."""
+    problems = ["values must be >= 0"] if np.any(np.asarray(amplitudes) < 0.0) else []
+    if n_taps is not None and np.shape(amplitudes) != (n_taps,):
+        problems.append(f"{np.size(amplitudes)} values for {n_taps} samples")
+    return problems
+
+
 def rf_response(tap_delays, tap_amplitudes, frequencies_ghz):
     """H(f) = sum_i a_i exp(-j 2 pi f tau_i) with f in GHz and tau in ps."""
     delays = np.asarray(tap_delays, dtype=float)
@@ -198,14 +206,10 @@ def rf_response(tap_delays, tap_amplitudes, frequencies_ghz):
     frequencies = np.atleast_1d(np.asarray(frequencies_ghz, dtype=float))
     if delays.size < 2:
         raise DegenerateFilterError(f"need at least 2 taps, got {delays.size}")
-    if amplitudes.shape != delays.shape:
-        raise ValueError(
-            f"{amplitudes.size} amplitudes for {delays.size} taps"
-        )
+    if problems := amplitude_problems(amplitudes, delays.size):
+        raise ValueError("amplitudes: " + "; ".join(problems))
     if np.any(np.diff(delays) <= 0.0):
         raise ValueError("tap delays must be sorted strictly ascending")
-    if np.any(amplitudes < 0.0):
-        raise ValueError("tap amplitudes must be >= 0")
     phase = -2.0j * np.pi * 1e-3 * np.outer(frequencies, delays)  # GHz * ps -> cycles
     response = np.exp(phase) @ amplitudes
     spacings = np.diff(delays)

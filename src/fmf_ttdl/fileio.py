@@ -113,11 +113,23 @@ def at_least(bound):
 non_negative = at_least(0)
 
 
+MAX_GRID_POINTS = 1_000_000
+
+
+def _grid_count(start, stop, step):
+    """Points of start:stop:step up to stop within 1e-9 of a step; inf if that overflows."""
+    cells = (stop - start) / step + 1e-9
+    return math.floor(cells) + 1 if math.isfinite(cells) else math.inf
+
+
 def span_rule(span):
     start, stop, step = span
     if step <= 0.0:
         return f"step must be > 0, got {step}"
-    return f"stop {stop} precedes start {start}" if stop < start else None
+    if stop < start:
+        return f"stop {stop} precedes start {start}"
+    too_many = _grid_count(start, stop, step) > MAX_GRID_POINTS
+    return f"has more than {MAX_GRID_POINTS} points, got step {step}" if too_many else None
 
 
 def check(name, rule, value):
@@ -129,7 +141,7 @@ def check(name, rule, value):
 def grid_points(start, stop, step):
     """start, start + step, ... up to stop (within 1e-9 of a step)."""
     check("grid", span_rule, (start, stop, step))
-    return [start + k * step for k in range(math.floor((stop - start) / step + 1e-9) + 1)]
+    return [start + k * step for k in range(_grid_count(start, stop, step))]
 
 
 def fmt_float(value):

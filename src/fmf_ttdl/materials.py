@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .fileio import FileFormatError, check, finite_float, iter_config_lines, non_negative
+from .fileio import (FileFormatError, check, finite_float, iter_config_lines, non_negative,
+                     positive)
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
 SILICA_SELLMEIER = (
@@ -185,18 +186,30 @@ class FiberProfile:
             layer if isinstance(layer, Layer) else Layer(*layer) for layer in self.layers
         )
         object.__setattr__(self, "layers", layers)
+        if problems := self.problems(layers):
+            raise ValueError("; ".join(message for _, message in problems))
+
+    @staticmethod
+    def problems(layers):
+        """Defects of a layer sequence as (layer index, message), at most one a layer.
+
+        A radius must be finite, > 0 and above every radius before it; a delta must be finite.
+        """
+        problems = []
         previous = 0.0
-        for layer in layers:
-            if not (math.isfinite(layer.radius_um) and layer.radius_um > 0.0):
-                raise ValueError(f"layer radius must be finite and > 0, got {layer.radius_um}")
-            if layer.radius_um <= previous:
-                raise ValueError(
-                    f"layer radii must be strictly increasing, got {layer.radius_um} "
-                    f"after {previous}"
-                )
-            if not math.isfinite(layer.delta):
-                raise ValueError(f"layer delta must be finite, got {layer.delta}")
-            previous = layer.radius_um
+        for index, layer in enumerate(layers):
+            radius = layer.radius_um
+            if problem := positive(radius):
+                problems.append((index, f"radius_um {problem}"))
+            elif not math.isfinite(radius):
+                problems.append((index, f"radius_um must be finite, got {radius}"))
+            elif radius <= previous:
+                problems.append((index, f"layer radii must be strictly increasing, got {radius} "
+                                        f"after {previous}"))
+            elif not math.isfinite(layer.delta):
+                problems.append((index, f"layer delta must be finite, got {layer.delta}"))
+            previous = max(previous, radius)
+        return problems
 
     def cladding_index(self, wavelength_um):
         return material_index(self.cladding, 0.0, wavelength_um)
@@ -223,7 +236,7 @@ def parse_profile(text, source="<profile>"):
     diagnostics = []
     name = ""
     kind = SCALED_SILICA
-    layers = []  # (radius_um, delta, radius_line)
+    layers, lines = [], []  # lines: the radius_um line of each layer
     current = None
     current_line = 0
 
@@ -235,13 +248,8 @@ def parse_profile(text, source="<profile>"):
         for key in missing:
             diagnostics.append((current_line, f"[layer] is missing '{key}'"))
         if not missing and None not in current.values():
-            layers.append(
-                (
-                    current["radius_um"],
-                    current["delta_percent"] / 100.0,
-                    current.get("radius_line", current_line),
-                )
-            )
+            layers.append(Layer(current["radius_um"], current["delta_percent"] / 100.0))
+            lines.append(current["radius_line"])
         current = None
 
     for number, entry_kind, payload in iter_config_lines(text):
@@ -283,24 +291,12 @@ def parse_profile(text, source="<profile>"):
             diagnostics.append((number, f"unknown key '{key}' in [layer]"))
     flush()
 
-    previous = 0.0
-    for radius, _, line in layers:
-        if radius <= 0.0:
-            diagnostics.append((line, f"radius_um must be > 0, got {radius}"))
-        elif radius <= previous:
-            diagnostics.append(
-                (line, f"layer radii must be strictly increasing, got {radius} after {previous}")
-            )
-        previous = max(previous, radius)
+    diagnostics += [(lines[index], message) for index, message in FiberProfile.problems(layers)]
     if not layers and not diagnostics:
         diagnostics.append((1, "no [layer] sections found"))
     if diagnostics:
         raise FileFormatError(source, diagnostics)
-    return FiberProfile(
-        layers=tuple(Layer(radius, delta) for radius, delta, _ in layers),
-        cladding=MaterialModel(kind=kind),
-        name=name,
-    )
+    return FiberProfile(layers=tuple(layers), cladding=MaterialModel(kind=kind), name=name)
 
 
 def load_profile(path):

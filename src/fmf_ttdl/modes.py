@@ -2,16 +2,22 @@
 
 The scalar (weak-guidance) wave equation is solved per azimuthal order l by
 propagating the radial field and its derivative across layer boundaries with
-2x2 transfer matrices.  Inside each annulus the basis is J_l/Y_l where the
-field oscillates (n_eff below the local index) and I_l/K_l where it is
-evanescent; a power-law basis takes over in the narrow window where the
-transverse wavenumber underflows, which keeps the characteristic function
-continuous across basis switches.  Bessel derivatives come from the
-order-lowering recurrences, so each basis function costs one special-function
-call at orders l-1 and l.  The innermost region keeps only its regular
-solution and the unbounded cladding only K_l; guided effective indices are
-the zeros of the resulting boundary-matching determinant.  The kernel takes
-an order and a wavelength per trial point.
+2x2 transfer matrices.  In an annulus of index n, u2 = k0^2 (n^2 - n_eff^2):
+
+    basis (_bases)  sign  q          regular  irregular  Wronskian scale 1/det M
+    oscillatory      +1   sqrt(u2)   J_l      Y_l        pi r_inner / 2
+    evanescent       -1   sqrt(-u2)  I_l      K_l        -r_inner
+
+sign is also the lower_sign of the irregular function (_with_derivative).
+I/K are the scaled ive/kve, so the irregular column carries the decay
+exp(-2 q (r_outer - r_inner)), 1.0 for J/Y; the dropped growth factor is
+positive.  A power-law basis takes over where q r underflows, which keeps the
+characteristic function continuous across basis switches.  Bessel
+derivatives come from the order-lowering recurrences, so each basis function
+costs one special-function call at orders l-1 and l.  The innermost region
+keeps only its regular solution and the unbounded cladding only K_l; guided
+effective indices are the zeros of the resulting boundary-matching
+determinant.  The kernel takes an order and a wavelength per trial point.
 
 Roots are found on a uniform n_eff grid over the guided range: every sign
 change between neighbouring grid points is a bracket.  Each solve (all orders
@@ -19,6 +25,11 @@ of find_modes, all probe windows of a table, all orders at all sweep
 wavelengths) collects its brackets first and bisects them all in lockstep,
 one kernel call per step, with the arithmetic of scipy.optimize.bisect
 (xtol = root_tol * _REFINE_FACTOR).
+
+Labels are ranks.  For fixed l the radial equation is a Sturm-Liouville
+problem: LP_lm, its m-th root from the top, has m - 1 radial zeros, and roots
+of one order never cross as lambda varies (oscillation theorem; Snyder & Love,
+Optical Waveguide Theory, 1983); a sweep warns of each (l, m) a step loses.
 
 Group delay and chromatic dispersion per mode follow from central finite
 differences of n_eff(lambda).  Mode identity across the probe wavelengths
@@ -214,24 +225,24 @@ def _with_derivative(bessel, l, x, lower_sign=1.0):
     return value, lower_sign * bessel(l - 1, x) - (l / x) * value
 
 
-def _initial_state(l, u2, radius):
-    """(R, R') of the regular solution at the first boundary, per trial point."""
+def _bases(u2, degenerate, r_inner):
+    """The (rows, sign, regular, irregular, Wronskian scale) of each basis; see above."""
     import scipy.special as sp  # deferred: ~0.4 s to import; only mode solving needs it
 
+    return (((u2 > 0.0) & ~degenerate, 1.0, sp.jv, sp.yn, 0.5 * math.pi * r_inner),
+            ((u2 < 0.0) & ~degenerate, -1.0, sp.ive, sp.kve, -r_inner))
+
+
+def _initial_state(l, u2, radius):
+    """(R, R') of the regular solution at the first boundary, per trial point."""
     state = np.empty((u2.shape[0], 2))
     degenerate = np.abs(u2) * radius * radius < _DEGENERATE_X2
-    oscillatory = (u2 > 0.0) & ~degenerate
-    evanescent = (u2 < 0.0) & ~degenerate
-    if oscillatory.any():
-        q = np.sqrt(u2[oscillatory])
-        j, jp = _with_derivative(sp.jv, l[oscillatory], q * radius)
-        state[oscillatory, 0] = j
-        state[oscillatory, 1] = q * jp
-    if evanescent.any():
-        q = np.sqrt(-u2[evanescent])
-        i, ip = _with_derivative(sp.ive, l[evanescent], q * radius)
-        state[evanescent, 0] = i
-        state[evanescent, 1] = q * ip
+    for rows, sign, regular, _, _ in _bases(u2, degenerate, radius):
+        if rows.any():
+            q = np.sqrt(sign * u2[rows])
+            value, derivative = _with_derivative(regular, l[rows], q * radius)
+            state[rows, 0] = value
+            state[rows, 1] = q * derivative
     if degenerate.any():
         state[degenerate, 0] = 1.0
         state[degenerate, 1] = l[degenerate] / radius
@@ -241,52 +252,22 @@ def _initial_state(l, u2, radius):
 def _propagator(l, u2, r_inner, r_outer):
     """Exact 2x2 propagator of (R, R') across one annulus, per trial point.
 
-    Evanescent matrices carry scaled Bessel functions with the common
-    exponential growth factored out; the dropped factor is positive so the
-    determinant sign pattern is unaffected.
+    It is M(r_outer) M(r_inner)^-1 with M = ((f, g), (q f', q g')) for the
+    regular f and irregular g; the inverse comes from the exact Wronskian.
     """
-    import scipy.special as sp  # deferred, as in _initial_state
-
     out = np.empty((u2.shape[0], 2, 2))
     degenerate = np.abs(u2) * r_outer * r_outer < _DEGENERATE_X2
-    oscillatory = (u2 > 0.0) & ~degenerate
-    evanescent = (u2 < 0.0) & ~degenerate
-
-    if oscillatory.any():
-        q = np.sqrt(u2[oscillatory])
-        ends = np.array((q * r_inner, q * r_outer))
-        (ja, jb), (jpa, jpb) = _with_derivative(sp.jv, l[oscillatory], ends)
-        (ya, yb), (ypa, ypb) = _with_derivative(sp.yn, l[oscillatory], ends)
-        # inverse at r_inner from the exact Wronskian: det M = 2 / (pi r)
-        half_pi_r = 0.5 * math.pi * r_inner
-        i00 = half_pi_r * q * ypa
-        i01 = -half_pi_r * ya
-        i10 = -half_pi_r * q * jpa
-        i11 = half_pi_r * ja
-        m00, m01 = jb, yb
-        m10, m11 = q * jpb, q * ypb
-        out[oscillatory, 0, 0] = m00 * i00 + m01 * i10
-        out[oscillatory, 0, 1] = m00 * i01 + m01 * i11
-        out[oscillatory, 1, 0] = m10 * i00 + m11 * i10
-        out[oscillatory, 1, 1] = m10 * i01 + m11 * i11
-
-    if evanescent.any():
-        g = np.sqrt(-u2[evanescent])
-        ends = np.array((g * r_inner, g * r_outer))
-        (ia, ib), (ipa, ipb) = _with_derivative(sp.ive, l[evanescent], ends)
-        (ka, kb), (kpa, kpb) = _with_derivative(sp.kve, l[evanescent], ends, -1.0)
-        decay = np.exp(-2.0 * g * (r_outer - r_inner))
-        # inverse at r_inner in the scaled basis: det = -1/r
-        i00 = -r_inner * g * kpa
-        i01 = r_inner * ka
-        i10 = r_inner * g * ipa
-        i11 = -r_inner * ia
-        m00, m01 = ib, kb * decay
-        m10, m11 = g * ipb, g * kpb * decay
-        out[evanescent, 0, 0] = m00 * i00 + m01 * i10
-        out[evanescent, 0, 1] = m00 * i01 + m01 * i11
-        out[evanescent, 1, 0] = m10 * i00 + m11 * i10
-        out[evanescent, 1, 1] = m10 * i01 + m11 * i11
+    for rows, sign, regular, irregular, scale in _bases(u2, degenerate, r_inner):
+        if rows.any():
+            q = np.sqrt(sign * u2[rows])
+            ends = np.array((q * r_inner, q * r_outer))
+            (fa, fb), (fpa, fpb) = _with_derivative(regular, l[rows], ends)
+            (ga, gb), (gpa, gpb) = _with_derivative(irregular, l[rows], ends, sign)
+            decay = np.exp(-2.0 * q * (r_outer - r_inner)) if sign < 0.0 else 1.0
+            inverse = ((scale * q * gpa, -scale * ga), (-scale * q * fpa, scale * fa))
+            outer = ((fb, gb * decay), (q * fpb, q * gpb * decay))
+            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                out[rows, i, j] = outer[i][0] * inverse[0][j] + outer[i][1] * inverse[1][j]
 
     # power-law basis r^l, r^-l (1, log r for l = 0), in Python floats per order
     for order in np.unique(l[degenerate]).tolist():
@@ -303,7 +284,7 @@ def _propagator(l, u2, r_inner, r_outer):
 
 def _char_values(points, l, n_eff):
     """Scale-normalized determinant at n_eff[i] for order l[i] on row i of points."""
-    import scipy.special as sp  # deferred, as in _initial_state
+    import scipy.special as sp  # deferred, as in _bases
 
     n_eff = np.asarray(n_eff, dtype=float)
     radii, rows = points
@@ -557,32 +538,23 @@ def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
     return ModeTable(tuple(filled), lambda0_um)
 
 
-def _relabel(table, previous):
-    """Carry radial indices from the previous sweep step by position within each order."""
-    relabeled = []
-    orders = sorted({record.l for record in table.modes} | {record.l for record in previous.modes})
-    for l in orders:
-        current = [record for record in table.modes if record.l == l]
-        prior = [record for record in previous.modes if record.l == l]
-        for position, record in enumerate(current):
-            if position < len(prior):
-                relabeled.append(replace(record, m=prior[position].m))
-            else:
-                relabeled.append(record)
-        for lost in prior[len(current):]:
-            warnings.warn(f"mode {lost.label} lost at {table.lambda0_um * 1e3} nm (cutoff)")
-    relabeled.sort(key=lambda record: -record.n_eff)
-    return ModeTable(tuple(relabeled), table.lambda0_um)
+def _warn_lost(previous_modes, table):
+    """Warn of each (l, m) of previous_modes that table lacks, in (l, m) order."""
+    kept = {(record.l, record.m) for record in table.modes}
+    for l, m in sorted({(record.l, record.m) for record in previous_modes} - kept):
+        warnings.warn(f"mode {format_mode_label(l, m)} lost at {table.lambda0_um * 1e3} nm "
+                      f"(cutoff)")
 
 
 def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
                 root_tol=1e-12):
-    """One ModeTable per wavelength with mode identity carried between steps."""
+    """One ModeTable per wavelength, each mode labelled by its rank in its order."""
     wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
     _check_search_params(scan_points, root_tol)
     tables = []
     for table in _find_tables(profile, wavelengths, scan_points, root_tol, 64):
-        tables.append(_relabel(table, tables[-1]) if tables else table)
+        _warn_lost(tables[-1].modes if tables else (), table)
+        tables.append(table)
     return tables
 
 

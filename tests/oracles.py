@@ -348,5 +348,6 @@ def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
     for k in range(count):
         table = find_modes_per_order(profile, um_from_nm(start_nm + k * step_nm), scan_points,
                                      root_tol)
-        tables.append(modes._relabel(table, tables[-1]) if tables else table)
+        modes._warn_lost(tables[-1].modes if tables else (), table)
+        tables.append(table)
     return tables

@@ -5,6 +5,8 @@ import pytest
 
 from fmf_ttdl.cli import ConfigError, main, parse_config
 from fmf_ttdl.design import DesignTargets, load_graph, perturb_and_redesign, read_placements
+from fmf_ttdl.evaluate import rf_response
+from fmf_ttdl.fileio import grid_points
 from fmf_ttdl.materials import load_profile
 from fmf_ttdl.modes import find_modes, read_mode_table, sweep_modes
 
@@ -331,6 +333,7 @@ def test_unreadable_text_file_is_a_config_error(tmp_path, capsys):
 
 SOLVE = ["solve-modes", "--profile", PROFILE]
 EVALUATE = ["evaluate", "--placements", str(DEMO / "absent.csv")]
+RF = ["rf-response", "--placements", str(DEMO / "absent.csv"), "--length-km", "2"]
 PERTURB = ["perturb", "--modes", MODES, "--graph", GRAPH, "--dtau", "100", "--sigma", "0.1"]
 
 
@@ -351,6 +354,10 @@ def _perturb(sigma, trials, seed):
      lambda: sweep_modes(load_profile(PROFILE), 1560.0, 1540.0, 1.0)),
     (EVALUATE, "--lambda-range", "1540:1560:0",
      lambda: sweep_modes(load_profile(PROFILE), 1540.0, 1560.0, 0.0)),
+    (EVALUATE, "--lambda-range", "1540:1560:1e-300",
+     lambda: sweep_modes(load_profile(PROFILE), 1540.0, 1560.0, 1e-300)),
+    (RF + ["--f-range", "0:10:1"], "--amplitudes", "1,-1",
+     lambda: rf_response([0.0, 5.0], [1.0, -1.0], [0.0])),
 ])
 def test_cli_reports_the_library_rule_text(argv, flag, value, call):
     with pytest.raises(ConfigError) as excinfo:
@@ -375,3 +382,13 @@ def test_parse_config_calls_the_loaders_bound_on_their_modules(monkeypatch):
     with pytest.raises(ConfigError):
         parse_config(EVALUATE)
     assert calls == ["load_profile", "read_mode_table", "load_graph", "read_placements"]
+
+
+@pytest.mark.parametrize("span", ["0:1e300:1e-300", "1540:1560:1e-300"])
+def test_grid_too_large_to_build_is_a_flag_diagnostic(span, capsys):
+    # the first point count overflows to inf, the second is a finite 2e22
+    assert main(RF + ["--f-range", span]) == 2
+    diagnostic = "--f-range: has more than 1000000 points, got step 1e-300"
+    assert diagnostic in capsys.readouterr().err.splitlines()
+    with pytest.raises(ValueError, match="^grid has more than 1000000 points"):
+        grid_points(*map(float, span.split(":")))

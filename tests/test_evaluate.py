@@ -173,6 +173,8 @@ def test_rf_validation():
         rf_response([0.0, 5.0], [1.0, -1.0], [0.0])
     with pytest.raises(ValueError):
         rf_response([0.0, 5.0], [1.0], [0.0])
+    with pytest.raises(ValueError, match="^amplitudes: values must be >= 0; 1 values for 2 samples$"):
+        rf_response([0.0, 5.0], [-1.0], [0.0])
 
 
 def test_rf_response_csv_parses(reference_solution):

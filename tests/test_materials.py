@@ -162,6 +162,26 @@ def test_profile_structural_validation():
         FiberProfile(layers=(Layer(3.0, math.inf),))
 
 
+def test_profile_constructor_and_parser_share_the_layer_rules():
+    layers = (Layer(5.0, 0.002), Layer(4.0, 0.007), Layer(-1.0, 0.001), Layer(6.0, math.inf),
+              Layer(math.inf, 0.001))
+    problems = [
+        (1, "layer radii must be strictly increasing, got 4.0 after 5.0"),
+        (2, "radius_um must be > 0, got -1.0"),
+        (3, "layer delta must be finite, got inf"),
+        (4, "radius_um must be finite, got inf"),
+    ]
+    assert FiberProfile.problems(layers) == problems
+    with pytest.raises(ValueError) as excinfo:
+        FiberProfile(layers=layers)
+    assert str(excinfo.value) == "; ".join(message for _, message in problems)
+    text = "".join(f"[layer]\nradius_um = {radius}\ndelta_percent = 0.3\n"
+                   for radius in (5.0, 4.0, -1.0))
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text)
+    assert excinfo.value.diagnostics == ((5, problems[0][1]), (8, problems[1][1]))
+
+
 PROFILE_TEXT = """# demo
 name = ring-core-demo
 material_model = scaled-silica
