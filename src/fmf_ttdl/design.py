@@ -45,10 +45,10 @@ from .fileio import (
     csv_text,
     finite_float,
     fmt_float,
-    iter_config_lines,
     non_negative,
     positive,
     read_csv,
+    read_sections,
     um_from_nm,
 )
 from .modes import format_mode_label, parse_mode_label
@@ -782,51 +782,42 @@ def _parse_segment(value):
     raise ValueError(f"segment length must be a variable name or 'fixed', got '{token}'")
 
 
+def _is_sample_header(name):
+    parts = name.split()
+    return len(parts) == 2 and parts[0] == "sample" and parts[1].isdigit()
+
+
 def parse_graph(text, source="<graph>"):
     """Parse `[sample N]` sections of `segment = LPlm, <var|fixed>` lines."""
-    diagnostics = []
-    samples = []
-    header_lines = []
-    segment_lines = []
-    current = None
-
-    for number, kind, payload in iter_config_lines(text):
-        if kind == "error":
-            diagnostics.append((number, payload))
-            continue
-        if kind == "section":
-            parts = payload.split()
-            if len(parts) == 2 and parts[0] == "sample" and parts[1].isdigit():
-                expected = len(samples) + 1
-                if parts[1].lstrip("0") != str(expected):  # int() fails on "²", 5000 digits
-                    diagnostics.append(
-                        (number, f"expected [sample {expected}], got [sample {parts[1]}]")
-                    )
-                current = []
-                samples.append(current)
-                header_lines.append(number)
-                segment_lines.append([])
-            else:
-                diagnostics.append((number, f"unknown section '[{payload}]'"))
-            continue
-        key, value = payload
-        if key != "segment":
-            diagnostics.append((number, f"unknown key '{key}'"))
-            continue
-        if current is None:
+    diagnostics, preamble, sections = read_sections(text, _is_sample_header)
+    for number, key, _ in preamble:
+        if key == "segment":
             diagnostics.append((number, "segment line before any [sample] section"))
-            continue
-        segment_lines[-1].append(number)
-        try:
-            current.append(_parse_segment(value))
-        except ValueError as exc:
-            diagnostics.append((number, str(exc)))
-            current.append(None)  # keeps the checks from bridging the gap
+        else:
+            diagnostics.append((number, f"unknown key '{key}'"))
+    samples, segment_lines = [], []
+    for index, (header, name, entries) in enumerate(sections, start=1):
+        label = name.split()[1]
+        if label.lstrip("0") != str(index):  # int() fails on "²", 5000 digits
+            diagnostics.append((header, f"expected [sample {index}], got [sample {label}]"))
+        sample, lines = [], []
+        for number, key, value in entries:
+            if key != "segment":
+                diagnostics.append((number, f"unknown key '{key}'"))
+                continue
+            lines.append(number)
+            try:
+                sample.append(_parse_segment(value))
+            except ValueError as exc:
+                diagnostics.append((number, str(exc)))
+                sample.append(None)  # keeps the checks from bridging the gap
+        samples.append(sample)
+        segment_lines.append(lines)
 
     if not samples and not diagnostics:
         diagnostics.append((1, "no [sample] sections found"))
     for index, position, message in ConversionGraph.problems(samples):
-        line = header_lines[index] if position is None else segment_lines[index][position]
+        line = sections[index][0] if position is None else segment_lines[index][position]
         diagnostics.append((line, message))
     if diagnostics:
         raise FileFormatError(source, diagnostics)

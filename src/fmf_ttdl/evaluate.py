@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import modal_weights, path_sum
-from .fileio import atomic_write_text, check, csv_text, fmt_float, positive, um_from_nm
+from .fileio import atomic_write_text, check, csv_text, fmt_float, order_rule, positive, um_from_nm
 from .modes import ModeSolverError, format_mode_label, solve_mode_table
 
 FIRST_ORDER = "first-order"
@@ -141,8 +141,7 @@ class TunabilityReport:
 
 def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
                       lpg_bandwidth_nm=20.0):
-    if lambda_stop_nm < lambda_start_nm:
-        raise ValueError("stop wavelength precedes start wavelength")
+    check("wavelength range", order_rule, (lambda_start_nm, lambda_stop_nm))
     endpoints = np.array([lambda_start_nm, lambda_stop_nm])
     delays = sample_delays_first_order(solution, endpoints)
     differentials = np.diff(delays, axis=0)

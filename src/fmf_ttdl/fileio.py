@@ -1,17 +1,18 @@
-"""Shared text-file helpers: diagnostics, config lines, table files, atomic writes.
+"""Shared text-file helpers: diagnostics, section files, table files, atomic writes.
 
-Every CSV file of the pipeline (mode table, placements, grating positions,
-perturbation report, delay curve, RF response) is a table file: one header
-line, one comma-separated line per row and, for the placements and the
-perturbation report, a trailing block
+Each input syntax has one reader here; the parsers check only their own keys,
+columns and values.  read_sections reads the profile and the graph: `[section]`
+headers, `key = value` lines, `#` comments.  Every CSV file of the pipeline
+(mode table, placements, grating positions, perturbation report, delay curve,
+RF response) is a table file: one header line, one comma-separated line per
+row and, for the placements and the perturbation report, a trailing block
 
     [summary]
     key,value
     <key>,<value>
     ...
 
-csv_text writes that layout and read_csv reads it back; the readers of the
-mode table and the placements check only their own columns and values.
+which csv_text writes and read_csv reads back.
 
 A range rule (positive, at_least(bound), span_rule, ...) returns what is wrong
 with a value ("must be > 0, got -1.0") or None.  The library raises it through
@@ -37,23 +38,30 @@ class FileFormatError(ValueError):
         )
 
 
-def iter_config_lines(text):
-    """Yield (line_number, kind, payload) from a key=value / [section] file.
+def read_sections(text, opens):
+    """Split a section file into (diagnostics, preamble, sections).
 
-    kind is 'section' (payload: section name), 'pair' (payload: (key, value))
-    or 'error' (payload: message).  Blank lines and '#' comments are skipped.
+    Entries are stripped (line, key, value); each section is (header line, name,
+    entries).  A line with neither '[...]' nor '=' is a diagnostic, and so is a
+    header that opens(name) rejects: its entries stay in the section before it.
     """
+    diagnostics, sections = [], [(0, "", [])]
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            yield number, "section", line[1:-1].strip()
+            name = line[1:-1].strip()
+            if opens(name):
+                sections.append((number, name, []))
+            else:
+                diagnostics.append((number, f"unknown section '[{name}]'"))
         elif "=" in line:
             key, _, value = line.partition("=")
-            yield number, "pair", (key.strip(), value.strip())
+            sections[-1][2].append((number, key.strip(), value.strip()))
         else:
-            yield number, "error", f"expected 'key = value' or '[section]', got {line!r}"
+            diagnostics.append((number, f"expected 'key = value' or '[section]', got {line!r}"))
+    return diagnostics, sections[0][2], sections[1:]
 
 
 SUMMARY_SECTION = "[summary]"
@@ -122,12 +130,17 @@ def _grid_count(start, stop, step):
     return math.floor(cells) + 1 if math.isfinite(cells) else math.inf
 
 
+def order_rule(span):
+    start, stop = span[:2]
+    return f"stop {stop} precedes start {start}" if stop < start else None
+
+
 def span_rule(span):
     start, stop, step = span
     if step <= 0.0:
         return f"step must be > 0, got {step}"
-    if stop < start:
-        return f"stop {stop} precedes start {start}"
+    if problem := order_rule(span):
+        return problem
     too_many = _grid_count(start, stop, step) > MAX_GRID_POINTS
     return f"has more than {MAX_GRID_POINTS} points, got step {step}" if too_many else None
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .fileio import (FileFormatError, check, finite_float, iter_config_lines, non_negative,
-                     positive)
+from .fileio import FileFormatError, check, finite_float, non_negative, positive, read_sections
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
 SILICA_SELLMEIER = (
@@ -231,71 +230,49 @@ def profile_index(profile, radius_um, wavelength_um):
     return profile.cladding_index(wavelength_um)
 
 
+def _fields(entries, keys, where, diagnostics):
+    """key -> (line, value) of section entries; an unknown or repeated key is reported."""
+    found = {}
+    for number, key, value in entries:
+        if key not in keys:
+            diagnostics.append((number, f"unknown key '{key}'{where}"))
+        elif key in found:
+            diagnostics.append((number, f"duplicate '{key}'{where}"))
+        else:
+            found[key] = (number, value)
+    return found
+
+
 def parse_profile(text, source="<profile>"):
     """Parse the line-oriented profile format, reporting every defect at once."""
-    diagnostics = []
-    name = ""
-    kind = SCALED_SILICA
+    diagnostics, preamble, sections = read_sections(text, lambda name: name == "layer")
+    top = _fields(preamble, ("name", "material_model"), "", diagnostics)
+    number, kind = top.get("material_model", (0, SCALED_SILICA))
+    if problem := kind_rule(kind):
+        diagnostics.append((number, f"material_model {problem}"))
     layers, lines = [], []  # lines: the radius_um line of each layer
-    current = None
-    current_line = 0
-
-    def flush():
-        nonlocal current
-        if current is None:
-            return
-        missing = [k for k in ("radius_um", "delta_percent") if k not in current]
-        for key in missing:
-            diagnostics.append((current_line, f"[layer] is missing '{key}'"))
-        if not missing and None not in current.values():
-            layers.append(Layer(current["radius_um"], current["delta_percent"] / 100.0))
-            lines.append(current["radius_line"])
-        current = None
-
-    for number, entry_kind, payload in iter_config_lines(text):
-        if entry_kind == "error":
-            diagnostics.append((number, payload))
-            continue
-        if entry_kind == "section":
-            if payload == "layer":
-                flush()
-                current = {}
-                current_line = number
-            else:
-                diagnostics.append((number, f"unknown section '[{payload}]'"))
-            continue
-        key, value = payload
-        if current is None:
-            if key == "name":
-                name = value
-            elif key == "material_model":
-                if problem := kind_rule(value):
-                    diagnostics.append((number, f"material_model {problem}"))
-                else:
-                    kind = value
-            else:
-                diagnostics.append((number, f"unknown key '{key}'"))
-        elif key in ("radius_um", "delta_percent"):
-            if key in current:
-                diagnostics.append((number, f"duplicate '{key}' in [layer]"))
+    for header, _, entries in sections:
+        fields = _fields(entries, ("radius_um", "delta_percent"), " in [layer]", diagnostics)
+        values = []
+        for key in ("radius_um", "delta_percent"):
+            if key not in fields:
+                diagnostics.append((header, f"[layer] is missing '{key}'"))
                 continue
+            number, value = fields[key]
             try:
-                current[key] = finite_float(value)
+                values.append(finite_float(value))
             except ValueError as exc:
                 diagnostics.append((number, f"{key}: {exc}"))
-                current[key] = None  # present but rejected: not also "missing"
-                continue
-            if key == "radius_um":
-                current["radius_line"] = number
-        else:
-            diagnostics.append((number, f"unknown key '{key}' in [layer]"))
-    flush()
+        if len(values) == 2:
+            layers.append(Layer(values[0], values[1] / 100.0))
+            lines.append(fields["radius_um"][0])
 
     diagnostics += [(lines[index], message) for index, message in FiberProfile.problems(layers)]
     if not layers and not diagnostics:
         diagnostics.append((1, "no [layer] sections found"))
     if diagnostics:
         raise FileFormatError(source, diagnostics)
+    name = top.get("name", (0, ""))[1]
     return FiberProfile(layers=tuple(layers), cladding=MaterialModel(kind=kind), name=name)
 
 

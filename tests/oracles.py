@@ -8,7 +8,10 @@ batching instead and reuse the package's kernels: the perturbation oracle
 designs each perturbed table alone with the single-design path, and the
 per-order mode search scans and bisects one order at one wavelength at a
 time, against which the solver's one lockstep bisection per solve must give
-the same floats and the same errors.
+the same floats and the same errors.  The per-line profile and graph parsers
+read a file one line at a time with a "current section" state machine, and
+the package's section-file parsers must give the same values and the same
+diagnostics.
 """
 
 import math
@@ -20,14 +23,17 @@ import scipy.special as sp
 from scipy.optimize import bisect
 
 from fmf_ttdl.design import (
+    ConversionGraph,
     DesignError,
     PerturbationTrial,
     RobustnessReport,
     assemble_constraints,
     solve_placements,
+    _parse_segment,
 )
 from fmf_ttdl import modes
-from fmf_ttdl.fileio import um_from_nm
+from fmf_ttdl.fileio import FileFormatError, finite_float, um_from_nm
+from fmf_ttdl.materials import SCALED_SILICA, FiberProfile, Layer, MaterialModel, kind_rule
 from fmf_ttdl.modes import ModeRecord, ModeTable
 
 
@@ -351,3 +357,142 @@ def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
         modes._warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables
+
+
+def iter_config_lines(text):
+    """Yield (line_number, kind, payload) from a key=value / [section] file.
+
+    kind is 'section' (payload: section name), 'pair' (payload: (key, value))
+    or 'error' (payload: message).  Blank lines and '#' comments are skipped.
+    """
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            yield number, "section", line[1:-1].strip()
+        elif "=" in line:
+            key, _, value = line.partition("=")
+            yield number, "pair", (key.strip(), value.strip())
+        else:
+            yield number, "error", f"expected 'key = value' or '[section]', got {line!r}"
+
+
+def parse_profile_per_line(text, source="<profile>"):
+    """materials.parse_profile as a per-line state machine; a repeated top-level
+    key silently overrides the one before it."""
+    diagnostics = []
+    name = ""
+    kind = SCALED_SILICA
+    layers, lines = [], []  # lines: the radius_um line of each layer
+    current = None
+    current_line = 0
+
+    def flush():
+        nonlocal current
+        if current is None:
+            return
+        missing = [k for k in ("radius_um", "delta_percent") if k not in current]
+        for key in missing:
+            diagnostics.append((current_line, f"[layer] is missing '{key}'"))
+        if not missing and None not in current.values():
+            layers.append(Layer(current["radius_um"], current["delta_percent"] / 100.0))
+            lines.append(current["radius_line"])
+        current = None
+
+    for number, entry_kind, payload in iter_config_lines(text):
+        if entry_kind == "error":
+            diagnostics.append((number, payload))
+            continue
+        if entry_kind == "section":
+            if payload == "layer":
+                flush()
+                current = {}
+                current_line = number
+            else:
+                diagnostics.append((number, f"unknown section '[{payload}]'"))
+            continue
+        key, value = payload
+        if current is None:
+            if key == "name":
+                name = value
+            elif key == "material_model":
+                if problem := kind_rule(value):
+                    diagnostics.append((number, f"material_model {problem}"))
+                else:
+                    kind = value
+            else:
+                diagnostics.append((number, f"unknown key '{key}'"))
+        elif key in ("radius_um", "delta_percent"):
+            if key in current:
+                diagnostics.append((number, f"duplicate '{key}' in [layer]"))
+                continue
+            try:
+                current[key] = finite_float(value)
+            except ValueError as exc:
+                diagnostics.append((number, f"{key}: {exc}"))
+                current[key] = None  # present but rejected: not also "missing"
+                continue
+            if key == "radius_um":
+                current["radius_line"] = number
+        else:
+            diagnostics.append((number, f"unknown key '{key}' in [layer]"))
+    flush()
+
+    diagnostics += [(lines[index], message) for index, message in FiberProfile.problems(layers)]
+    if not layers and not diagnostics:
+        diagnostics.append((1, "no [layer] sections found"))
+    if diagnostics:
+        raise FileFormatError(source, diagnostics)
+    return FiberProfile(layers=tuple(layers), cladding=MaterialModel(kind=kind), name=name)
+
+
+def parse_graph_per_line(text, source="<graph>"):
+    """design.parse_graph as a per-line state machine."""
+    diagnostics = []
+    samples = []
+    header_lines = []
+    segment_lines = []
+    current = None
+
+    for number, kind, payload in iter_config_lines(text):
+        if kind == "error":
+            diagnostics.append((number, payload))
+            continue
+        if kind == "section":
+            parts = payload.split()
+            if len(parts) == 2 and parts[0] == "sample" and parts[1].isdigit():
+                expected = len(samples) + 1
+                if parts[1].lstrip("0") != str(expected):  # int() fails on "²", 5000 digits
+                    diagnostics.append(
+                        (number, f"expected [sample {expected}], got [sample {parts[1]}]")
+                    )
+                current = []
+                samples.append(current)
+                header_lines.append(number)
+                segment_lines.append([])
+            else:
+                diagnostics.append((number, f"unknown section '[{payload}]'"))
+            continue
+        key, value = payload
+        if key != "segment":
+            diagnostics.append((number, f"unknown key '{key}'"))
+            continue
+        if current is None:
+            diagnostics.append((number, "segment line before any [sample] section"))
+            continue
+        segment_lines[-1].append(number)
+        try:
+            current.append(_parse_segment(value))
+        except ValueError as exc:
+            diagnostics.append((number, str(exc)))
+            current.append(None)  # keeps the checks from bridging the gap
+
+    if not samples and not diagnostics:
+        diagnostics.append((1, "no [sample] sections found"))
+    for index, position, message in ConversionGraph.problems(samples):
+        line = header_lines[index] if position is None else segment_lines[index][position]
+        diagnostics.append((line, message))
+    if diagnostics:
+        raise FileFormatError(source, diagnostics)
+    return ConversionGraph(tuple(samples))

@@ -12,6 +12,7 @@ from fmf_ttdl.evaluate import (
     tap_delays_ps,
     tunability_report,
 )
+from fmf_ttdl.fileio import order_rule, span_rule
 
 
 def test_differential_delays_at_center_wavelength(reference_solution):
@@ -97,6 +98,13 @@ def test_tunability_zero_width_range(reference_solution):
     report = tunability_report(reference_solution, 1550.0, 1550.0)
     assert report.min_differential_ps_per_km == pytest.approx(100.0, abs=1e-6)
     assert report.max_differential_ps_per_km == pytest.approx(100.0, abs=1e-6)
+
+
+def test_tunability_reversed_range_uses_the_shared_order_rule(reference_solution):
+    with pytest.raises(ValueError) as excinfo:
+        tunability_report(reference_solution, 1560.0, 1540.0)
+    assert str(excinfo.value) == "wavelength range stop 1540.0 precedes start 1560.0"
+    assert span_rule((1560.0, 1540.0, 1.0)) == order_rule((1560.0, 1540.0))
 
 
 def test_tunability_bandwidth_warning(reference_solution):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fmf_ttdl.design import PlacementSolution, parse_placements_csv, placements_to_csv
-from fmf_ttdl.fileio import FileFormatError, csv_text, read_csv
+from fmf_ttdl.fileio import FileFormatError, csv_text, read_csv, read_sections
 from fmf_ttdl.modes import (
     ModeRecord,
     ModeTable,
@@ -95,3 +95,12 @@ def test_read_csv_checks_the_header():
     assert str(excinfo.value) == "t.csv:1: expected header 'a,b'"
     with pytest.raises(FileFormatError):
         read_csv("", "a,b", "t.csv")
+
+
+def test_read_sections_keeps_entries_of_a_rejected_header_with_the_section_before():
+    text = "a = 1\n[skip]\nb=2\n\n# note\n[keep]\n c = 3 \n[skip]\nd =\njunk\n"
+    diagnostics, preamble, sections = read_sections(text, lambda name: name == "keep")
+    assert diagnostics == [(2, "unknown section '[skip]'"), (8, "unknown section '[skip]'"),
+                           (10, "expected 'key = value' or '[section]', got 'junk'")]
+    assert preamble == [(1, "a", "1"), (3, "b", "2")]
+    assert sections == [(6, "keep", [(7, "c", "3"), (9, "d", "")])]

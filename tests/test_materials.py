@@ -259,3 +259,15 @@ def test_rejected_layer_value_is_not_also_missing():
     assert len(excinfo.value.diagnostics) == 1
     line, message = excinfo.value.diagnostics[0]
     assert line == 6 and "finite" in message
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("material_model", "sellmeier-blend", "scaled-silica"),
+    ("name", "ring", "core"),
+])
+def test_repeated_top_level_key_is_a_diagnostic_at_its_line(key, first, second):
+    text = (f"{key} = {first}\n# comment\n{key} = {second}\n"
+            "[layer]\nradius_um = 3.0\ndelta_percent = 0.21\n")
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_profile(text, source="bad.prof")
+    assert excinfo.value.diagnostics == ((3, f"duplicate '{key}'"),)

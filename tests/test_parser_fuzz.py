@@ -1,11 +1,14 @@
 """Property tests of the profile and graph parsers, which have no writer.
 
 Any text must parse to a value or raise FileFormatError whose diagnostics
-point at lines of that text; no other exception may escape.
+point at lines of that text; no other exception may escape.  The parsers must
+also agree with the per-line state machines in oracles.py.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
 
 from fmf_ttdl.design import ConversionGraph, parse_graph
 from fmf_ttdl.fileio import FileFormatError
@@ -37,6 +40,25 @@ def texts(fragments):
         lambda parts: parts[1].join(parts[0]))
 
 
+def sectioned(preamble, header, bodies):
+    """Texts of preamble lines, then sections of one body each under header.format(N)."""
+    parts = st.tuples(st.lists(st.sampled_from(preamble), max_size=2),
+                      st.lists(st.sampled_from(bodies), min_size=1, max_size=3))
+    return parts.map(lambda drawn: "\n".join(
+        [*drawn[0], *(f"{header.format(n)}\n{body}" for n, body in enumerate(drawn[1], 1))]))
+
+
+# Mostly well-formed files, so that the oracle tests compare parsed values too.
+FORMED_PROFILES = sectioned(
+    ("name = ring", "material_model = sellmeier-blend", "# comment"), "[layer]",
+    ("radius_um = 3.0\ndelta_percent = 0.21", "delta_percent = 0.72\nradius_um = 10",
+     "radius_um = 20\ndelta_percent = -0.1", "radius_um = 4"))
+FORMED_GRAPHS = sectioned(
+    ("# comment",), "[sample {}]",
+    ("segment = LP02, a\nsegment = LP12, b", "segment = LP02, a\nsegment = LP12, c\n"
+     "segment = LP01, d", "segment = LP21, fixed", "segment = LP01, a", ""))
+
+
 def _check(parse, text, kind):
     try:
         value = parse(text, source="fuzz")
@@ -58,6 +80,36 @@ def test_parse_profile_gives_a_profile_or_line_diagnostics(text):
 @given(texts(GRAPH_LINES))
 def test_parse_graph_gives_a_graph_or_line_diagnostics(text):
     _check(parse_graph, text, ConversionGraph)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, source="fuzz")
+    except FileFormatError as exc:
+        return exc.diagnostics
+
+
+def _repeats_a_top_level_key(text):
+    keys = []
+    for _, kind, payload in oracles.iter_config_lines(text):
+        if kind == "section" and payload == "layer":
+            break
+        if kind == "pair" and payload[0] in ("name", "material_model"):
+            keys.append(payload[0])
+    return len(keys) != len(set(keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(texts(PROFILE_LINES), FORMED_PROFILES))
+def test_parse_profile_matches_the_per_line_oracle(text):
+    assume(not _repeats_a_top_level_key(text))  # the oracle silently overrides these
+    assert _outcome(parse_profile, text) == _outcome(oracles.parse_profile_per_line, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(texts(GRAPH_LINES), FORMED_GRAPHS))
+def test_parse_graph_matches_the_per_line_oracle(text):
+    assert _outcome(parse_graph, text) == _outcome(oracles.parse_graph_per_line, text)
 
 
 def test_graph_mode_label_that_int_rejects_is_a_diagnostic():
