@@ -49,7 +49,6 @@ from .materials import (
     Layer,
     MaterialError,
     MaterialModel,
-    ResonanceSingularityError,
     WavelengthRangeError,
     load_profile,
     material_index,

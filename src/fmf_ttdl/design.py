@@ -6,8 +6,8 @@ into the next.  Normalized segment lengths are the unknowns.  The linear
 constraint system forces
 
 * each sample's segment lengths to total the full (normalized) link,
-* ladder-adjacent samples to differ by the target delay step, and
-* ladder-adjacent dispersion increments to be one shared constant, either
+* adjacent samples (listed in ladder order) to differ by the delay step, and
+* adjacent dispersion increments to be one shared constant, either
   fixed or left as an extra unknown to be maximized.
 
 The resulting problem is a small dense linear program over box-bounded
@@ -217,7 +217,6 @@ class DesignTargets:
     dispersion_rule: str = MAXIMIZE_DISPERSION
     fixed_delta_d_ps_per_km_nm: float | None = None
     reference_mode: tuple = (0, 1)
-    ladder: tuple | None = None
 
     def __post_init__(self):
         check("delay step", positive, self.delta_tau_ps_per_km)
@@ -228,8 +227,6 @@ class DesignTargets:
             self, "reference_mode",
             (int(self.reference_mode[0]), int(self.reference_mode[1])),
         )
-        if self.ladder is not None:
-            object.__setattr__(self, "ladder", tuple(int(i) for i in self.ladder))
 
 
 @dataclass(frozen=True)
@@ -250,16 +247,6 @@ class ConstraintSystem:
     targets: DesignTargets
 
 
-def _ladder_order(graph, targets):
-    n = len(graph.samples)
-    ladder = targets.ladder if targets.ladder is not None else tuple(range(n))
-    if sorted(ladder) != list(range(n)):
-        raise DesignError(
-            f"ladder must be a permutation of 0..{n - 1}, got {ladder}"
-        )
-    return sorted(range(n), key=lambda i: ladder[i])
-
-
 def _needs_dispersion(graph, targets):
     return targets.dispersion_rule != DELAYS_ONLY and len(graph.samples) >= 2
 
@@ -276,8 +263,9 @@ def assemble_constraints(graph, table, targets):
     """Build the equality matrix/rhs for the placement problem."""
     try:
         table.mode(*targets.reference_mode)
-    except KeyError as exc:
-        raise UnknownModeError(str(exc)) from exc
+    except KeyError:
+        label = format_mode_label(*targets.reference_mode)
+        raise UnknownModeError(f"reference mode {label} is not in the mode table") from None
     if any(record.tau_ps_per_km is None for record in table.modes):
         raise DesignError("mode table lacks group delays; characterize it first")
     tau, disp = modal_weights(table, targets.reference_mode)
@@ -341,8 +329,8 @@ def _assemble(graph, targets, optimize, weights, trials):
                 f"sample {index + 1} has fixed total length {const}, expected 1"
             )
 
-    order = _ladder_order(graph, targets)
-    for low, high in zip(order, order[1:]):
+    ladder = range(len(graph.samples))  # listing order is ladder order
+    for low, high in zip(ladder, ladder[1:]):
         c_low, k_low = sample_terms(low, tau)
         c_high, k_high = sample_terms(high, tau)
         rows.append(c_high - c_low)
@@ -350,7 +338,7 @@ def _assemble(graph, targets, optimize, weights, trials):
         labels.append(f"delay[sample {low + 1}->{high + 1}]")
 
     if _needs_dispersion(graph, targets):
-        for low, high in zip(order, order[1:]):
+        for low, high in zip(ladder, ladder[1:]):
             c_low, k_low = sample_terms(low, disp)
             c_high, k_high = sample_terms(high, disp)
             row = c_high - c_low
@@ -374,7 +362,7 @@ class PlacementSolution:
     """Solved normalized lengths plus per-sample equivalent delay/dispersion.
 
     Delays are relative to the declared reference mode; tau_eq/d_eq follow
-    the delay ladder (smallest delay first).
+    the graph's sample order, which is the delay ladder (smallest delay first).
     """
 
     lengths: dict
@@ -561,8 +549,8 @@ def _solution_checks(system, matrix, rhs, weights, x):
     Returns (checks, lengths, tau_eq, d_eq, delta_d).  checks lists
     (failed per trial, error class, message for trial t) in the order a
     single design raises them.  lengths are clipped to [0, 1]; tau_eq and
-    d_eq hold one (T,) array per sample in ladder order; delta_d is (T,) or
-    None.
+    d_eq hold one (T,) array per sample in graph order, which is ladder
+    order; delta_d is (T,) or None.
     """
     graph, targets, variables = system.graph, system.targets, system.variables
     trials, nvar = len(x), len(variables)
@@ -588,13 +576,11 @@ def _solution_checks(system, matrix, rhs, weights, x):
     columns = dict(zip(variables, lengths.T))
     tau, disp = weights
     ones = {mode: 1.0 for mode in tau}
-    order = _ladder_order(graph, targets)
-    samples = [graph.samples[index] for index in order]
 
     def sums(weights):
-        return [np.full(trials, path_sum(s, weights, columns)) for s in samples]
+        return [np.full(trials, path_sum(s, weights, columns)) for s in graph.samples]
 
-    for index, total in zip(order, sums(ones)):
+    for index, total in enumerate(sums(ones)):
         checks.append((
             np.abs(total - 1.0) > 1e-9, DesignError,
             lambda t, index=index, total=total: (

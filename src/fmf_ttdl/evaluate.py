@@ -60,13 +60,8 @@ def sample_delays_first_order(solution, wavelengths_nm):
 
 
 def sample_delays_numeric(solution, graph, profile, wavelength_nm,
-                          dlambda_um=5e-4, scan_points=2000, root_tol=1e-12,
-                          sample_order=None):
-    """Per-sample delay per unit length from a fresh mode solve at lambda.
-
-    Samples are reported in graph order unless sample_order (the delay
-    ladder of a permuted graph) says otherwise.
-    """
+                          dlambda_um=5e-4, scan_points=2000, root_tol=1e-12):
+    """Per-sample delay per unit length, in graph order, from a fresh mode solve at lambda."""
     lambda_um = um_from_nm(float(wavelength_nm))
     try:
         table = solve_mode_table(profile, lambda_um, dlambda_um, scan_points, root_tol)
@@ -83,10 +78,7 @@ def sample_delays_numeric(solution, graph, profile, wavelength_nm,
             raise EvaluationError(
                 f"mode {format_mode_label(*mode)} not guided at {wavelength_nm} nm"
             )
-    order = sample_order if sample_order is not None else range(len(graph.samples))
-    return np.asarray(
-        [path_sum(graph.samples[index], tau, solution.lengths) for index in order]
-    )
+    return np.asarray([path_sum(sample, tau, solution.lengths) for sample in graph.samples])
 
 
 @dataclass(frozen=True)

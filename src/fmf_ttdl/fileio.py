@@ -163,18 +163,12 @@ def fmt_float(value):
 
 
 def um_from_nm(value_nm):
-    """Convert nm to um picking the double whose nm image is exact.
+    """Convert nm to um so that write(read(file)) stays byte-identical.
 
-    Keeps write(read(file)) byte-identical: among the doubles nearest to
-    value_nm/1000, prefer one that multiplies back to value_nm exactly.
+    The doubles y with y * 1000 == value_nm fill an interval centred on
+    value_nm / 1000, so the quotient is in it whenever any double is.
     """
-    base = value_nm / 1000.0
-    if base * 1000.0 == value_nm:
-        return base
-    for candidate in (math.nextafter(base, 0.0), math.nextafter(base, math.inf)):
-        if candidate * 1000.0 == value_nm:
-            return candidate
-    return base
+    return value_nm / 1000.0
 
 
 def atomic_write_text(path, text):

@@ -1,8 +1,8 @@
 """Refractive-index models and piecewise-constant radial fiber profiles.
 
 Fused silica follows the three-term Sellmeier fit of Malitson (1965); the
-germania endpoint uses the coefficients of Fleming (1984).  A raised (doped)
-layer is modelled one of two ways:
+germania endpoint uses the coefficients of Fleming (1984); both sets are
+fixed.  A raised (doped) layer is modelled one of two ways:
 
 ``scaled-silica``
     layer index = cladding Sellmeier index times (1 + delta), with the
@@ -46,7 +46,6 @@ SELLMEIER_BLEND = "sellmeier-blend"
 
 WAVELENGTH_RANGE_UM = (0.5, 2.0)
 BLEND_CALIBRATION_UM = 1.55
-_RESONANCE_EPS_UM = 1e-9
 
 
 class MaterialError(ValueError):
@@ -57,19 +56,11 @@ class WavelengthRangeError(MaterialError):
     """Wavelength outside the supported evaluation band."""
 
 
-class ResonanceSingularityError(MaterialError):
-    """Wavelength coincides with a Sellmeier resonance."""
-
-
 def _sellmeier_n(terms, wavelength_um):
     lam2 = wavelength_um * wavelength_um
     total = 1.0
     for amplitude, resonance in terms:
         total += amplitude * lam2 / (lam2 - resonance * resonance)
-    if not math.isfinite(total) or total <= 0.0:
-        raise MaterialError(
-            f"Sellmeier sum is non-physical ({total}) at {wavelength_um} um"
-        )
     return math.sqrt(total)
 
 
@@ -80,46 +71,30 @@ def kind_rule(kind):
 
 @dataclass(frozen=True)
 class MaterialModel:
-    """Sellmeier description of the cladding glass and its doped variants."""
+    """Doping model (scaled-silica or sellmeier-blend); the coefficients are fixed."""
 
     kind: str = SCALED_SILICA
-    silica_terms: tuple = SILICA_SELLMEIER
-    germania_terms: tuple = GERMANIA_SELLMEIER
 
     def __post_init__(self):
         if problem := kind_rule(self.kind):
             raise MaterialError(f"kind {problem}")
-        object.__setattr__(self, "silica_terms", tuple(tuple(t) for t in self.silica_terms))
-        object.__setattr__(self, "germania_terms", tuple(tuple(t) for t in self.germania_terms))
-        endpoint_fractions = (0.0, 1.0) if self.kind == SELLMEIER_BLEND else (0.0,)
-        for terms in (self.silica_terms, self.germania_terms):
-            for amplitude, resonance in terms:
-                if not (amplitude > 0.0 and resonance > 0.0):
-                    raise MaterialError(
-                        f"Sellmeier amplitudes and resonance wavelengths must be > 0, "
-                        f"got ({amplitude}, {resonance})"
-                    )
-        # index must stay finite and above 1 across the design band
-        for fraction in endpoint_fractions:
-            terms = self.terms(fraction)
-            for lam in (1.2, 1.325, 1.45, 1.575, 1.7):
-                n = _sellmeier_n(terms, lam)
-                if not (math.isfinite(n) and n > 1.0):
-                    raise MaterialError(
-                        f"model index {n} at {lam} um violates n > 1 on [1.2, 1.7] um"
-                    )
 
-    def terms(self, blend_fraction=0.0):
-        """Sellmeier terms at the given silica->germania blend fraction."""
-        if blend_fraction == 0.0:
-            return self.silica_terms
-        return tuple(
-            (
-                (1.0 - blend_fraction) * bs + blend_fraction * bg,
-                (1.0 - blend_fraction) * rs + blend_fraction * rg,
-            )
-            for (bs, rs), (bg, rg) in zip(self.silica_terms, self.germania_terms)
+
+def terms(blend_fraction=0.0):
+    """Sellmeier terms at the given silica->germania blend fraction.
+
+    On the supported band every blend's sum lies in [2.07, 2.61] and every
+    resonance at least 0.346 um outside it: no blend is singular there.
+    """
+    if blend_fraction == 0.0:
+        return SILICA_SELLMEIER
+    return tuple(
+        (
+            (1.0 - blend_fraction) * bs + blend_fraction * bg,
+            (1.0 - blend_fraction) * rs + blend_fraction * rg,
         )
+        for (bs, rs), (bg, rg) in zip(SILICA_SELLMEIER, GERMANIA_SELLMEIER)
+    )
 
 
 def material_index(model, blend_fraction, wavelength_um):
@@ -133,31 +108,25 @@ def material_index(model, blend_fraction, wavelength_um):
         raise ValueError(f"blend_fraction must lie in [0, 1], got {blend_fraction}")
     if model.kind == SCALED_SILICA:
         blend_fraction = 0.0
-    terms = model.terms(blend_fraction)
-    for _, resonance in terms:
-        if abs(wavelength_um - resonance) < _RESONANCE_EPS_UM:
-            raise ResonanceSingularityError(
-                f"wavelength {wavelength_um} um sits on a Sellmeier resonance"
-            )
-    return _sellmeier_n(terms, wavelength_um)
+    return _sellmeier_n(terms(blend_fraction), wavelength_um)
 
 
 @lru_cache(maxsize=None)
-def _blend_fraction_for_delta(model, delta):
+def _blend_fraction_for_delta(delta):
     """Blend fraction whose index at the calibration wavelength hits 1+delta."""
     if delta == 0.0:
         return 0.0
     from scipy.optimize import brentq  # deferred: scipy.optimize takes ~0.5 s to import
 
-    target = _sellmeier_n(model.silica_terms, BLEND_CALIBRATION_UM) * (1.0 + delta)
-    n_silica = _sellmeier_n(model.terms(0.0), BLEND_CALIBRATION_UM)
-    n_germania = _sellmeier_n(model.terms(1.0), BLEND_CALIBRATION_UM)
+    n_silica = _sellmeier_n(SILICA_SELLMEIER, BLEND_CALIBRATION_UM)
+    target = n_silica * (1.0 + delta)
+    n_germania = _sellmeier_n(terms(1.0), BLEND_CALIBRATION_UM)
     if not (n_silica <= target <= n_germania):
         raise MaterialError(
             f"relative index step {delta} is outside the silica-germania blend range"
         )
     return brentq(
-        lambda x: _sellmeier_n(model.terms(x), BLEND_CALIBRATION_UM) - target,
+        lambda x: _sellmeier_n(terms(x), BLEND_CALIBRATION_UM) - target,
         0.0,
         1.0,
         xtol=1e-15,
@@ -216,7 +185,7 @@ class FiberProfile:
     def layer_index(self, position, wavelength_um):
         layer = self.layers[position]
         if self.cladding.kind == SELLMEIER_BLEND:
-            fraction = _blend_fraction_for_delta(self.cladding, layer.delta)
+            fraction = _blend_fraction_for_delta(layer.delta)
             return material_index(self.cladding, fraction, wavelength_um)
         return self.cladding_index(wavelength_um) * (1.0 + layer.delta)
 

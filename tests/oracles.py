@@ -11,7 +11,8 @@ time, against which the solver's one lockstep bisection per solve must give
 the same floats and the same errors.  The per-line profile and graph parsers
 read a file one line at a time with a "current section" state machine, and
 the package's section-file parsers must give the same values and the same
-diagnostics.
+diagnostics.  The nm -> um conversion that tries the quotient's two
+neighbours must give the same double as the package's plain quotient.
 """
 
 import math
@@ -496,3 +497,15 @@ def parse_graph_per_line(text, source="<graph>"):
     if diagnostics:
         raise FileFormatError(source, diagnostics)
     return ConversionGraph(tuple(samples))
+
+
+def um_from_nm_with_neighbours(value_nm):
+    """nm -> um preferring, among value_nm / 1000 and its two neighbours, one
+    that multiplies back to value_nm exactly."""
+    base = value_nm / 1000.0
+    if base * 1000.0 == value_nm:
+        return base
+    for candidate in (math.nextafter(base, 0.0), math.nextafter(base, math.inf)):
+        if candidate * 1000.0 == value_nm:
+            return candidate
+    return base

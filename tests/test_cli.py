@@ -229,6 +229,14 @@ def test_stage_error_leaves_no_partial_artifact(tmp_path, capsys):
     assert leftovers == []
 
 
+def test_unknown_reference_mode_is_reported_without_key_error_quotes(tmp_path, capsys):
+    rc = main(design_args(tmp_path) + ["--reference-mode", "LP91"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "design: reference mode LP91 is not in the mode table\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_infeasible_design_reports_bound_violations(tmp_path, capsys):
     rc = main(
         ["design", "--modes", MODES, "--graph", GRAPH, "--dtau", "1e6",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fmf_ttdl import design
 from fmf_ttdl.design import (
     DELAYS_ONLY,
     ConversionGraph,
+    DesignError,
     DesignTargets,
     InfeasibleConstantError,
     InfeasibleDesignError,
@@ -136,6 +139,45 @@ def test_unknown_mode_is_reported(reference_table):
         assemble_constraints(graph, reference_table, targets)
 
 
+def test_unknown_reference_mode_is_reported(four_sample_graph, reference_table):
+    targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55, reference_mode=(9, 1))
+    with pytest.raises(UnknownModeError) as excinfo:
+        assemble_constraints(four_sample_graph, reference_table, targets)
+    assert str(excinfo.value) == "reference mode LP91 is not in the mode table"
+    assert excinfo.value.__suppress_context__
+
+
+def test_graph_needs_a_sample():
+    with pytest.raises(ValueError, match="graph needs at least one sample"):
+        ConversionGraph(())
+
+
+def _without(table, field):
+    return ModeTable(tuple(replace(r, **{field: None}) for r in table.modes), table.lambda0_um)
+
+
+def test_table_without_group_delays_is_rejected(
+    four_sample_graph, reference_table, reference_targets
+):
+    table = _without(reference_table, "tau_ps_per_km")
+    with pytest.raises(DesignError, match="lacks group delays; characterize it first"):
+        assemble_constraints(four_sample_graph, table, reference_targets)
+
+
+def test_table_without_dispersion_serves_only_delays_only_designs(
+    four_sample_graph, reference_table, reference_targets
+):
+    table = _without(reference_table, "dispersion_ps_per_km_nm")
+    with pytest.raises(DesignError, match="lacks dispersion values; characterize it first"):
+        assemble_constraints(four_sample_graph, table, reference_targets)
+    delays_only = replace(reference_targets, dispersion_rule=DELAYS_ONLY)
+    system = assemble_constraints(four_sample_graph, table, delays_only)
+    full = assemble_constraints(four_sample_graph, reference_table, delays_only)
+    assert system.row_labels == full.row_labels
+    assert np.array_equal(system.matrix, full.matrix)
+    assert np.array_equal(system.rhs, full.rhs)
+
+
 def test_fixed_constant_sample_must_total_one(reference_table):
     graph = ConversionGraph(
         ((Segment((0, 1), 0.5), Segment((1, 1), 0.3)),
@@ -216,30 +258,6 @@ def test_delays_only_family_contains_full_solution(
     assert system.matrix.shape[1] - rank == 2  # two-parameter solution family
     x = np.array([reference_solution.lengths[name] for name in system.variables])
     assert np.allclose(system.matrix @ x, system.rhs, atol=1e-9)
-
-
-def test_shuffle_invariance(four_sample_graph, reference_table, reference_solution):
-    permutation = (2, 0, 3, 1)  # listed position -> delay-ladder rank
-    shuffled = ConversionGraph(
-        tuple(
-            four_sample_graph.samples[list(permutation).index(rank)]
-            for rank in range(4)
-        )
-    )
-    # shuffled sample at position i has ladder rank permutation-of-original;
-    # recover each listed sample's rank and pass it through the targets
-    ladder = []
-    for sample in shuffled.samples:
-        ladder.append(four_sample_graph.samples.index(sample))
-    targets = DesignTargets(
-        delta_tau_ps_per_km=100.0, lambda0_um=1.55, ladder=tuple(ladder)
-    )
-    solution = solve_placements(assemble_constraints(shuffled, reference_table, targets))
-    for name, value in reference_solution.lengths.items():
-        assert solution.lengths[name] == pytest.approx(value, abs=1e-11)
-    assert solution.tau_eq_ps_per_km == pytest.approx(
-        reference_solution.tau_eq_ps_per_km, abs=1e-9
-    )
 
 
 def test_fixed_dispersion_rule_reproduces_natural_increment(

@@ -86,6 +86,27 @@ def test_numeric_full_length_sample_is_single_mode_delay(
     assert numeric[3] == pytest.approx(tau21 - tau01, abs=1e-9)
 
 
+def test_numeric_curve_agrees_with_first_order_and_with_each_numeric_solve(
+    solver_solution_blend, four_sample_graph, ring_profile_blend
+):
+    grid = [1545.0, 1550.0, 1555.0]
+    curve = delay_curve(solver_solution_blend, grid, model="numeric-sweep",
+                        graph=four_sample_graph, profile=ring_profile_blend)
+    assert curve.sample_delays_ps_per_km.shape == (4, 3)
+    first_order = delay_curve(solver_solution_blend, [1550.0]).sample_delays_ps_per_km[:, 0]
+    assert curve.sample_delays_ps_per_km[:, 1] == pytest.approx(first_order, abs=1e-9)
+    for column, lam in zip(curve.sample_delays_ps_per_km.T, grid):
+        assert np.array_equal(column, sample_delays_numeric(
+            solver_solution_blend, four_sample_graph, ring_profile_blend, lam
+        ))
+
+
+def test_numeric_curve_needs_graph_and_profile(solver_solution_blend, four_sample_graph):
+    with pytest.raises(ValueError, match="numeric-sweep model needs graph and profile"):
+        delay_curve(solver_solution_blend, [1550.0], model="numeric-sweep",
+                    graph=four_sample_graph)
+
+
 def test_tunability_report(reference_solution):
     report = tunability_report(reference_solution, 1540.0, 1560.0)
     assert report.min_differential_ps_per_km == pytest.approx(49.0, abs=1.0)

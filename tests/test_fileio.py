@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import um_from_nm_with_neighbours
 
 from fmf_ttdl.design import PlacementSolution, parse_placements_csv, placements_to_csv
-from fmf_ttdl.fileio import FileFormatError, csv_text, read_csv, read_sections
+from fmf_ttdl.fileio import FileFormatError, csv_text, read_csv, read_sections, um_from_nm
 from fmf_ttdl.modes import (
     ModeRecord,
     ModeTable,
@@ -55,6 +58,15 @@ def test_mode_table_write_read_write_is_byte_identical(table):
 def test_placements_write_read_write_is_byte_identical(solution):
     text = placements_to_csv(solution)
     assert placements_to_csv(parse_placements_csv(text)) == text
+
+
+powers_of_two = st.integers(-1074, 1023).map(lambda exponent: math.ldexp(1.0, exponent))
+below_powers_of_two = powers_of_two.map(lambda power: math.nextafter(power, 0.0))
+
+
+@given(st.floats(allow_nan=False) | powers_of_two | below_powers_of_two)
+def test_um_from_nm_is_the_neighbour_search_without_the_search(value_nm):
+    assert repr(um_from_nm(value_nm)) == repr(um_from_nm_with_neighbours(value_nm))
 
 
 word = st.from_regex(r"[a-z0-9.]{1,5}", fullmatch=True)

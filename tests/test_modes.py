@@ -90,6 +90,21 @@ def test_characteristic_value_continuous_across_basis_switch(ring_profile):
         assert at == pytest.approx(above, abs=1e-6)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("l", [0, 1, 2, 4])
+def test_power_law_propagator_meets_the_bessel_one_at_the_switch(l, sign):
+    from fmf_ttdl import modes
+
+    r_inner, r_outer = 3.0, 10.0
+    switch = modes._DEGENERATE_X2 / r_outer**2  # |u^2| where the basis changes
+
+    def unit(u2):
+        prop = modes._propagator(np.array([l]), np.array([sign * u2]), r_inner, r_outer)[0]
+        return prop / np.linalg.norm(prop)
+
+    assert np.max(np.abs(unit(0.999 * switch) - unit(1.001 * switch))) <= 5e-14
+
+
 def test_single_sign_change_for_l2(ring_profile):
     n_clad = ring_profile.cladding_index(1.55)
     n_max = ring_profile.layer_index(1, 1.55)
@@ -327,6 +342,16 @@ def test_mode_table_csv_diagnostics():
     )
     with pytest.raises(FileFormatError, match="differs"):
         parse_mode_table_csv(bad_rows)
+    header = bad_rows.splitlines(keepends=True)[0]
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_mode_table_csv(header + "0,1,1.45,0.0,18.9\n0,2,1.44,2858.6,17.1,1550.0,7\n")
+    assert excinfo.value.diagnostics == (
+        (2, "expected 6 columns, got 5"),
+        (3, "expected 6 columns, got 7"),
+    )
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_mode_table_csv(header + "\n")
+    assert excinfo.value.diagnostics == ((2, "no mode rows found"),)
 
 
 def test_mode_table_csv_rejects_non_finite_values():
