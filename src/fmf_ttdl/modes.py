@@ -19,12 +19,20 @@ keeps only its regular solution and the unbounded cladding only K_l; guided
 effective indices are the zeros of the resulting boundary-matching
 determinant.  The kernel takes an order and a wavelength per trial point.
 
-Roots are found on a uniform n_eff grid over the guided range: every sign
-change between neighbouring grid points is a bracket.  Each solve (all orders
-of find_modes, all probe windows of a table, all orders at all sweep
-wavelengths) collects its brackets first and bisects them all in lockstep,
-one kernel call per step, with the arithmetic of scipy.optimize.bisect
-(xtol = root_tol * _REFINE_FACTOR).
+Roots are found by count on a uniform n_eff grid over the guided range.  The
+mode count N_l(n), the number of guided modes of order l above n_eff = n, is
+the number of zeros of the regular radial solution (oscillation theorem;
+Courant & Hilbert, Methods of Mathematical Physics I, ch. VI).  A k-ary
+search over grid indices by count, batched over orders and wavelengths,
+isolates each root in its cell; one kernel call scans the cells, padded by a
+cell on each side, for the sign changes, exact zeros and f(lower) that a
+scan of the whole grid would give.  Each solve (all orders of find_modes,
+all probe windows of a table, all orders at all sweep wavelengths) collects
+its brackets first and bisects them all in lockstep, one kernel call per
+step, with the arithmetic of scipy.optimize.bisect (xtol = root_tol *
+_REFINE_FACTOR).  The count also certifies the scan: an order whose scanned
+roots differ in number from its count, as where two roots share a cell,
+raises ModeSolverError.
 
 Labels are ranks.  For fixed l the radial equation is a Sturm-Liouville
 problem: LP_lm, its m-th root from the top, has m - 1 radial zeros, and roots
@@ -72,6 +80,7 @@ _REFINE_FACTOR = 0.01      # bisection xtol = root_tol * this
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _BISECT_MAXITER = 100
 _CONTINUATION_WINDOW = 2e-4  # largest accepted n_eff jump when tracking a mode
+_SPLIT = 16                # grid indices counted per open range and call of the root search
 
 MODE_TABLE_HEADER = "l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm"
 
@@ -282,25 +291,80 @@ def _propagator(l, u2, r_inner, r_outer):
     return out
 
 
-def _char_values(points, l, n_eff):
-    """Scale-normalized determinant at n_eff[i] for order l[i] on row i of points."""
+def _step(l, u2, r_inner, r_outer, state):
+    """The renormalized state (R, R') at r_outer from the state at r_inner."""
+    return _renormalize(np.einsum("nij,nj->ni", _propagator(l, u2, r_inner, r_outer), state))
+
+
+def _determinant(points, l, n_eff, state):
+    """Scale-normalized a - b of the state at the last boundary against the cladding's K_l."""
     import scipy.special as sp  # deferred, as in _bases
 
-    n_eff = np.asarray(n_eff, dtype=float)
     radii, rows = points
-    k02 = rows[:, 0]
-    state = _initial_state(l, k02 * (rows[:, 2] - n_eff**2), radii[0])
-    for j in range(1, len(radii)):
-        u2 = k02 * (rows[:, 2 + j] - n_eff**2)
-        prop = _propagator(l, u2, radii[j - 1], radii[j])
-        state = _renormalize(np.einsum("nij,nj->ni", prop, state))
-    w = np.sqrt(k02 * (n_eff**2 - rows[:, 1]))
+    w = np.sqrt(rows[:, 0] * (n_eff**2 - rows[:, 1]))
     k_val, k_deriv = _with_derivative(sp.kve, l, w * radii[-1], -1.0)
     a = state[:, 0] * w * k_deriv
     b = state[:, 1] * k_val
     scale = np.abs(a) + np.abs(b)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, 1.0), 0.0)
+
+
+def _char_values(points, l, n_eff):
+    """Scale-normalized determinant at n_eff[i] for order l[i] on row i of points."""
+    n_eff = np.asarray(n_eff, dtype=float)
+    radii, rows = points
+    k02 = rows[:, 0]
+    state = _initial_state(l, k02 * (rows[:, 2] - n_eff**2), radii[0])
+    for j in range(1, len(radii)):
+        state = _step(l, k02 * (rows[:, 2 + j] - n_eff**2), radii[j - 1], radii[j], state)
+    return _determinant(points, l, n_eff, state)
+
+
+def _steps(lengths_in_bounds):
+    """The fewest equal steps, at least one, that keep every row's step within its bound."""
+    return max(1, math.ceil(float(np.max(lengths_in_bounds))))
+
+
+def _mode_counts(points, l, n_eff):
+    """N_l(n_eff[i]), the guided modes of order l[i] above n_eff[i], on row i of points.
+
+    By the oscillation theorem this is the number of zeros on (0, inf) of the
+    regular radial solution R at n_eff.  They are counted as sign changes of R
+    between radii close enough that each step holds at most one zero:
+    - innermost region, J_l(q r): q h <= 2.3 for l = 0 (j_0,1 = 2.405, later
+      zeros of J_0 lie more than 3.1 apart) and 0.9 pi for l >= 1 (zeros of
+      J_l lie more than pi apart, the first beyond 3.8);
+    - annulus, A J_l + B Y_l: h sqrt(q^2 + 1/(4 r_inner^2)) <= 0.9 pi for
+      l = 0 and q h <= 0.9 pi for l >= 1, as zeros of sqrt(r) R lie farther
+      apart than pi over the root of its largest coefficient (Sturm
+      comparison); A I_l + B K_l and the power-law pair have at most one zero;
+    - cladding, C K_l + D I_l: one zero exactly when R(r_N) and D differ in
+      sign, and the determinant a - b is -D / r_N times a positive factor.
+    Each region takes the largest step count any row needs.
+    """
+    n_eff = np.asarray(n_eff, dtype=float)
+    radii, rows = points
+    k02 = rows[:, 0]
+    u2 = k02 * (rows[:, 2] - n_eff**2)
+    q = np.sqrt(np.maximum(u2, 0.0))
+    zeros = np.zeros(l.shape, dtype=int)
+    value = np.ones(l.shape)  # J_l, I_l and r^l are positive near r = 0
+    spacing = np.where(l == 0, 2.3, 0.9 * math.pi)
+    for r in np.linspace(0.0, radii[0], _steps(q * radii[0] / spacing) + 1)[1:].tolist():
+        state = _initial_state(l, u2, r)
+        zeros += value * state[:, 0] < 0.0
+        value = state[:, 0]
+    for j in range(1, len(radii)):
+        u2 = k02 * (rows[:, 2 + j] - n_eff**2)
+        rate = np.sqrt(np.maximum(u2, 0.0) + np.where(l == 0, 0.25 / radii[j - 1] ** 2, 0.0))
+        edges = np.linspace(radii[j - 1], radii[j],
+                            _steps(rate * (radii[j] - radii[j - 1]) / (0.9 * math.pi)) + 1).tolist()
+        for r_inner, r_outer in zip(edges, edges[1:]):
+            state = _step(l, u2, r_inner, r_outer, state)
+            zeros += value * state[:, 0] < 0.0
+            value = state[:, 0]
+    return zeros + (value * _determinant(points, l, n_eff, state) > 0.0)
 
 
 def characteristic_value(profile, l, n_eff_trial, wavelength_um):
@@ -397,10 +461,65 @@ def _roots(found, xtol):
         yield sorted(map(float, (*brackets.zeros, *roots)), reverse=True)
 
 
-def _bracket_roots(geometry, l, scan_points, root_tol):
-    """Every root of order l: scan the whole grid, bisect its sign changes."""
-    grid = _scan_grid(geometry, scan_points)
-    return next(_roots(_scan([(geometry, l, grid, True)]), root_tol * _REFINE_FACTOR))
+def _search(cases):
+    """(_Brackets, cells) of each case (geometry, l, grid): its roots isolated by count.
+
+    A k-ary search over grid indices counts N_l at both ends and up to _SPLIT
+    points inside each open range, one call for all, and keeps the parts
+    across which the count drops.  A cell (x, drop) is a one-cell part (grid[x],
+    grid[x + 1]] holding drop roots.  One kernel call then scans each cell
+    padded by a cell on each side (windows that meet are merged), so the
+    brackets, exact grid zeros and f_lower are those of a whole-grid scan.
+    """
+    cells = [[] for _ in cases]
+    spans = [(i, 0, grid.size - 1) for i, (_, _, grid) in enumerate(cases)]
+    parts = 1  # the first call counts the grid ends alone: the orders past the last guided one
+    while spans:
+        cuts = []
+        for _, a, b in spans:
+            n = min(b - a, parts)
+            cuts.append([a + (b - a) * k // n for k in range(n + 1)])
+        sizes = [len(cut) for cut in cuts]
+        geometries, orders, grids = zip(*(cases[i] for i, _, _ in spans))
+        counts = _mode_counts(_points(geometries, sizes), np.repeat(orders, sizes),
+                              np.concatenate([grid[cut] for grid, cut in zip(grids, cuts)]))
+        narrower = []
+        for (i, _, _), cut, level in zip(spans, cuts, np.split(counts, np.cumsum(sizes)[:-1])):
+            for x, y, drop in zip(cut, cut[1:], (level[:-1] - level[1:]).tolist()):
+                if drop > 0 and y == x + 1:
+                    cells[i].append((x, drop))
+                elif drop > 0:
+                    narrower.append((i, x, y))
+        spans, parts = narrower, _SPLIT + 1
+    scans, owners = [], []
+    for i, ((geometry, l, grid), found) in enumerate(zip(cases, cells)):
+        windows = []
+        for x, _ in sorted(found):
+            start, stop = max(x - 1, 0), min(x + 2, grid.size - 1)
+            if windows and start <= windows[-1][1]:
+                windows[-1][1] = stop
+            else:
+                windows.append([start, stop])
+        scans += [(geometry, l, grid[start:stop + 1], stop == grid.size - 1)
+                  for start, stop in windows]
+        owners += [i] * len(windows)
+    scanned = [[] for _ in cases]
+    for i, brackets in zip(owners, _scan(scans) if scans else ()):
+        scanned[i].append(brackets)
+    return [(_Brackets(geometry, l, *(np.concatenate([np.empty(0), *(part[k] for part in mine)])
+                                      for k in range(2, 6))), found)
+            for (geometry, l, _), mine, found in zip(cases, scanned, cells)]
+
+
+def _certify(grid, l, wavelength_um, brackets, cells):
+    """Raise ModeSolverError unless the window scan found every root the count gives."""
+    by_count, by_scan = sum(drop for _, drop in cells), brackets.zeros.size + brackets.lower.size
+    if by_scan != by_count:
+        x, _ = max(cells, key=lambda cell: cell[1])
+        raise ModeSolverError(
+            f"root search lost track of l={l} at {wavelength_um * 1e3} nm: the mode count "
+            f"gives {by_count} roots and the window scan found {by_scan}, near the cell "
+            f"({grid[x]!r}, {grid[x + 1]!r}] (a larger scan_points may separate them)")
 
 
 scan_points_rule = at_least(500)
@@ -415,29 +534,43 @@ def _check_search_params(scan_points, root_tol):
     check("root_tol", root_tol_rule, root_tol)
 
 
+def _cutoff_order(geometry, n_low):
+    """The least order l with no guided mode above n_low: from l^2 >= (Q r_N)^2 + 1/4 on,
+    Q^2 = k0^2 (n_max^2 - n_low^2), sqrt(r) R has a coefficient q^2 - (l^2 - 1/4) / r^2
+    that is nowhere positive, so it keeps growing from r = 0 and has no zero."""
+    reach = geometry.k0 * geometry.radii[-1] * math.sqrt(max(geometry.indices) ** 2 - n_low**2)
+    return math.ceil(math.hypot(reach, 0.5))
+
+
 def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal):
     """The ModeTable (n_eff only) at each wavelength, in turn.
 
-    Each wavelength scans order after order over its whole grid, one kernel
-    call each, up to its first order without a root; then one lockstep
-    bisection refines the brackets of all wavelengths.  Tables, warnings and
-    errors come in wavelength order.
+    One _search covers every order below _cutoff_order (and up to
+    max_azimuthal) at every wavelength; a table takes the orders before the
+    first without a root on its grid.  One lockstep bisection refines the
+    brackets of all tables, then each table's orders are certified.  Tables,
+    warnings and errors come in wavelength order.
     """
-    orders, exhausted = [], []
-    for geometry in [_geometry(profile, lam) for lam in wavelengths_um]:
-        found, grid = [], _scan_grid(geometry, scan_points)
-        while grid.size and len(found) <= max_azimuthal:
-            [brackets] = _scan([(geometry, len(found), grid, True)])
-            if not (brackets.zeros.size or brackets.lower.size):
-                break
-            found.append(brackets)
-        orders.append(found)
-        exhausted.append(grid.size > 0 and len(found) > max_azimuthal)
-    roots = _roots([brackets for found in orders for brackets in found], root_tol * _REFINE_FACTOR)
-    for lam, found, stopped in zip(wavelengths_um, orders, exhausted):
+    geometries = [_geometry(profile, lam) for lam in wavelengths_um]
+    grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
+    tops = [min(max_azimuthal, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0
+            for geometry, grid in zip(geometries, grids)]
+    searched = iter(_search([(geometry, l, grid) for geometry, grid, top
+                             in zip(geometries, grids, tops) for l in range(top)]))
+    tables = []
+    for top in tops:
+        orders = [next(searched) for _ in range(top)]
+        tables.append(orders[:next((l for l, (_, cells) in enumerate(orders) if not cells), top)])
+    roots = _roots([brackets for orders in tables for brackets, _ in orders],
+                   root_tol * _REFINE_FACTOR)
+    for lam, grid, orders in zip(wavelengths_um, grids, tables):
+        by_order = [next(roots) for _ in orders]
+        for l, (brackets, cells) in enumerate(orders):
+            _certify(grid, l, lam, brackets, cells)
         records = [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=lam)
-                   for l in range(len(found)) for m, n_eff in enumerate(next(roots), start=1)]
-        if stopped:
+                   for l, order_roots in enumerate(by_order)
+                   for m, n_eff in enumerate(order_roots, start=1)]
+        if len(orders) > max_azimuthal:
             warnings.warn(f"azimuthal scan stopped at l={max_azimuthal} with modes still guided")
         records.sort(key=lambda record: -record.n_eff)
         yield ModeTable(tuple(records), lam)
@@ -502,9 +635,15 @@ def _characterized(profile, records, lambda0_um, dlambda_um, scan_points, root_t
 
 def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
                              root_tol):
-    """(tau, D) of one mode: a scan of its order, then the two probe windows."""
+    """(tau, D) of one mode: a search of its order, then the two probe windows."""
     _check_search_params(scan_points, root_tol)
-    center_roots = _bracket_roots(_geometry(profile, lambda0_um), l, scan_points, root_tol)
+    geometry = _geometry(profile, lambda0_um)
+    grid = _scan_grid(geometry, scan_points)
+    center_roots = []
+    if grid.size:
+        [(brackets, cells)] = _search([(geometry, l, grid)])
+        center_roots = next(_roots([brackets], root_tol * _REFINE_FACTOR))
+        _certify(grid, l, lambda0_um, brackets, cells)
     if m > len(center_roots):
         raise ModeContinuationError(
             f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm"

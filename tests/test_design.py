@@ -105,6 +105,10 @@ def test_reference_system_shape(four_sample_graph, reference_table, reference_ta
     assert sum(1 for label in labels if label.startswith("normalization")) == 3
     assert sum(1 for label in labels if label.startswith("delay")) == 3
     assert sum(1 for label in labels if label.startswith("dispersion")) == 3
+    steps = ("1->2", "2->3", "3->4")
+    assert labels == (*(f"normalization[sample {k}]" for k in (1, 2, 3)),
+                      *(f"delay[sample {step}]" for step in steps),
+                      *(f"dispersion[sample {step}]" for step in steps))
 
 
 def test_single_sample_graph_is_empty_system(reference_table):
@@ -178,6 +182,20 @@ def test_table_without_dispersion_serves_only_delays_only_designs(
     assert np.array_equal(system.rhs, full.rhs)
 
 
+def test_fixed_segment_counts_in_every_row_by_its_length(reference_table):
+    graph = ConversionGraph(
+        ((Segment((0, 1), "a"), Segment((1, 1), 0.25)),
+         (Segment((2, 1), 0.4), Segment((0, 2), "b")))
+    )
+    targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55)
+    system = assemble_constraints(graph, reference_table, targets)
+    tau = {(r.l, r.m): r.tau_ps_per_km for r in reference_table.modes}
+    assert system.row_labels[:3] == ("normalization[sample 1]", "normalization[sample 2]",
+                                     "delay[sample 1->2]")
+    assert system.rhs[:3] == pytest.approx(
+        [0.75, 0.6, 100.0 - 0.4 * tau[(2, 1)] + 0.25 * tau[(1, 1)]], rel=1e-12)
+
+
 def test_fixed_constant_sample_must_total_one(reference_table):
     graph = ConversionGraph(
         ((Segment((0, 1), 0.5), Segment((1, 1), 0.3)),
@@ -238,6 +256,21 @@ def test_solution_feasibility_residuals(
     assert np.all(np.abs(increments - 100.0) < 1e-6)
     d_increments = np.diff(reference_solution.d_eq_ps_per_km_nm)
     assert np.max(np.abs(d_increments - d_increments[0])) < 1e-9
+
+
+def test_length_total_check_names_its_sample(four_sample_graph, reference_table,
+                                            reference_targets, reference_solution):
+    system = assemble_constraints(four_sample_graph, reference_table, reference_targets)
+    x = np.array([[reference_solution.lengths[name] for name in system.variables]
+                  + [reference_solution.delta_d_ps_per_km_nm]])
+    x[0, system.variables.index("l01_2")] += 1e-6  # a variable of sample 2 alone
+    checks = design._solution_checks(system, system.matrix[None], system.rhs[None],
+                                     system.weights, x)[0]
+    totals = [message(0) for failed, _, message in checks
+              if failed[0] and "lengths total" in message(0)]
+    assert len(totals) == 1
+    assert totals[0].startswith("sample 2 lengths total 1.00000")
+    assert totals[0].endswith(", expected 1 within 1e-9")
 
 
 def test_unreachable_delay_step_is_infeasible(four_sample_graph, reference_table):

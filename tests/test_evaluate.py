@@ -33,6 +33,7 @@ def test_differential_delays_at_band_edges(reference_solution):
 def test_pair_curves_affine_and_coincident(reference_solution):
     grid = np.linspace(1540.0, 1560.0, 41)
     curve = delay_curve(reference_solution, grid)
+    assert curve.lambda0_nm == 1550.0
     differentials = curve.differential_delays
     # all three pair curves collapse onto one line
     assert np.max(np.abs(differentials - differentials[0])) < 1e-9
@@ -133,6 +134,9 @@ def test_tunability_bandwidth_warning(reference_solution):
     assert report.bandwidth_exceeded
     wide = tunability_report(reference_solution, 1535.0, 1565.0, lpg_bandwidth_nm=40.0)
     assert not wide.bandwidth_exceeded
+    # one side past the grating band is enough, on either side
+    assert tunability_report(reference_solution, 1535.0, 1550.0).bandwidth_exceeded
+    assert tunability_report(reference_solution, 1550.0, 1565.0).bandwidth_exceeded
 
 
 def test_delay_curve_csv_header_and_rows(reference_solution):
@@ -186,6 +190,11 @@ def test_rf_conjugate_symmetry():
 def test_rf_dc_value_is_amplitude_sum():
     result = rf_response([0.0, 100.0], [0.75, 1.5], [0.0])
     assert abs(result.response[0]) == pytest.approx(2.25, rel=1e-12)
+
+
+def test_rf_zero_amplitude_tap_is_a_silent_tap():
+    result = rf_response([0.0, 100.0, 200.0], [1.0, 0.0, 0.5], [0.0, 2.5])
+    assert result.response == pytest.approx([1.5, 1.0 + 0.5 * np.exp(-1j * np.pi)], abs=1e-12)
 
 
 def test_rf_nonuniform_taps_have_no_fsr():

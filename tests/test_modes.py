@@ -461,7 +461,7 @@ def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda):
     for probe_lam in (lam - dlambda, lam + dlambda):
         geometry = modes._geometry(profile, probe_lam)
         for r in table.modes:
-            full = modes._bracket_roots(geometry, r.l, 2000, 1e-12)
+            full = oracles._order_roots(geometry, r.l, 2000, 1e-12)
             expected = _probe_outcome(
                 lambda: modes._nearest_root(full, r.n_eff, r.l, r.m, probe_lam))
             windowed = _probe_outcome(
@@ -614,3 +614,97 @@ def test_kernel_call_budget(ring_profile, monkeypatch):
     calls.clear()
     assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
     assert 0 < len(calls) <= 300
+
+
+def test_kernel_point_and_mode_count_budget(ring_profile, monkeypatch):
+    # a scan of the whole grid per order took 13,742 points per table, 134,233 per sweep
+    from fmf_ttdl import modes
+
+    kernel, count = modes._char_values, modes._mode_counts
+    points, counts = [], []
+    monkeypatch.setattr(modes, "_char_values",
+                        lambda p, l, n_eff: points.append(len(n_eff)) or kernel(p, l, n_eff))
+    monkeypatch.setattr(modes, "_mode_counts",
+                        lambda p, l, n_eff: counts.append(len(n_eff)) or count(p, l, n_eff))
+    solve_mode_table(ring_profile, 1.55)
+    assert 0 < sum(points) <= 2000
+    assert 0 < sum(counts) <= 1000
+    points.clear()
+    assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
+    assert 0 < sum(points) <= 10_000
+
+
+def _drop_first_bracket(scan):
+    def scan_one_short(scans):
+        found = scan(scans)
+        first = found[0]  # the window of LP02, the lowest root of l = 0
+        found[0] = first._replace(lower=first.lower[1:], upper=first.upper[1:],
+                                  f_lower=first.f_lower[1:])
+        return found
+    return scan_one_short
+
+
+def _one_more_at_the_low_end(count):
+    def count_one_more(points, l, n_eff):
+        n_clad = np.sqrt(points[1][:, 1])
+        return count(points, l, n_eff) + ((l == 0) & (n_eff - n_clad < 2e-7))
+    return count_one_more
+
+
+@pytest.mark.parametrize("layers", [
+    ((25.0, 0.0072),),                             # J_0 has five zeros in the core
+    ((3.0, 0.0021), (25.0, 0.0072)),               # a wide ring: many steps per annulus
+    ((8.0, 0.0072), (9.0, -0.003), (20.0, 0.005)),
+])
+def test_count_and_search_match_the_per_order_scan_on_wide_profiles(layers):
+    from fmf_ttdl import modes
+
+    profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
+    table = find_modes(profile, 1.55)
+    assert len(table) >= 20
+    assert table == oracles.find_modes_per_order(profile, 1.55)
+    geometry = modes._geometry(profile, 1.55)
+    orders = np.arange(max(record.l for record in table.modes) + 3)
+    low = modes._scan_grid(geometry, 2000)[0]
+    counts = modes._mode_counts(modes._points([geometry], [orders.size]), orders,
+                                np.full(orders.size, low))
+    assert counts.tolist() == [sum(r.l == l for r in table.modes) for l in orders.tolist()]
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5])
+def test_window_padding_absorbs_a_count_one_cell_off(ring_profile, monkeypatch, shift):
+    # a root within rounding of a grid point may fall in the count's cell or the next
+    from fmf_ttdl import modes
+
+    expected = mode_table_to_csv(solve_mode_table(ring_profile, 1.55))
+    grid = modes._scan_grid(modes._geometry(ring_profile, 1.55), 2000)
+    count = modes._mode_counts
+
+    def shifted(points, l, n_eff):
+        return count(points, l, np.clip(n_eff + shift * (grid[1] - grid[0]), grid[0], grid[-1]))
+
+    monkeypatch.setattr(modes, "_mode_counts", shifted)
+    assert mode_table_to_csv(solve_mode_table(ring_profile, 1.55)) == expected
+
+
+_MISSES = {  # patched function, its wrapper, l = 0 roots by count and by scan
+    "scan drops a bracket": ("_scan", _drop_first_bracket, 2, 1),
+    "count gives one more": ("_mode_counts", _one_more_at_the_low_end, 3, 2),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(_MISSES))
+@pytest.mark.parametrize("solve", [
+    lambda profile: find_modes(profile, 1.55),
+    lambda profile: solve_mode_table(profile, 1.55),
+    lambda profile: sweep_modes(profile, 1550.0, 1550.2, 0.1),
+])
+def test_a_root_the_scan_misses_fails_the_mode_count_certificate(ring_profile, monkeypatch,
+                                                                 miss, solve):
+    from fmf_ttdl import modes
+
+    name, wrap, by_count, by_scan = _MISSES[miss]
+    monkeypatch.setattr(modes, name, wrap(getattr(modes, name)))
+    with pytest.raises(ModeSolverError, match=rf"l=0 at 1550\.0 nm: the mode count gives "
+                                              rf"{by_count} roots and the window scan found {by_scan},"):
+        solve(ring_profile)

@@ -7,7 +7,9 @@ a table must number each order 1..k in descending n_eff, keep every n_eff in
 the guided range (n_clad, n_max), and a sweep must label by rank at every
 step and warn of exactly the (l, m) a step loses.  Roots of one order are
 checked to lie at least one scan cell apart, the separation below which the
-scan could hold two roots in one cell and miss both.
+scan could hold two roots in one cell and miss both.  The mode count N_l(n)
+must give, at the grid's low end, the number of roots of every order, and
+step down by exactly one across each root.
 """
 
 import warnings
@@ -17,7 +19,15 @@ from hypothesis import given, settings, strategies as st
 
 from fmf_ttdl.fileio import um_from_nm
 from fmf_ttdl.materials import FiberProfile, Layer
-from fmf_ttdl.modes import _geometry, _scan_grid, find_modes, format_mode_label, sweep_modes
+from fmf_ttdl.modes import (
+    _geometry,
+    _mode_counts,
+    _points,
+    _scan_grid,
+    find_modes,
+    format_mode_label,
+    sweep_modes,
+)
 
 SCAN_POINTS = 2000
 
@@ -56,6 +66,22 @@ def _check_table(profile, table, lam):
 @given(profiles(), st.floats(1.3, 1.7))
 def test_tables_number_each_order_by_rank_inside_the_guided_range(profile, lam):
     _check_table(profile, find_modes(profile, lam, SCAN_POINTS), lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles(), st.floats(1.3, 1.7))
+def test_mode_count_gives_the_roots_of_every_order_and_steps_by_one_at_each(profile, lam):
+    table = find_modes(profile, lam, SCAN_POINTS)
+    geometry = _geometry(profile, lam)
+    low = _scan_grid(geometry, SCAN_POINTS)[0]
+    by_order = _by_order(table)
+    orders = np.arange(len(by_order) + 2)  # through one past the first order without a root
+    counts = _mode_counts(_points([geometry], [orders.size]), orders, np.full(orders.size, low))
+    assert counts.tolist() == [len(by_order.get(l, ())) for l in orders.tolist()]
+    for record in table.modes:
+        around = np.array([record.n_eff - 1e-9, record.n_eff + 1e-9])
+        counts = _mode_counts(_points([geometry], [2]), np.full(2, record.l), around)
+        assert counts.tolist() == [record.m, record.m - 1], record.label
 
 
 @settings(max_examples=15, deadline=None)
