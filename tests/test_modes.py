@@ -118,7 +118,10 @@ def test_two_layer_agreement_with_classical_relation():
     n_core = profile.layer_index(0, 1.55)
     n_clad = profile.cladding_index(1.55)
     table = find_modes(profile, 1.55)
-    for l in sorted({record.l for record in table.modes}):
+    orders = sorted({record.l for record in table.modes})
+    assert orders == list(range(len(orders))) and len(orders) > 1
+    assert not two_layer_lp_roots(n_core, n_clad, 10.0, 1.55, len(orders))
+    for l in orders:
         oracle = two_layer_lp_roots(n_core, n_clad, 10.0, 1.55, l)
         mine = [record.n_eff for record in table.modes if record.l == l]
         assert len(oracle) == len(mine)
