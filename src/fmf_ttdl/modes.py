@@ -24,15 +24,15 @@ mode count N_l(n), the number of guided modes of order l above n_eff = n, is
 the number of zeros of the regular radial solution (oscillation theorem;
 Courant & Hilbert, Methods of Mathematical Physics I, ch. VI).  A k-ary
 search over grid indices by count, batched over orders and wavelengths,
-isolates each root in its cell; one kernel call scans the cells, padded by a
-cell on each side, for the sign changes, exact zeros and f(lower) that a
-scan of the whole grid would give.  Each solve (all orders of find_modes,
-all probe windows of a table, all orders at all sweep wavelengths) collects
-its brackets first and bisects them all in lockstep, one kernel call per
-step, with the arithmetic of scipy.optimize.bisect (xtol = root_tol *
-_REFINE_FACTOR).  The count also certifies the scan: an order whose scanned
-roots differ in number from its count, as where two roots share a cell,
-raises ModeSolverError.
+isolates each root in its cell; one wavelength is searched first, and its
+cells seed the search at the others.  One kernel call scans the cells, padded
+by a cell on each side, for the sign changes, exact zeros and f(lower) that a
+scan of the whole grid would give.  Each solve (all orders at all
+wavelengths of a sweep or of a table and its probes) collects its brackets
+first and bisects them all in lockstep, one kernel call per step, with the
+arithmetic of scipy.optimize.bisect (xtol = root_tol * _REFINE_FACTOR).  The
+count also certifies the scan: an order whose scanned roots differ in number
+from its count, as where two roots share a cell, raises ModeSolverError.
 
 Labels are ranks.  For fixed l the radial equation is a Sturm-Liouville
 problem: LP_lm, its m-th root from the top, has m - 1 radial zeros, and roots
@@ -40,10 +40,10 @@ of one order never cross as lambda varies (oscillation theorem; Snyder & Love,
 Optical Waveguide Theory, 1983); a sweep warns of each (l, m) a step loses.
 
 Group delay and chromatic dispersion per mode follow from central finite
-differences of n_eff(lambda).  Mode identity across the probe wavelengths
-lambda0 -/+ dlambda is kept by nearest-n_eff continuation within
-_CONTINUATION_WINDOW; each probe scans only the cells of its own grid that
-cover that window, which yields the root a scan of the whole grid would.
+differences of n_eff(lambda).  A table is solved with its probes lambda0 -/+
+dlambda as one sweep anchored on lambda0, and LP_lm at a probe is by rank
+the m-th root of order l there; a mode without one raises
+ModeContinuationError.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ _DEGENERATE_X2 = 1e-12     # (|u| r)^2 below which the power-law basis is used
 _REFINE_FACTOR = 0.01      # bisection xtol = root_tol * this
 _BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _BISECT_MAXITER = 100
-_CONTINUATION_WINDOW = 2e-4  # largest accepted n_eff jump when tracking a mode
 _SPLIT = 16                # grid indices counted per open range and call of the root search
+_SEED_REACH = 1            # cells around another wavelength's root cell that a search counts first
 
 MODE_TABLE_HEADER = "l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm"
 
@@ -100,7 +100,7 @@ class BracketRefinementError(ModeSolverError):
 
 
 class ModeContinuationError(ModeSolverError):
-    """A tracked mode disappeared (cutoff crossed) at a probe wavelength."""
+    """A mode is not guided at lambda0, or its order has fewer than m roots at a probe."""
 
 
 def format_mode_label(l, m):
@@ -234,19 +234,19 @@ def _with_derivative(bessel, l, x, lower_sign=1.0):
     return value, lower_sign * bessel(l - 1, x) - (l / x) * value
 
 
-def _bases(u2, degenerate, r_inner):
-    """The (rows, sign, regular, irregular, Wronskian scale) of each basis; see above."""
+def _bases(u2, degenerate):
+    """The (rows, sign, regular, irregular, Wronskian scale / r_inner) of each basis; see above."""
     import scipy.special as sp  # deferred: ~0.4 s to import; only mode solving needs it
 
-    return (((u2 > 0.0) & ~degenerate, 1.0, sp.jv, sp.yn, 0.5 * math.pi * r_inner),
-            ((u2 < 0.0) & ~degenerate, -1.0, sp.ive, sp.kve, -r_inner))
+    return (((u2 > 0.0) & ~degenerate, 1.0, sp.jv, sp.yn, 0.5 * math.pi),
+            ((u2 < 0.0) & ~degenerate, -1.0, sp.ive, sp.kve, -1.0))
 
 
 def _initial_state(l, u2, radius):
     """(R, R') of the regular solution at the first boundary, per trial point."""
     state = np.empty((u2.shape[0], 2))
     degenerate = np.abs(u2) * radius * radius < _DEGENERATE_X2
-    for rows, sign, regular, _, _ in _bases(u2, degenerate, radius):
+    for rows, sign, regular, _, _ in _bases(u2, degenerate):
         if rows.any():
             q = np.sqrt(sign * u2[rows])
             value, derivative = _with_derivative(regular, l[rows], q * radius)
@@ -258,42 +258,46 @@ def _initial_state(l, u2, radius):
     return _renormalize(state)
 
 
-def _propagator(l, u2, r_inner, r_outer):
-    """Exact 2x2 propagator of (R, R') across one annulus, per trial point.
+def _propagator(l, u2, edges):
+    """Exact 2x2 propagator of (R, R') across each step edges[k] -> edges[k + 1], per trial point.
 
     It is M(r_outer) M(r_inner)^-1 with M = ((f, g), (q f', q g')) for the
     regular f and irregular g; the inverse comes from the exact Wronskian.
+    Each basis is evaluated once at every edge, on the rows that use it at
+    the last step; a row on the power-law basis at a step is also on it at
+    every earlier step, and is overwritten there.
     """
-    out = np.empty((u2.shape[0], 2, 2))
-    degenerate = np.abs(u2) * r_outer * r_outer < _DEGENERATE_X2
-    for rows, sign, regular, irregular, scale in _bases(u2, degenerate, r_inner):
+    edges = np.asarray(edges, dtype=float)
+    steps = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    out = np.empty((len(steps), u2.shape[0], 2, 2))
+    degenerate = np.abs(u2) * edges[1:, None] * edges[1:, None] < _DEGENERATE_X2
+    for rows, sign, regular, irregular, wronskian in _bases(u2, degenerate[-1]):
         if rows.any():
             q = np.sqrt(sign * u2[rows])
-            ends = np.array((q * r_inner, q * r_outer))
-            (fa, fb), (fpa, fpb) = _with_derivative(regular, l[rows], ends)
-            (ga, gb), (gpa, gpb) = _with_derivative(irregular, l[rows], ends, sign)
-            decay = np.exp(-2.0 * q * (r_outer - r_inner)) if sign < 0.0 else 1.0
-            inverse = ((scale * q * gpa, -scale * ga), (-scale * q * fpa, scale * fa))
-            outer = ((fb, gb * decay), (q * fpb, q * gpb * decay))
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                out[rows, i, j] = outer[i][0] * inverse[0][j] + outer[i][1] * inverse[1][j]
+            f, fp = _with_derivative(regular, l[rows], q * edges[:, None])
+            g, gp = _with_derivative(irregular, l[rows], q * edges[:, None], sign)
+            for k, (r_inner, r_outer) in enumerate(steps):
+                scale = wronskian * r_inner
+                decay = np.exp(-2.0 * q * (r_outer - r_inner)) if sign < 0.0 else 1.0
+                inverse = ((scale * q * gp[k], -scale * g[k]), (-scale * q * fp[k], scale * f[k]))
+                outer = ((f[k + 1], g[k + 1] * decay), (q * fp[k + 1], q * gp[k + 1] * decay))
+                for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    out[k, rows, i, j] = outer[i][0] * inverse[0][j] + outer[i][1] * inverse[1][j]
 
     # power-law basis r^l, r^-l (1, log r for l = 0), in Python floats per order
-    for order in np.unique(l[degenerate]).tolist():
-        rows = degenerate & (l == order)
-        if order == 0:
-            out[rows] = ((1.0, r_inner * math.log(r_outer / r_inner)), (0.0, r_inner / r_outer))
-            continue
-        grow = (r_outer / r_inner) ** order
-        out[rows] = ((0.5 * (grow + 1.0 / grow), r_inner * (grow - 1.0 / grow) / (2.0 * order)),
-                     (order * (grow - 1.0 / grow) / (2.0 * r_outer),
-                      (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)))
+    for k, (r_inner, r_outer) in enumerate(steps):
+        for order in np.unique(l[degenerate[k]]).tolist():
+            rows = degenerate[k] & (l == order)
+            if order == 0:
+                out[k, rows] = ((1.0, r_inner * math.log(r_outer / r_inner)),
+                                (0.0, r_inner / r_outer))
+                continue
+            grow = (r_outer / r_inner) ** order
+            out[k, rows] = ((0.5 * (grow + 1.0 / grow),
+                             r_inner * (grow - 1.0 / grow) / (2.0 * order)),
+                            (order * (grow - 1.0 / grow) / (2.0 * r_outer),
+                             (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)))
     return out
-
-
-def _step(l, u2, r_inner, r_outer, state):
-    """The renormalized state (R, R') at r_outer from the state at r_inner."""
-    return _renormalize(np.einsum("nij,nj->ni", _propagator(l, u2, r_inner, r_outer), state))
 
 
 def _determinant(points, l, n_eff, state):
@@ -317,7 +321,8 @@ def _char_values(points, l, n_eff):
     k02 = rows[:, 0]
     state = _initial_state(l, k02 * (rows[:, 2] - n_eff**2), radii[0])
     for j in range(1, len(radii)):
-        state = _step(l, k02 * (rows[:, 2 + j] - n_eff**2), radii[j - 1], radii[j], state)
+        [propagator] = _propagator(l, k02 * (rows[:, 2 + j] - n_eff**2), radii[j - 1:j + 1])
+        state = _renormalize(np.einsum("nij,nj->ni", propagator, state))
     return _determinant(points, l, n_eff, state)
 
 
@@ -359,9 +364,9 @@ def _mode_counts(points, l, n_eff):
         u2 = k02 * (rows[:, 2 + j] - n_eff**2)
         rate = np.sqrt(np.maximum(u2, 0.0) + np.where(l == 0, 0.25 / radii[j - 1] ** 2, 0.0))
         edges = np.linspace(radii[j - 1], radii[j],
-                            _steps(rate * (radii[j] - radii[j - 1]) / (0.9 * math.pi)) + 1).tolist()
-        for r_inner, r_outer in zip(edges, edges[1:]):
-            state = _step(l, u2, r_inner, r_outer, state)
+                            _steps(rate * (radii[j] - radii[j - 1]) / (0.9 * math.pi)) + 1)
+        for propagator in _propagator(l, u2, edges):
+            state = _renormalize(np.einsum("nij,nj->ni", propagator, state))
             zeros += value * state[:, 0] < 0.0
             value = state[:, 0]
     return zeros + (value * _determinant(points, l, n_eff, state) > 0.0)
@@ -461,40 +466,44 @@ def _roots(found, xtol):
         yield sorted(map(float, (*brackets.zeros, *roots)), reverse=True)
 
 
-def _search(cases):
+def _search(cases, seeds=None):
     """(_Brackets, cells) of each case (geometry, l, grid): its roots isolated by count.
 
-    A k-ary search over grid indices counts N_l at both ends and up to _SPLIT
-    points inside each open range, one call for all, and keeps the parts
-    across which the count drops.  A cell (x, drop) is a one-cell part (grid[x],
-    grid[x + 1]] holding drop roots.  One kernel call then scans each cell
-    padded by a cell on each side (windows that meet are merged), so the
+    The first call counts N_l at both grid ends and at the case's seeds, if
+    any: grid indices near which its roots are expected.  The count alone
+    decides each span, so a seed that misses costs only more counts.  Then a
+    k-ary search over grid indices counts up to _SPLIT points inside each open
+    range, one call for all, and keeps the parts across which the count
+    drops.  A cell (x, drop) is a one-cell part (grid[x], grid[x + 1]] holding
+    drop roots; a case's cells come sorted.  One kernel call then scans each
+    cell padded by a cell on each side (windows that meet are merged), so the
     brackets, exact grid zeros and f_lower are those of a whole-grid scan.
     """
     cells = [[] for _ in cases]
-    spans = [(i, 0, grid.size - 1) for i, (_, _, grid) in enumerate(cases)]
-    parts = 1  # the first call counts the grid ends alone: the orders past the last guided one
-    while spans:
-        cuts = []
-        for _, a, b in spans:
-            n = min(b - a, parts)
-            cuts.append([a + (b - a) * k // n for k in range(n + 1)])
+    owners = range(len(cases))
+    cuts = [sorted({0, grid.size - 1, *(min(max(x, 0), grid.size - 1) for x in seed)})
+            for (_, _, grid), seed in zip(cases, seeds or [()] * len(cases))]
+    while cuts:
         sizes = [len(cut) for cut in cuts]
-        geometries, orders, grids = zip(*(cases[i] for i, _, _ in spans))
+        geometries, orders, grids = zip(*(cases[i] for i in owners))
         counts = _mode_counts(_points(geometries, sizes), np.repeat(orders, sizes),
                               np.concatenate([grid[cut] for grid, cut in zip(grids, cuts)]))
-        narrower = []
-        for (i, _, _), cut, level in zip(spans, cuts, np.split(counts, np.cumsum(sizes)[:-1])):
+        spans = []
+        for i, cut, level in zip(owners, cuts, np.split(counts, np.cumsum(sizes)[:-1])):
             for x, y, drop in zip(cut, cut[1:], (level[:-1] - level[1:]).tolist()):
                 if drop > 0 and y == x + 1:
                     cells[i].append((x, drop))
                 elif drop > 0:
-                    narrower.append((i, x, y))
-        spans, parts = narrower, _SPLIT + 1
+                    spans.append((i, x, y))
+        owners, cuts = [i for i, _, _ in spans], []
+        for _, x, y in spans:
+            n = min(y - x, _SPLIT + 1)
+            cuts.append([x + (y - x) * k // n for k in range(n + 1)])
     scans, owners = [], []
     for i, ((geometry, l, grid), found) in enumerate(zip(cases, cells)):
+        found.sort()
         windows = []
-        for x, _ in sorted(found):
+        for x, _ in found:
             start, stop = max(x - 1, 0), min(x + 2, grid.size - 1)
             if windows and start <= windows[-1][1]:
                 windows[-1][1] = stop
@@ -542,25 +551,33 @@ def _cutoff_order(geometry, n_low):
     return math.ceil(math.hypot(reach, 0.5))
 
 
-def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal):
+def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal, anchor=None):
     """The ModeTable (n_eff only) at each wavelength, in turn.
 
-    One _search covers every order below _cutoff_order (and up to
-    max_azimuthal) at every wavelength; a table takes the orders before the
-    first without a root on its grid.  One lockstep bisection refines the
-    brackets of all tables, then each table's orders are certified.  Tables,
-    warnings and errors come in wavelength order.
+    Every order below _cutoff_order (and up to max_azimuthal) is searched at
+    the anchor wavelength, the middle one by default, then at all others in
+    one _search seeded near the anchor's cells of the same order.  A table
+    takes the orders before the first without a root on its grid.  One
+    lockstep bisection refines the brackets of all tables, then each table's
+    orders are certified.  Tables, warnings and errors come in wavelength order.
     """
     geometries = [_geometry(profile, lam) for lam in wavelengths_um]
     grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
-    tops = [min(max_azimuthal, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0
-            for geometry, grid in zip(geometries, grids)]
-    searched = iter(_search([(geometry, l, grid) for geometry, grid, top
-                             in zip(geometries, grids, tops) for l in range(top)]))
+    cases = [[(geometry, l, grid) for l in range(
+              min(max_azimuthal, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0)]
+             for geometry, grid in zip(geometries, grids)]
+    anchor = len(cases) // 2 if anchor is None else anchor
+    first = _search(cases[anchor])
+    near = {l: cells for (_, l, _), (_, cells) in zip(cases[anchor], first)}
+    others = [case for k, own in enumerate(cases) if k != anchor for case in own]
+    rest = iter(_search(others, [[x + d for x, _ in near.get(l, ())
+                                  for d in range(-_SEED_REACH, _SEED_REACH + 2)]
+                                 for _, l, _ in others]))
     tables = []
-    for top in tops:
-        orders = [next(searched) for _ in range(top)]
-        tables.append(orders[:next((l for l, (_, cells) in enumerate(orders) if not cells), top)])
+    for k, own in enumerate(cases):
+        orders = first if k == anchor else [next(rest) for _ in own]
+        tables.append(orders[:next((l for l, (_, cells) in enumerate(orders) if not cells),
+                                   len(orders))])
     roots = _roots([brackets for orders in tables for brackets, _ in orders],
                    root_tol * _REFINE_FACTOR)
     for lam, grid, orders in zip(wavelengths_um, grids, tables):
@@ -583,15 +600,6 @@ def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
     return next(_find_tables(profile, [wavelength_um], scan_points, root_tol, max_azimuthal))
 
 
-def _nearest_root(roots, n_reference, l, m, wavelength_um):
-    if roots:
-        candidate = min(roots, key=lambda value: abs(value - n_reference))
-        if abs(candidate - n_reference) <= _CONTINUATION_WINDOW:
-            return candidate
-    raise ModeContinuationError(f"mode {format_mode_label(l, m)} not resolvable at "
-                                f"{wavelength_um * 1e3} nm (cutoff crossed?)")
-
-
 def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
     """(group delay ps/km, dispersion ps/(km nm)) from central differences."""
     slope = (n_plus - n_minus) / (2.0 * dlambda_um)
@@ -600,56 +608,41 @@ def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
             -lambda0_um * curvature * _DISPERSION_SCALE)
 
 
-def _probe_roots(profile, records, wavelengths_um, scan_points, root_tol):
-    """The root of each record's order nearest its n_eff at each wavelength, in turn.
+def _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol):
+    """(table, characterize): the ModeTable at lambda0 and the (tau, D) of its records.
 
-    Only the cells of the wavelength's own scan grid that cover
-    n_eff +/- _CONTINUATION_WINDOW, one more cell on each side, are scanned:
-    _nearest_root accepts no root outside that window, so it picks the same
-    root a scan of the whole grid would give.  One kernel call scans every
-    window; errors come in (record, wavelength) order.
+    One sweep anchored on the center solves lambda0, lambda0 - dlambda and
+    lambda0 + dlambda, so the center's errors come first.  A record's n_eff
+    at each probe is its rank m in its order there, the minus probe first:
+    LP_lm is the m-th root of order l at every wavelength.
     """
-    geometries = [_geometry(profile, lam) for lam in wavelengths_um]
-    grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
-    scans = []
-    for record in records:
-        for geometry, grid in zip(geometries, grids):
-            start = max(int(np.searchsorted(grid, record.n_eff - _CONTINUATION_WINDOW)) - 2, 0)
-            stop = min(int(np.searchsorted(grid, record.n_eff + _CONTINUATION_WINDOW)) + 2,
-                       len(grid))
-            scans.append((geometry, record.l, grid[start:stop], stop == len(grid)))
-    roots = _roots(_scan(scans), root_tol * _REFINE_FACTOR)
-    for record in records:
-        for lam in wavelengths_um:
-            yield _nearest_root(next(roots), record.n_eff, record.l, record.m, lam)
+    _check_search_params(scan_points, root_tol)
+    wavelengths = (lambda0_um, lambda0_um - dlambda_um, lambda0_um + dlambda_um)
+    table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, 64, anchor=0)
 
+    def characterize(record):
+        n_eff = []
+        for probe in probes:
+            try:
+                n_eff.append(probe.mode(record.l, record.m).n_eff)
+            except KeyError:
+                lost = f"mode {record.label} not resolvable at {probe.lambda0_um * 1e3} nm"
+                raise ModeContinuationError(f"{lost} (cutoff crossed?)") from None
+        return _tau_and_dispersion(n_eff[0], record.n_eff, n_eff[1], lambda0_um, dlambda_um)
 
-def _characterized(profile, records, lambda0_um, dlambda_um, scan_points, root_tol):
-    """(tau, D) of each record in turn, continued from its n_eff to both probes."""
-    probes = (lambda0_um - dlambda_um, lambda0_um + dlambda_um)
-    roots = _probe_roots(profile, records, probes, scan_points, root_tol)
-    for record in records:
-        n_minus, n_plus = next(roots), next(roots)
-        yield _tau_and_dispersion(n_minus, record.n_eff, n_plus, lambda0_um, dlambda_um)
+    return table, characterize
 
 
 def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
                              root_tol):
-    """(tau, D) of one mode: a search of its order, then the two probe windows."""
-    _check_search_params(scan_points, root_tol)
-    geometry = _geometry(profile, lambda0_um)
-    grid = _scan_grid(geometry, scan_points)
-    center_roots = []
-    if grid.size:
-        [(brackets, cells)] = _search([(geometry, l, grid)])
-        center_roots = next(_roots([brackets], root_tol * _REFINE_FACTOR))
-        _certify(grid, l, lambda0_um, brackets, cells)
-    if m > len(center_roots):
+    """(tau, D) of one mode."""
+    table, characterize = _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol)
+    try:
+        record = table.mode(l, m)
+    except KeyError:
         raise ModeContinuationError(
-            f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm"
-        )
-    records = [ModeRecord(l, m, center_roots[m - 1], lambda0_um)]
-    return next(_characterized(profile, records, lambda0_um, dlambda_um, scan_points, root_tol))
+            f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm") from None
+    return characterize(record)
 
 
 def group_delay(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
@@ -667,13 +660,9 @@ def dispersion(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                      root_tol=1e-12):
     """Full mode table with tau and D filled for every guided mode."""
-    table = find_modes(profile, lambda0_um, scan_points, root_tol)
-    if not table.modes:
-        return table
-    characterized = _characterized(profile, table.modes, lambda0_um, dlambda_um,
-                                   scan_points, root_tol)
+    table, characterize = _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol)
     filled = [replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp)
-              for record, (tau, disp) in zip(table.modes, characterized)]
+              for record in table.modes for tau, disp in [characterize(record)]]
     return ModeTable(tuple(filled), lambda0_um)
 
 

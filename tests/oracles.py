@@ -12,7 +12,10 @@ the same floats and the same errors.  The per-line profile and graph parsers
 read a file one line at a time with a "current section" state machine, and
 the package's section-file parsers must give the same values and the same
 diagnostics.  The nm -> um conversion that tries the quotient's two
-neighbours must give the same double as the package's plain quotient.
+neighbours must give the same double as the package's plain quotient.  The
+group index of a mode comes from the Hellmann-Feynman theorem, an integral
+over its field with the analytic derivative of the Sellmeier sum, where the
+package takes central differences of n_eff(lambda).
 """
 
 import math
@@ -32,7 +35,7 @@ from fmf_ttdl.design import (
     solve_placements,
     _parse_segment,
 )
-from fmf_ttdl import modes
+from fmf_ttdl import materials, modes
 from fmf_ttdl.fileio import FileFormatError, finite_float, um_from_nm
 from fmf_ttdl.materials import SCALED_SILICA, FiberProfile, Layer, MaterialModel, kind_rule
 from fmf_ttdl.modes import ModeRecord, ModeTable
@@ -289,16 +292,16 @@ def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-1
 
 
 def _probe_root(record, probe, root_tol):
-    """The root of the record's order nearest its n_eff in a window of the probe's grid."""
+    """The record's rank m among the roots of its order in a full scan of the probe's grid."""
     lam, geometry, grid = probe
     roots = []
     if grid.size:
-        window = modes._CONTINUATION_WINDOW
-        start = max(int(np.searchsorted(grid, record.n_eff - window)) - 2, 0)
-        stop = min(int(np.searchsorted(grid, record.n_eff + window)) + 2, len(grid))
-        roots = _grid_roots(geometry, record.l, grid, start, stop,
+        roots = _grid_roots(geometry, record.l, grid, 0, grid.size,
                             root_tol * modes._REFINE_FACTOR)
-    return modes._nearest_root(roots, record.n_eff, record.l, record.m, lam)
+    if record.m > len(roots):
+        raise modes.ModeContinuationError(f"mode {record.label} not resolvable at "
+                                          f"{lam * 1e3} nm (cutoff crossed?)")
+    return roots[record.m - 1]
 
 
 def _probes(profile, lambda0_um, dlambda_um, scan_points):
@@ -358,6 +361,81 @@ def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
         modes._warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables
+
+
+# --- group index by the Hellmann-Feynman theorem ------------------------------
+
+def _dn2_dlambda(sellmeier_terms, wavelength_um):
+    """d(n^2)/dlambda of n^2 = 1 + sum B lam^2 / (lam^2 - C^2), per um."""
+    lam2 = wavelength_um * wavelength_um
+    return -2.0 * wavelength_um * sum(b * c * c / (lam2 - c * c) ** 2 for b, c in sellmeier_terms)
+
+
+def _layer_dn2_dlambda(profile, position, wavelength_um):
+    silica = _dn2_dlambda(materials.SILICA_SELLMEIER, wavelength_um)
+    if position is None:
+        return silica
+    delta = profile.layers[position].delta
+    if profile.cladding.kind == SCALED_SILICA:  # n_j = n_clad (1 + delta)
+        return (1.0 + delta) ** 2 * silica
+    fraction = materials._blend_fraction_for_delta(delta)
+    return _dn2_dlambda(materials.terms(fraction), wavelength_um)
+
+
+def _lommel(r, value, slope, s, l):
+    """F(r) with F' = r R^2 for R'' + R'/r + (s - l^2/r^2) R = 0 (Watson, section 5.11)."""
+    return 0.5 * r * r * (slope * slope / s + value * value) - l * l * value * value / (2.0 * s)
+
+
+def group_index_hf(profile, l, n_eff, wavelength_um):
+    """(n_g, power fraction of each layer and of the cladding) of the mode (l, n_eff).
+
+    d(beta^2)/dk = <d(k^2 n^2)/dk> over R^2 r dr (Hellmann-Feynman), so
+    n_g = sum_j w_j (n_j^2 - (lambda/2) d(n_j^2)/dlambda) / n_eff.  The field
+    is the package's regular solution carried across the layers by its
+    propagators, with the evanescent factor exp(q dr) that they drop put back;
+    the cladding field is the K_l that matches R at the last boundary.  Each
+    region's integral of R^2 r is the Lommel closed form at its ends.  A
+    region where n_eff equals its index to within the power-law switch is not
+    supported: there the 1/s terms of the closed form cancel.
+    """
+    geometry = modes._geometry(profile, wavelength_um)
+    radii, order = geometry.radii, np.array([l])
+    s = [geometry.k0**2 * (n * n - n_eff * n_eff) for n in geometry.indices]
+    if any(abs(s_j) * r * r < modes._DEGENERATE_X2 for s_j, r in zip(s, radii)):
+        raise ValueError(f"n_eff {n_eff} sits on a layer index: the closed form degenerates")
+    state = modes._initial_state(order, np.array([s[0]]), radii[0])[0]
+    power = [_lommel(radii[0], *state, s[0], l)]  # F(0) = 0
+    for j in range(1, len(radii)):
+        [[propagator]] = modes._propagator(order, np.array([s[j]]), radii[j - 1:j + 1])
+        if s[j] < 0.0:
+            propagator = propagator * math.exp(math.sqrt(-s[j]) * (radii[j] - radii[j - 1]))
+        outer = propagator @ state
+        power.append(_lommel(radii[j], *outer, s[j], l) - _lommel(radii[j - 1], *state, s[j], l))
+        state = outer
+    w = geometry.k0 * math.sqrt(n_eff * n_eff - geometry.n_clad**2)
+    x = w * radii[-1]
+    slope = state[0] * w * sp.kvp(l, x) / sp.kv(l, x)
+    power.append(-_lommel(radii[-1], state[0], slope, -w * w, l))
+    fractions = np.array(power) / sum(power)
+    squares = [*(n * n for n in geometry.indices), geometry.n_clad**2]
+    slopes = [*(_layer_dn2_dlambda(profile, j, wavelength_um) for j in range(len(radii))),
+              _layer_dn2_dlambda(profile, None, wavelength_um)]
+    n_g = sum(f * (n2 - 0.5 * wavelength_um * d) for f, n2, d in zip(fractions, squares, slopes))
+    return n_g / n_eff, fractions
+
+
+def tau_and_dispersion_hf(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
+                          root_tol=1e-12):
+    """(tau ps/km, D ps/(km nm)) of LP_lm: tau from group_index_hf at lambda0, D as the
+    central difference of that tau at lambda0 -/+ dlambda, each n_eff the m-th root of
+    order l in a full scan at its wavelength."""
+    def tau(lam):
+        roots = _order_roots(modes._geometry(profile, lam), l, scan_points, root_tol)
+        return group_index_hf(profile, l, roots[m - 1], lam)[0] * modes._PS_PER_KM_PER_INDEX
+
+    slope = (tau(lambda0_um + dlambda_um) - tau(lambda0_um - dlambda_um)) / (2.0 * dlambda_um)
+    return tau(lambda0_um), slope * 1e-3  # per um -> per nm
 
 
 def iter_config_lines(text):

@@ -99,7 +99,7 @@ def test_power_law_propagator_meets_the_bessel_one_at_the_switch(l, sign):
     switch = modes._DEGENERATE_X2 / r_outer**2  # |u^2| where the basis changes
 
     def unit(u2):
-        prop = modes._propagator(np.array([l]), np.array([sign * u2]), r_inner, r_outer)[0]
+        [[prop]] = modes._propagator(np.array([l]), np.array([sign * u2]), (r_inner, r_outer))
         return prop / np.linalg.norm(prop)
 
     assert np.max(np.abs(unit(0.999 * switch) - unit(1.001 * switch))) <= 5e-14
@@ -201,6 +201,21 @@ def test_dispersion_against_reference(ring_profile_blend, solver_table_blend):
     )
     smallest = min(r.dispersion_ps_per_km_nm for r in solver_table_blend.modes)
     assert solver_table_blend.mode(1, 2).dispersion_ps_per_km_nm == smallest
+
+
+@pytest.mark.parametrize("blend", [False, True])
+def test_tau_and_dispersion_match_the_hellmann_feynman_group_index(ring_profile,
+                                                                   ring_profile_blend, blend):
+    # an independent tau: a field integral, not differences of n_eff across the probes
+    profile = ring_profile_blend if blend else ring_profile
+    table = solve_mode_table(profile, 1.55)
+    assert table.labels() == EXPECTED_ORDER
+    for r in table.modes:
+        _, fractions = oracles.group_index_hf(profile, r.l, r.n_eff, 1.55)
+        assert fractions.min() >= 0.0 and abs(fractions.sum() - 1.0) < 1e-12, r.label
+        tau, disp = oracles.tau_and_dispersion_hf(profile, r.l, r.m, 1.55)
+        assert abs(r.tau_ps_per_km - tau) < 1e-2, r.label
+        assert abs(r.dispersion_ps_per_km_nm - disp) < 2e-3, r.label
 
 
 def test_group_delay_half_step_convergence(ring_profile):
@@ -454,22 +469,41 @@ def _probe_outcome(solve):
         (((7.3, 0.0016),), 1.50, 5e-4),   # LP11 window clipped at the cladding edge
         (((25.0, 0.0016),), 1.55, 5e-4),  # LP01 window clipped at the core edge
         (((7.3, 0.0016),), 1.50, 0.2),    # LP11 cut off at the long probe
+        (((3.0, 0.0021), (10.0, 0.0072)), 1.55, 0.05),  # roots move 14-91 cells
     ],
 )
-def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda):
+def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda, monkeypatch):
+    # the probe root of LP_lm is the m-th root of order l in a scan of the whole grid
     from fmf_ttdl import modes
 
+    central = modes._tau_and_dispersion
+    seen = []
+    monkeypatch.setattr(modes, "_tau_and_dispersion",
+                        lambda *args: seen.append(args[:3]) or central(*args))
     profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
-    table = find_modes(profile, lam)
-    for probe_lam in (lam - dlambda, lam + dlambda):
-        geometry = modes._geometry(profile, probe_lam)
-        for r in table.modes:
-            full = oracles._order_roots(geometry, r.l, 2000, 1e-12)
-            expected = _probe_outcome(
-                lambda: modes._nearest_root(full, r.n_eff, r.l, r.m, probe_lam))
-            windowed = _probe_outcome(
-                lambda: next(modes._probe_roots(profile, [r], [probe_lam], 2000, 1e-12)))
-            assert windowed == expected, (r.label, probe_lam)
+    table, characterize = modes._probed(profile, lam, dlambda, 2000, 1e-12)
+    assert table.modes
+    for r in table.modes:
+        expected = []
+        for probe_lam in (lam - dlambda, lam + dlambda):
+            full = oracles._order_roots(modes._geometry(profile, probe_lam), r.l, 2000, 1e-12)
+            expected.append(full[r.m - 1] if r.m <= len(full) else "lost")
+        if "lost" in expected:
+            assert _probe_outcome(lambda: characterize(r)) == "lost", r.label
+        else:
+            characterize(r)
+            assert seen[-1] == (expected[0], r.n_eff, expected[1]), r.label
+
+
+def test_probes_by_rank_resolve_where_the_continuation_window_raised(ring_profile):
+    # at 50 nm from the center LP01 moves by more than the 2e-4 window the probes
+    # used to accept, and every table there raised ModeContinuationError
+    profile = ring_profile
+    table = solve_mode_table(profile, 1.55, 0.05)
+    assert table.labels() == EXPECTED_ORDER
+    assert table == oracles.solve_mode_table_per_order(profile, 1.55, 0.05)
+    shifted = find_modes(profile, 1.50).mode(0, 1).n_eff - table.mode(0, 1).n_eff
+    assert shifted > 2e-4
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 9])
@@ -612,15 +646,16 @@ def test_kernel_call_budget(ring_profile, monkeypatch):
         return kernel(points, l, n_eff)
 
     monkeypatch.setattr(modes, "_char_values", counting)
-    solve_mode_table(ring_profile, 1.55)
-    assert 0 < len(calls) <= 100
+    solve_mode_table(ring_profile, 1.55)  # two scans and one lockstep bisection
+    assert 0 < len(calls) <= 40
     calls.clear()
     assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
-    assert 0 < len(calls) <= 300
+    assert 0 < len(calls) <= 40
 
 
 def test_kernel_point_and_mode_count_budget(ring_profile, monkeypatch):
-    # a scan of the whole grid per order took 13,742 points per table, 134,233 per sweep
+    # a scan of the whole grid per order took 13,742 points per table, 134,233 per sweep;
+    # probe windows of +/-2e-4 took 1,770 points per table, unseeded counts 3,190 rows per sweep
     from fmf_ttdl import modes
 
     kernel, count = modes._char_values, modes._mode_counts
@@ -630,11 +665,13 @@ def test_kernel_point_and_mode_count_budget(ring_profile, monkeypatch):
     monkeypatch.setattr(modes, "_mode_counts",
                         lambda p, l, n_eff: counts.append(len(n_eff)) or count(p, l, n_eff))
     solve_mode_table(ring_profile, 1.55)
-    assert 0 < sum(points) <= 2000
-    assert 0 < sum(counts) <= 1000
+    assert 0 < sum(points) <= 1000
+    assert 0 < sum(counts) <= 600
     points.clear()
+    counts.clear()
     assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
     assert 0 < sum(points) <= 10_000
+    assert 0 < sum(counts) <= 1600
 
 
 def _drop_first_bracket(scan):

@@ -9,13 +9,14 @@ step and warn of exactly the (l, m) a step loses.  Roots of one order are
 checked to lie at least one scan cell apart, the separation below which the
 scan could hold two roots in one cell and miss both.  The mode count N_l(n)
 must give, at the grid's low end, the number of roots of every order, and
-step down by exactly one across each root.
+step down by exactly one across each root.  Seeds only choose where the
+search counts first, so any seeds give the same brackets and cells as none.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fmf_ttdl.fileio import um_from_nm
 from fmf_ttdl.materials import FiberProfile, Layer
@@ -24,6 +25,7 @@ from fmf_ttdl.modes import (
     _mode_counts,
     _points,
     _scan_grid,
+    _search,
     find_modes,
     format_mode_label,
     sweep_modes,
@@ -103,3 +105,23 @@ def test_sweeps_label_by_rank_and_warn_of_each_lost_mode(profile, start_nm, step
             expected += [f"mode {format_mode_label(l, m)} lost at {lam * 1e3} nm (cutoff)"
                          for l, m in sorted(lost)]
     assert [str(w.message) for w in caught] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(profiles(), st.floats(1.3, 1.7), st.data())
+def test_search_gives_the_same_brackets_and_cells_whatever_its_seeds(profile, lam, data):
+    geometry = _geometry(profile, lam)
+    grid = _scan_grid(geometry, SCAN_POINTS)
+    assume(grid.size)
+    cases = [(geometry, l, grid) for l in range(4)]  # the last orders may have no root
+    plain = _search(cases)
+    near_roots = [x + d for _, cells in plain for x, _ in cells for d in (-2, 0, 1, 3)]
+    anywhere = st.integers(-3, grid.size + 3)  # mostly far from every root
+    ends = st.sampled_from([-1, 0, 1, grid.size - 2, grid.size - 1, grid.size])
+    index = st.one_of(anywhere, ends, *([st.sampled_from(near_roots)] if near_roots else []))
+    seeds = [data.draw(st.lists(index, max_size=12).map(lambda xs: xs + xs[:2]))  # repeats
+             for _ in cases]
+    for (brackets, cells), (again, seeded_cells) in zip(plain, _search(cases, seeds)):
+        assert seeded_cells == cells
+        for field in ("zeros", "lower", "upper", "f_lower"):
+            assert getattr(again, field).tobytes() == getattr(brackets, field).tobytes(), field
