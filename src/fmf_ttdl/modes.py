@@ -236,7 +236,7 @@ def _with_derivative(bessel, l, x, lower_sign=1.0):
 
 def _bases(u2, degenerate):
     """The (rows, sign, regular, irregular, Wronskian scale / r_inner) of each basis; see above."""
-    import scipy.special as sp  # deferred: ~0.4 s to import; only mode solving needs it
+    import scipy.special as sp  # deferred: 0.16-0.3 s to import; only mode solving needs it
 
     return (((u2 > 0.0) & ~degenerate, 1.0, sp.jv, sp.yn, 0.5 * math.pi),
             ((u2 < 0.0) & ~degenerate, -1.0, sp.ive, sp.kve, -1.0))

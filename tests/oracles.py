@@ -18,6 +18,9 @@ over its field with the analytic derivative of the Sellmeier sum, where the
 package takes central differences of n_eff(lambda).  The placement LPs go to
 HiGHS without scipy.optimize.linprog's plumbing, so the public linprog with
 the same options must give the same status and the same x, bit for bit.
+The sellmeier-blend calibration solves its root with the package's own port
+of Brent's method, so the public scipy.optimize.brentq must give the same
+blend fraction, bit for bit.
 """
 
 import math
@@ -26,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.special as sp
-from scipy.optimize import bisect, linprog
+from scipy.optimize import bisect, brentq, linprog
 
 from fmf_ttdl.design import (
     ConversionGraph,
@@ -232,6 +235,20 @@ def linprog_highs(cost, a_eq, b_eq, lower, upper):
                  "dual_feasibility_tolerance": 1e-10},
     )
     return result.status, result.message, result.x
+
+
+# --- sellmeier-blend calibration ----------------------------------------------
+
+def blend_fraction_brentq(delta):
+    """materials._blend_fraction_for_delta's calibration with scipy.optimize.brentq."""
+    if delta == 0.0:
+        return 0.0
+    wavelength = materials.BLEND_CALIBRATION_UM
+    target = materials._sellmeier_n(materials.SILICA_SELLMEIER, wavelength) * (1.0 + delta)
+    return brentq(
+        lambda x: materials._sellmeier_n(materials.terms(x), wavelength) - target,
+        0.0, 1.0, xtol=1e-15,
+    )
 
 
 # --- per-order mode search ----------------------------------------------------

@@ -332,6 +332,54 @@ def test_import_leaves_out_optimize_and_constants():
     assert result.stdout.strip() == "[]"
 
 
+_BLEND_TABLE_PROBE = """
+from fmf_ttdl import FiberProfile, Layer, MaterialModel, solve_mode_table
+profile = FiberProfile((Layer(3.0, 0.0021), Layer(10.0, 0.0072)), MaterialModel("sellmeier-blend"))
+assert solve_mode_table(profile, 1.55).modes
+"""
+_BLEND_CLI_PROBE = """
+from fmf_ttdl.cli import main
+assert main(["solve-modes", "--profile", {profile!r}, "--out", {out!r}]) == 0
+"""
+_DELAYS_ONLY_PROBE = """
+from fmf_ttdl.design import DesignTargets, assemble_constraints, load_graph, solve_placements
+from fmf_ttdl.modes import read_mode_table
+targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule="delays-only")
+solve_placements(assemble_constraints(load_graph({graph!r}), read_mode_table({modes!r}), targets))
+"""
+
+
+@pytest.mark.parametrize("probe, imports_optimize", [
+    (_BLEND_TABLE_PROBE, False), (_BLEND_CLI_PROBE, False), (_DELAYS_ONLY_PROBE, True),
+], ids=["blend-table", "blend-cli", "delays-only"])
+def test_only_the_lp_path_imports_scipy_optimize(probe, imports_optimize, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    blend = tmp_path / "blend.prof"
+    blend.write_text(
+        Path(PROFILE).read_text().replace("= scaled-silica", "= sellmeier-blend")
+    )
+    assert "sellmeier-blend" in blend.read_text()
+    code = probe.format(profile=str(blend), out=str(tmp_path / "modes.csv"),
+                        graph=GRAPH, modes=MODES)
+    code += (
+        "import sys\n"
+        "from fmf_ttdl.materials import _blend_fraction_for_delta\n"
+        "print(_blend_fraction_for_delta.cache_info().misses, 'scipy.optimize' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    # a blend probe calibrates both layers; the LP probe has no profile
+    calibrated = "0" if imports_optimize else "2"
+    assert result.stdout.splitlines()[-1].split() == [calibrated, str(imports_optimize)]
+
+
 def test_unreadable_text_file_is_a_config_error(tmp_path, capsys):
     binary = tmp_path / "binary.prof"
     binary.write_bytes(b"\xff\xfe\x00")

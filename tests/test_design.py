@@ -589,6 +589,35 @@ def test_highs_lp_matches_linprog_on_the_demo_chains(
         assert x is None or result.x.tobytes() == x.tobytes()
 
 
+@pytest.mark.parametrize("first_lp_passes, prefix", [
+    (False, "linear program failed"), (True, "tie-break solve failed"),
+], ids=["first-lp", "tie-break"])
+def test_optimal_solution_off_its_constraints_is_status_4(
+    first_lp_passes, prefix, monkeypatch, four_sample_graph, reference_table
+):
+    # with a negative tolerance no solution HiGHS calls optimal passes linprog's check
+    targets = DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY
+    )
+    system = assemble_constraints(four_sample_graph, reference_table, targets)
+    highs_lp = design._highs_lp
+
+    def tolerance_fails_after_first(*args):
+        result = highs_lp(*args)
+        monkeypatch.setattr(design, "_LP_TOLERANCE", -1.0)
+        return result
+
+    if first_lp_passes:
+        monkeypatch.setattr(design, "_highs_lp", tolerance_fails_after_first)
+    else:
+        monkeypatch.setattr(design, "_LP_TOLERANCE", -1.0)
+    message = (f"{prefix}: the solution HiGHS calls optimal misses a bound or an equality "
+               "by more than -1.00E+00")
+    with pytest.raises(DesignError) as excinfo:
+        solve_placements(system)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05, 0.2])
 def test_singular_direct_system_falls_back_to_lp(sigma, monkeypatch):
     # LP11 and LP21 share tau and D, so the square system's a and b columns

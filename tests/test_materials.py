@@ -1,8 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from oracles import blend_fraction_brentq
+
+from fmf_ttdl import materials
 from fmf_ttdl.fileio import FileFormatError
 from fmf_ttdl.materials import (
     FiberProfile,
@@ -137,6 +143,62 @@ def test_blend_layer_calibrated_at_1550nm():
     # away from the calibration wavelength the blend ratio drifts
     ratio_low = profile_index(profile, 5.0, 1.30) / profile.cladding_index(1.30)
     assert ratio_low != pytest.approx(1.0072, abs=1e-9)
+
+
+# the largest relative step a blend reaches: pure germania over silica at 1.55 um
+BLEND_TOP = (
+    materials._sellmeier_n(materials.terms(1.0), 1.55)
+    / materials._sellmeier_n(materials.SILICA_SELLMEIER, 1.55) - 1.0
+)
+
+
+def _same_bits(delta):
+    got = materials._blend_fraction_for_delta(delta)
+    want = blend_fraction_brentq(delta)
+    assert got.hex() == float(want).hex(), delta
+
+
+@pytest.mark.parametrize("delta", [0.0021, 0.0072, 1e-9, 0.0, 5e-324, BLEND_TOP])
+def test_blend_fraction_matches_scipy_brentq_at_fixed_deltas(delta):
+    _same_bits(delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, BLEND_TOP) | st.floats(0.0, 1e-6))
+def test_blend_fraction_matches_scipy_brentq(delta):
+    _same_bits(delta)
+
+
+@pytest.mark.parametrize("delta", [-1e-3, -1e-12, BLEND_TOP + 1e-9, 0.5])
+def test_blend_fraction_out_of_range_is_a_material_error(delta):
+    message = f"relative index step {delta} is outside the silica-germania blend range"
+    with pytest.raises(MaterialError, match=f"^{re.escape(message)}$"):
+        materials._blend_fraction_for_delta(delta)
+
+
+def _outcome(call):
+    try:
+        return call().hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("f, a, b, xtol", [
+    (math.cos, 0.0, 1.0, 1e-12),  # the same sign at both ends
+    (lambda x: math.nan, 0.0, 1.0, 1e-12),
+    (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12),  # NaN at b only
+    (lambda x: x, 0.0, 1.0, 1e-12),  # root at a
+    (lambda x: x - 1.0, 0.0, 1.0, 1e-12),  # root at b
+    (lambda x: -1.0 if x <= 1e-200 else 1.0, -1.0, 3.0, 1e-300),  # 100 steps are too few
+    (lambda x: -1.0 if x <= 1e-200 else 1.0, -1.0, 3.0, 1e-12),
+    (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-15),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 2e-12),
+    (lambda x: math.exp(x) - 1e5, -50.0, 50.0, 1e-15),
+])
+def test_brentq_port_keeps_scipy_results_and_errors(f, a, b, xtol):
+    assert _outcome(lambda: materials._brentq(f, a, b, xtol)) == _outcome(
+        lambda: brentq(f, a, b, xtol=xtol)
+    )
 
 
 def test_profile_structural_validation():
