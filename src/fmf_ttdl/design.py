@@ -29,10 +29,13 @@ the table-file codec of fileio (csv_text, read_csv).
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from pathlib import Path
 from typing import NamedTuple
 
@@ -463,12 +466,62 @@ class _LpResult(NamedTuple):
     x: np.ndarray | None
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+@cache
+def _highs():
+    """scipy's compiled HiGHS bindings, loaded from their file unless scipy.optimize
+    has imported them: importing them as a package first runs scipy.optimize's
+    __init__, 321 scipy modules in scipy 1.17 (0.64-0.70 s on 2 vCPUs, against
+    0.025 s for the file alone) that the LPs never use."""
+    if _HIGHS_MODULE in sys.modules:
+        return sys.modules[_HIGHS_MODULE]
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    spec = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        _HIGHS_MODULE)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS extension _core in {folder}")
+    module = module_from_spec(spec)
+    # registered before it runs, as the import system does, so that a later
+    # import of scipy.optimize takes this module instead of initialising it again
+    sys.modules[_HIGHS_MODULE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS_MODULE]
+        raise
+    return module
+
+
+# scipy.optimize._linprog_highs._highs_to_scipy_status_message, by HighsModelStatus name
+_LP_STATUS = {
+    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError",
+                     "kPostsolveError", "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"),
+                    (4, "")),
+    "kModelError": (2, ""),
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+}
+
+
+def _lp_status(model, text):
+    """linprog's (status, message) for HiGHS's model status and its text."""
+    status, message = _LP_STATUS.get(model.name, (4, "The HiGHS status code was not recognized. "))
+    return status, f"{message}(HiGHS Status {int(model)}: {text})"
+
+
 @cache
 def _highs_options():
     """The 7 options linprog(method="highs") sets for these LPs, built once and
     never changed: passOptions copies them into each solver."""
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     options = highs.HighsOptions()
     options.presolve = "on"
     options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
@@ -490,10 +543,7 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     As in linprog, a solution HiGHS calls optimal that misses a bound or an
     equality by more than _LP_TOLERANCE gets status 4.
     """
-    # deferred: importing HiGHS pulls in all of scipy.optimize (0.21-0.26 s after scipy.special)
-    from scipy.optimize._highspy import _core as highs
-    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
-
+    highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = cols
@@ -525,7 +575,7 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     elif ran:
         primal = solver.solutionStatusToString(solver.getInfo().primal_solution_status)
         text = f"model_status is {text}; primal_status is {primal}"
-    return _LpResult(*_highs_to_scipy_status_message(model, text), x)
+    return _LpResult(*_lp_status(model, text), x)
 
 
 def _solve_lp(system, matrix, rhs):

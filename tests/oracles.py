@@ -17,7 +17,9 @@ group index of a mode comes from the Hellmann-Feynman theorem, an integral
 over its field with the analytic derivative of the Sellmeier sum, where the
 package takes central differences of n_eff(lambda).  The placement LPs go to
 HiGHS without scipy.optimize.linprog's plumbing, so the public linprog with
-the same options must give the same status and the same x, bit for bit.
+the same options must give the same status and the same x, bit for bit, and
+the package's table of HiGHS model statuses must give, for every status, the
+(status, message) of linprog's own conversion.
 The sellmeier-blend calibration solves its root with the package's own port
 of Brent's method, so the public scipy.optimize.brentq must give the same
 blend fraction, bit for bit.
@@ -30,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 import scipy.special as sp
 from scipy.optimize import bisect, brentq, linprog
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from fmf_ttdl.design import (
     ConversionGraph,
@@ -235,6 +238,11 @@ def linprog_highs(cost, a_eq, b_eq, lower, upper):
                  "dual_feasibility_tolerance": 1e-10},
     )
     return result.status, result.message, result.x
+
+
+def linprog_status_message(model, text):
+    """linprog's (status, message) for a HiGHS model status and its text."""
+    return _highs_to_scipy_status_message(model, text)
 
 
 # --- sellmeier-blend calibration ----------------------------------------------

@@ -349,10 +349,10 @@ solve_placements(assemble_constraints(load_graph({graph!r}), read_mode_table({mo
 """
 
 
-@pytest.mark.parametrize("probe, imports_optimize", [
+@pytest.mark.parametrize("probe, runs_lp", [
     (_BLEND_TABLE_PROBE, False), (_BLEND_CLI_PROBE, False), (_DELAYS_ONLY_PROBE, True),
 ], ids=["blend-table", "blend-cli", "delays-only"])
-def test_only_the_lp_path_imports_scipy_optimize(probe, imports_optimize, tmp_path):
+def test_no_path_imports_scipy_optimize(probe, runs_lp, tmp_path):
     import os
     import subprocess
     import sys
@@ -367,7 +367,8 @@ def test_only_the_lp_path_imports_scipy_optimize(probe, imports_optimize, tmp_pa
     code += (
         "import sys\n"
         "from fmf_ttdl.materials import _blend_fraction_for_delta\n"
-        "print(_blend_fraction_for_delta.cache_info().misses, 'scipy.optimize' in sys.modules)\n"
+        "print(_blend_fraction_for_delta.cache_info().misses, 'scipy.optimize' in sys.modules,\n"
+        "      'scipy.optimize._highspy._core' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
@@ -375,9 +376,10 @@ def test_only_the_lp_path_imports_scipy_optimize(probe, imports_optimize, tmp_pa
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    # a blend probe calibrates both layers; the LP probe has no profile
-    calibrated = "0" if imports_optimize else "2"
-    assert result.stdout.splitlines()[-1].split() == [calibrated, str(imports_optimize)]
+    # a blend probe calibrates both layers; the LP probe has no profile, and it
+    # loads HiGHS's extension alone
+    calibrated = "0" if runs_lp else "2"
+    assert result.stdout.splitlines()[-1].split() == [calibrated, "False", str(runs_lp)]
 
 
 def test_unreadable_text_file_is_a_config_error(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from oracles import (
     PLACEMENT_VARIABLES,
     grid_search_two_sample,
     linprog_highs,
+    linprog_status_message,
     perturb_per_trial,
     reference_placement_oracle,
 )
@@ -616,6 +621,153 @@ def test_optimal_solution_off_its_constraints_is_status_4(
     with pytest.raises(DesignError) as excinfo:
         solve_placements(system)
     assert str(excinfo.value) == message
+
+
+def test_check_of_an_optimal_solution_is_inclusive_and_needs_both_parts(monkeypatch):
+    # x = (0, 1) lies exactly on its bounds and meets x0 + x1 = 1 exactly, so
+    # it passes with no tolerance at all
+    monkeypatch.setattr(design, "_LP_TOLERANCE", 0.0)
+    cost = np.array([1.0, 0.0])
+    on_bounds = design._highs_lp(cost, np.array([[1.0, 1.0]]), np.array([1.0]),
+                                 np.zeros(2), np.ones(2))
+    assert on_bounds.status == 0 and on_bounds.x.tolist() == [0.0, 1.0]
+    # free variables pass every bound check, so the equalities alone fail this one
+    monkeypatch.setattr(design, "_LP_TOLERANCE", -1.0)
+    free = design._highs_lp(cost, np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]),
+                            np.full(2, -np.inf), np.full(2, np.inf))
+    assert free.status == 4 and free.x.tolist() == [0.5, 0.5]
+
+
+def test_lp_status_table_matches_linprogs_for_every_highs_model_status():
+    members = design._highs().HighsModelStatus.__members__
+    assert {"kOptimal", "kInfeasible", "kUnbounded", "kUnknown"} <= members.keys()
+    for model in members.values():
+        text = f"model_status is {model.name}"
+        assert design._lp_status(model, text) == linprog_status_message(model, text)
+
+
+TESTS = Path(__file__).resolve().parent
+DEMO = TESTS.parent / "demo"
+# the first LP of a delays-only design of the demo: the smallest first length
+_DEMO_LP = f"""
+import sys
+import numpy as np
+from fmf_ttdl import design
+from fmf_ttdl.design import DesignTargets, assemble_constraints, load_graph
+from fmf_ttdl.modes import read_mode_table
+targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule="delays-only")
+system = assemble_constraints(load_graph({str(DEMO / "four_sample.graph")!r}),
+                              read_mode_table({str(DEMO / "reference_modes.csv")!r}), targets)
+cols = system.matrix.shape[1]
+lp = (np.eye(cols)[0], system.matrix, system.rhs, np.zeros(cols), np.ones(cols))
+"""
+_SAME_AS_LINPROG = """
+from oracles import linprog_highs
+result = design._highs_lp(*lp)
+status, message, x = linprog_highs(*lp)
+assert result.status == status == 0, (result, message)
+assert (result.message, result.x.tobytes()) == (message, x.tobytes())
+"""
+
+
+def _python(code, *path):
+    """Run code in a fresh interpreter with path ahead of PYTHONPATH."""
+    pythonpath = os.pathsep.join([*map(str, path), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def test_scipy_optimize_imported_after_an_lp_shares_its_highs_module():
+    code = _DEMO_LP + """
+first = design._highs_lp(*lp)
+assert first.status == 0 and "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is design._highs()
+assert design._highs_lp(*lp).x.tobytes() == first.x.tobytes()
+""" + _SAME_AS_LINPROG + "print('ok')"
+    result = _python(code, TESTS.parent / "src", TESTS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_highs_imported_by_scipy_optimize_is_not_loaded_again():
+    code = """
+import scipy.optimize
+from scipy.optimize._highspy import _core
+""" + _DEMO_LP + """
+assert design._highs() is _core
+""" + _SAME_AS_LINPROG + "print('ok')"
+    result = _python(code, TESTS.parent / "src", TESTS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_missing_highs_extension_is_an_import_error_naming_the_folder(tmp_path):
+    # a scipy without its optimize folder; numpy stays the real one
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0.stub'\n")
+    code = _DEMO_LP + "design.solve_placements(system)\n"
+    result = _python(code, tmp_path, TESTS.parent / "src")
+    folder = tmp_path / "scipy" / "optimize" / "_highspy"
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == (
+        f"ImportError: scipy 0.0.stub has no HiGHS extension _core in {folder}"
+    )
+
+
+def test_a_failed_highs_load_leaves_nothing_behind():
+    code = _DEMO_LP + """
+import scipy
+from importlib.machinery import ExtensionFileLoader
+exec_module = ExtensionFileLoader.exec_module
+
+def fail(loader, module):
+    raise ImportError("the extension failed to initialise")
+
+ExtensionFileLoader.exec_module = fail
+try:
+    design._highs()
+    raise AssertionError("the failed load returned a module")
+except ImportError as error:
+    assert str(error) == "the extension failed to initialise"
+assert design._HIGHS_MODULE not in sys.modules
+ExtensionFileLoader.exec_module = exec_module
+""" + _SAME_AS_LINPROG + "print('ok')"
+    result = _python(code, TESTS.parent / "src", TESTS)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_singular_stack_is_solved_one_trial_at_a_time(
+    monkeypatch, four_sample_graph, reference_table, reference_targets
+):
+    system = assemble_constraints(four_sample_graph, reference_table, reference_targets)
+    rng = np.random.default_rng(5)
+    matrix = system.matrix * (1.0 + 0.01 * rng.standard_normal((5, *system.matrix.shape)))
+    matrix[2, :, 0] = matrix[2, :, 1]  # rank-deficient: left to the LP
+    rhs = np.repeat(system.rhs[None], 5, axis=0)
+    stacked_x, stacked_accepted = design._solve_direct(matrix, rhs)
+    assert stacked_accepted.tolist() == [True, True, False, True, True]
+    solve, sizes, failing = np.linalg.solve, [], []
+
+    def singular_stack(a, b):
+        sizes.append(len(a))
+        if len(a) > 1 or any(np.array_equal(a[0], matrix[t]) for t in failing):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_stack)
+    x, accepted = design._solve_direct(matrix, rhs)
+    assert sizes == [4, 1, 1, 1, 1]
+    assert x.tobytes() == stacked_x.tobytes()
+    assert accepted.tolist() == stacked_accepted.tolist()
+    # a trial whose own solve fails too is left to the LP; the others keep their bits
+    failing.append(3)
+    x, accepted = design._solve_direct(matrix, rhs)
+    assert np.isnan(x[3]).all() and accepted.tolist() == [True, True, False, False, True]
+    keep = [0, 1, 4]
+    assert x[keep].tobytes() == stacked_x[keep].tobytes()
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.05, 0.2])
