@@ -29,13 +29,10 @@ the table-file codec of fileio (csv_text, read_csv).
 from __future__ import annotations
 
 import math
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,6 +50,7 @@ from .fileio import (
     positive,
     read_csv,
     read_sections,
+    scipy_extension,
     um_from_nm,
 )
 from .modes import format_mode_label, parse_mode_label
@@ -471,29 +469,11 @@ _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 @cache
 def _highs():
-    """scipy's compiled HiGHS bindings, loaded from their file unless scipy.optimize
-    has imported them: importing them as a package first runs scipy.optimize's
-    __init__, 321 scipy modules in scipy 1.17 (0.64-0.70 s on 2 vCPUs, against
-    0.025 s for the file alone) that the LPs never use."""
-    if _HIGHS_MODULE in sys.modules:
-        return sys.modules[_HIGHS_MODULE]
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-    spec = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
-        _HIGHS_MODULE)
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no HiGHS extension _core in {folder}")
-    module = module_from_spec(spec)
-    # registered before it runs, as the import system does, so that a later
-    # import of scipy.optimize takes this module instead of initialising it again
-    sys.modules[_HIGHS_MODULE] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[_HIGHS_MODULE]
-        raise
-    return module
+    """scipy's compiled HiGHS bindings, loaded from their file (scipy_extension)
+    unless scipy.optimize has imported them: importing them as a package first
+    runs scipy.optimize's __init__, 321 scipy modules in scipy 1.17 (0.64-0.70 s
+    on 2 vCPUs, against 0.025 s for the file alone) that the LPs never use."""
+    return scipy_extension(_HIGHS_MODULE, "HiGHS extension")
 
 
 # scipy.optimize._linprog_highs._highs_to_scipy_status_message, by HighsModelStatus name

@@ -17,13 +17,19 @@ which csv_text writes and read_csv reads back.
 A range rule (positive, at_least(bound), span_rule, ...) returns what is wrong
 with a value ("must be > 0, got -1.0") or None.  The library raises it through
 check as ValueError("<name> must be ..."); the CLI reports "--<flag>: must be ...".
+
+scipy_extension loads one of scipy's compiled modules from its file, without
+running the __init__ of the package that holds it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import tempfile
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from pathlib import Path
 
 
@@ -185,3 +191,30 @@ def atomic_write_text(path, text):
         except OSError:
             pass
         raise
+
+
+def scipy_extension(name, what):
+    """scipy's compiled module `name` (dotted), loaded from its file unless imported.
+
+    The module is registered under its full name before it runs, as the import
+    system does, so that a later import of its package takes this module instead
+    of initialising it again; if it fails to run, the entry is removed.  A
+    missing file raises ImportError naming `what`, the folder and scipy's version.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = Path(scipy.__file__).parent.joinpath(*name.split(".")[1:-1])
+    spec = FileFinder(str(folder), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {what} {name.rpartition('.')[2]} "
+                          f"in {folder}")
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module

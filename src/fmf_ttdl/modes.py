@@ -14,10 +14,13 @@ exp(-2 q (r_outer - r_inner)), 1.0 for J/Y; the dropped growth factor is
 positive.  A power-law basis takes over where q r underflows, which keeps the
 characteristic function continuous across basis switches.  Bessel
 derivatives come from the order-lowering recurrences, so each basis function
-costs one special-function call at orders l-1 and l.  The innermost region
-keeps only its regular solution and the unbounded cladding only K_l; guided
-effective indices are the zeros of the resulting boundary-matching
-determinant.  The kernel takes an order and a wavelength per trial point.
+needs its values at orders l-1 and l only: a ufunc call at each for J, I and
+K, and for Y one forward recurrence, a bit-for-bit port of scipy.special.yn
+(_yn).  The ufuncs are loaded from scipy's compiled _special_ufuncs file, so
+no path imports scipy.special.  The innermost region keeps only its regular
+solution and the unbounded cladding only K_l; guided effective indices are
+the zeros of the resulting boundary-matching determinant.  The kernel takes
+an order and a wavelength per trial point.
 
 Roots are found by count on a uniform n_eff grid over the guided range.  The
 mode count N_l(n), the number of guided modes of order l above n_eff = n, is
@@ -52,6 +55,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +70,7 @@ from .fileio import (
     fmt_float,
     grid_points,
     read_csv,
+    scipy_extension,
     um_from_nm,
 )
 
@@ -221,25 +226,89 @@ def _renormalize(state):
     return state / scale[:, None]
 
 
-def _with_derivative(bessel, l, x, lower_sign=1.0):
-    """(f_l(x), f_l'(x)) for x > 0 from `bessel` at orders l and l-1.
+def _with_derivative(orders, l, x, lower_sign=1.0):
+    """(f_l(x), f_l'(x)) for x > 0 from orders(l, x) = (f_l(x), f_{l-1}(x)).
 
     f_l' = lower_sign * f_{l-1} - (l/x) f_l holds with lower_sign = +1 for
     J, Y and I and -1 for K (Abramowitz & Stegun 9.1.27, 9.6.26), also for
     the exp(-/+x) scaled ive/kve since both sides carry the same factor.
-    Y is the integer-order yn, which accepts the order -1 that l = 0 needs;
-    an integer array l keeps yn on that loop.
     """
-    value = bessel(l, x)
-    return value, lower_sign * bessel(l - 1, x) - (l / x) * value
+    value, lower = orders(l, x)
+    return value, lower_sign * lower - (l / x) * value
+
+
+def _yn(y0, y1, l, x):
+    """(Y_l(x), Y_{l-1}(x)) for integer orders l >= 0 that broadcast to x's shape,
+    bit for bit scipy.special.yn.
+
+    That is cephes's yn: Y_0 and Y_1 (y0, y1), then the forward recurrence
+    Y_{k+1} = 2k Y_k / x - Y_{k-1}, which stops at its first non-finite term.
+    Here one recurrence stacks Y_{-1} = -1.0 * Y_1 (as cephes forms it: a
+    negation would flip a NaN's sign), Y_0, ..., Y_max(l) for every point, and
+    each point takes its orders l - 1 and l from the stack.  A term after a
+    non-finite one is non-finite too, so a point whose Y_l is not finite may
+    have run past cephes's stop; _yn_at evaluates it again as cephes does.
+    """
+    l = np.asarray(l)
+    top = max(int(l.max()), 1)
+    terms = np.empty((top + 2, *x.shape))  # Y_{k-1} at index k
+    y0(x, out=terms[1])
+    y1(x, out=terms[2])
+    np.multiply(terms[2], -1.0, out=terms[0])
+    with np.errstate(all="ignore"):
+        for k, (anm2, anm1, an) in enumerate(zip(terms[1:], terms[2:], terms[3:]), start=1):
+            np.multiply(anm1, 2.0 * k, an)
+            np.divide(an, x, an)
+            np.subtract(an, anm2, an)
+    at = l * x.size + np.arange(x.size).reshape(x.shape)  # of Y_{l-1} in the flat stack
+    value, lower = terms.ravel()[at + x.size], terms.ravel()[at]
+    if not np.isfinite(value).all():
+        redo = ~np.isfinite(value) & (l > 1)
+        points = list(zip(np.broadcast_to(l, x.shape)[redo].tolist(), x[redo].tolist()))
+        value[redo] = [_yn_at(y0, y1, n, t) for n, t in points]
+        lower[redo] = [_yn_at(y0, y1, n - 1, t) for n, t in points]
+    return value, lower
+
+
+def _yn_at(y0, y1, n, x):
+    """cephes's yn(n, x) for one order n >= 1 at a Python float x (below 0, y0 and
+    y1 give the NaN that cephes returns)."""
+    if n == 1:
+        return y1(x)
+    if x == 0.0:
+        return -math.inf
+    anm2, anm1 = float(y0(x)), float(y1(x))
+    for k in range(1, n):
+        an = (2.0 * k) * anm1 / x - anm2
+        if not math.isfinite(an):
+            break
+        anm2, anm1 = anm1, an
+    return an
+
+
+@cache
+def _bessel():
+    """(J, Y, I, K) as the orders functions of _with_derivative.
+
+    jv, y0, y1, ive and kve come from scipy's _special_ufuncs extension,
+    loaded from its file (scipy_extension): importing scipy.special to reach
+    them costs 0.25 s, against 0.015 s for the file.  Y is _yn; the others
+    call their ufunc at orders l and l - 1.
+    """
+    ufuncs = scipy_extension("scipy.special._special_ufuncs", "Bessel ufunc extension")
+
+    def orders(bessel):
+        return lambda l, x: (bessel(l, x), bessel(l - 1, x))
+
+    return (orders(ufuncs.jv), partial(_yn, ufuncs.y0, ufuncs.y1),
+            orders(ufuncs.ive), orders(ufuncs.kve))
 
 
 def _bases(u2, degenerate):
     """The (rows, sign, regular, irregular, Wronskian scale / r_inner) of each basis; see above."""
-    import scipy.special as sp  # deferred: 0.16-0.3 s to import; only mode solving needs it
-
-    return (((u2 > 0.0) & ~degenerate, 1.0, sp.jv, sp.yn, 0.5 * math.pi),
-            ((u2 < 0.0) & ~degenerate, -1.0, sp.ive, sp.kve, -1.0))
+    j, y, i, k = _bessel()
+    return (((u2 > 0.0) & ~degenerate, 1.0, j, y, 0.5 * math.pi),
+            ((u2 < 0.0) & ~degenerate, -1.0, i, k, -1.0))
 
 
 def _initial_state(l, u2, radius):
@@ -302,11 +371,10 @@ def _propagator(l, u2, edges):
 
 def _determinant(points, l, n_eff, state):
     """Scale-normalized a - b of the state at the last boundary against the cladding's K_l."""
-    import scipy.special as sp  # deferred, as in _bases
-
     radii, rows = points
+    *_, k = _bessel()
     w = np.sqrt(rows[:, 0] * (n_eff**2 - rows[:, 1]))
-    k_val, k_deriv = _with_derivative(sp.kve, l, w * radii[-1], -1.0)
+    k_val, k_deriv = _with_derivative(k, l, w * radii[-1], -1.0)
     a = state[:, 0] * w * k_deriv
     b = state[:, 1] * k_val
     scale = np.abs(a) + np.abs(b)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from fmf_ttdl.design import ConversionGraph, DesignTargets, Segment
@@ -17,6 +21,13 @@ REFERENCE_MODE_ROWS = (
 )
 
 RING_LAYERS = (Layer(3.0, 0.0021), Layer(10.0, 0.0072))
+
+
+def run_python(code, *path):
+    """Run code in a fresh interpreter with path ahead of PYTHONPATH."""
+    pythonpath = os.pathsep.join([*map(str, path), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
 
 
 def make_reference_table():

@@ -44,8 +44,11 @@ TEST_FILES = {
     "design": ("test_design.py", "test_design_properties.py", "test_acceptance.py",
                "test_cli.py"),
     "evaluate": ("test_evaluate.py", "test_acceptance.py", "test_cli.py"),
-    "fileio": ("test_fileio.py", "test_parser_fuzz.py"),
-    "materials": ("test_materials.py", "test_modes.py"),
+    # every module reads its files and checks its ranges through fileio
+    "fileio": ("test_fileio.py", "test_parser_fuzz.py", "test_materials.py", "test_modes.py",
+               "test_modes_properties.py", "test_design.py", "test_design_properties.py",
+               "test_evaluate.py", "test_cli.py", "test_cli_diagnostics.py", "test_acceptance.py"),
+    "materials": ("test_materials.py", "test_modes.py", "test_acceptance.py"),
     "modes": ("test_modes.py", "test_modes_properties.py", "test_acceptance.py"),
 }
 
@@ -65,6 +68,28 @@ EQUIVALENT = {
         "solution is kept",
     ("design", "lp.a_matrix_.start_ = np.searchsorted(col, np.arange(cols + (2)))"):
         "HiGHS reads num_col + 1 column starts; the extra one would repeat the last",
+    ("modes", "top = max(int(l.max()), (2))"):
+        "the recurrence runs one order further, to a term no point takes",
+    ("modes", "terms = np.empty((top + (3), *x.shape))  # Y_{k-1} at index k"):
+        "the recurrence runs one order further, to a term no point takes",
+    ("modes", "return ((((u2 >= 0.0)) & ~degenerate, 1.0, j, y, 0.5 * math.pi),"):
+        "a row with u2 = 0 is degenerate, and the mask leaves it out",
+    ("modes", "(((u2 <= 0.0)) & ~degenerate, -1.0, i, k, -1.0))"):
+        "a row with u2 = 0 is degenerate, and the mask leaves it out",
+    ("modes", "return np.where((scale >= 0.0), (a - b) / np.where(scale > 0.0, scale, 1.0), 0.0)"):
+        "scale is 0 only where a and b are both zero, and then a - b is a zero too: only "
+        "its sign can differ, which no comparison reads",
+    ("modes", "return np.where(scale > 0.0, (a - b) / np.where((scale >= 0.0), scale, 1.0), 0.0)"):
+        "where scale is 0 the outer where discards the quotient",
+    ("modes", "return np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, (2.0)), 0.0)"):
+        "where scale is 0 the outer where discards the quotient",
+    ("modes", "table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, 64, "
+              "anchor=(1))"):
+        "the anchor only seeds the search at the other wavelengths, and any seeds give the "
+        "same brackets and cells",
+    ("modes", "_SEED_REACH = (2)            # cells around another wavelength's root cell that "
+              "a search counts first"):
+        "the reach only widens the seeds, and any seeds give the same brackets and cells",
 }
 
 

@@ -382,6 +382,30 @@ def test_no_path_imports_scipy_optimize(probe, runs_lp, tmp_path):
     assert result.stdout.splitlines()[-1].split() == [calibrated, "False", str(runs_lp)]
 
 
+def test_mode_solving_imports_neither_scipy_special_nor_optimize(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    code = f"""
+import sys
+from fmf_ttdl import load_profile, solve_mode_table
+from fmf_ttdl.cli import main
+assert solve_mode_table(load_profile({PROFILE!r}), 1.55).modes
+assert main(["solve-modes", "--profile", {PROFILE!r}, "--out", {str(tmp_path / "modes.csv")!r}]) == 0
+print(sorted(m for m in ("scipy.special", "scipy.optimize") if m in sys.modules),
+      "scipy.special._special_ufuncs" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    # the Bessel ufuncs are loaded from their file, without their package
+    assert result.stdout.splitlines()[-1] == "[] True"
+
+
 def test_unreadable_text_file_is_a_config_error(tmp_path, capsys):
     binary = tmp_path / "binary.prof"
     binary.write_bytes(b"\xff\xfe\x00")

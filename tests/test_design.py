@@ -1,12 +1,10 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from oracles import (
     PLACEMENT_VARIABLES,
     grid_search_two_sample,
@@ -670,13 +668,6 @@ assert (result.message, result.x.tobytes()) == (message, x.tobytes())
 """
 
 
-def _python(code, *path):
-    """Run code in a fresh interpreter with path ahead of PYTHONPATH."""
-    pythonpath = os.pathsep.join([*map(str, path), os.environ.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": pythonpath})
-
-
 def test_scipy_optimize_imported_after_an_lp_shares_its_highs_module():
     code = _DEMO_LP + """
 first = design._highs_lp(*lp)
@@ -686,7 +677,7 @@ from scipy.optimize._highspy import _core
 assert _core is design._highs()
 assert design._highs_lp(*lp).x.tobytes() == first.x.tobytes()
 """ + _SAME_AS_LINPROG + "print('ok')"
-    result = _python(code, TESTS.parent / "src", TESTS)
+    result = run_python(code, TESTS.parent / "src", TESTS)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 
@@ -698,7 +689,7 @@ from scipy.optimize._highspy import _core
 """ + _DEMO_LP + """
 assert design._highs() is _core
 """ + _SAME_AS_LINPROG + "print('ok')"
-    result = _python(code, TESTS.parent / "src", TESTS)
+    result = run_python(code, TESTS.parent / "src", TESTS)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 
@@ -708,7 +699,7 @@ def test_missing_highs_extension_is_an_import_error_naming_the_folder(tmp_path):
     (tmp_path / "scipy").mkdir()
     (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0.stub'\n")
     code = _DEMO_LP + "design.solve_placements(system)\n"
-    result = _python(code, tmp_path, TESTS.parent / "src")
+    result = run_python(code, tmp_path, TESTS.parent / "src")
     folder = tmp_path / "scipy" / "optimize" / "_highspy"
     assert result.returncode == 1
     assert result.stderr.splitlines()[-1] == (
@@ -734,7 +725,7 @@ except ImportError as error:
 assert design._HIGHS_MODULE not in sys.modules
 ExtensionFileLoader.exec_module = exec_module
 """ + _SAME_AS_LINPROG + "print('ok')"
-    result = _python(code, TESTS.parent / "src", TESTS)
+    result = run_python(code, TESTS.parent / "src", TESTS)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.special as sp
 
 import oracles
+from conftest import run_python
 from oracles import two_layer_lp_modes, two_layer_lp_roots
 
 from fmf_ttdl.fileio import FileFormatError
@@ -88,6 +89,21 @@ def test_characteristic_value_continuous_across_basis_switch(ring_profile):
         above = characteristic_value(ring_profile, l, n_switch + 1e-9, 1.55)
         assert at == pytest.approx(below, abs=1e-6)
         assert at == pytest.approx(above, abs=1e-6)
+
+
+def test_characteristic_value_is_the_normalized_step_index_determinant():
+    # one layer: R = J_l(q r) up to a positive factor, so the value is a - b over
+    # |a| + |b| with a = R w K_l'(w r1) and b = R' K_l(w r1), whatever R's scale
+    profile = FiberProfile(layers=(Layer(10.0, 0.0072),))
+    n_core, n_clad = profile.layer_index(0, 1.55), profile.cladding_index(1.55)
+    k0 = 2.0 * np.pi / 1.55
+    for l in (0, 1, 3):
+        for n_eff in np.linspace(n_clad + 1e-6, n_core - 1e-6, 40).tolist():
+            q, w = k0 * np.sqrt(n_core**2 - n_eff**2), k0 * np.sqrt(n_eff**2 - n_clad**2)
+            a = sp.jv(l, q * 10.0) * w * sp.kvp(l, w * 10.0)
+            b = q * sp.jvp(l, q * 10.0) * sp.kv(l, w * 10.0)
+            assert characteristic_value(profile, l, n_eff, 1.55) == pytest.approx(
+                (a - b) / (abs(a) + abs(b)), rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -508,23 +524,97 @@ def test_probes_by_rank_resolve_where_the_continuation_window_raised(ring_profil
 
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 9])
 def test_recurrence_derivatives_match_scipy(l):
-    from fmf_ttdl.modes import _with_derivative
+    from fmf_ttdl.modes import _bessel, _with_derivative
 
     x = np.linspace(0.05, 60.0, 4001)
+    j, y, i, k = _bessel()
     cases = (
-        (sp.jv, sp.jvp, 1.0),
-        (sp.yn, sp.yvp, 1.0),
-        (sp.ive, lambda l, x: sp.ivp(l, x) * np.exp(-x), 1.0),
-        (sp.kve, lambda l, x: sp.kvp(l, x) * np.exp(x), -1.0),
+        (j, sp.jv, sp.jvp, 1.0),
+        (y, sp.yn, sp.yvp, 1.0),
+        (i, sp.ive, lambda l, x: sp.ivp(l, x) * np.exp(-x), 1.0),
+        (k, sp.kve, lambda l, x: sp.kvp(l, x) * np.exp(x), -1.0),
     )
-    for bessel, reference, sign in cases:
-        value, derivative = _with_derivative(bessel, l, x, sign)
+    for orders, bessel, reference, sign in cases:
+        value, derivative = _with_derivative(orders, l, x, sign)
         expected = reference(l, x)
         # away from the zeros of f_l', where the two recurrence terms cancel
         away = np.abs(expected) > 1e-2 * np.maximum(np.abs(value), np.abs(bessel(l - 1, x)))
         assert away.mean() > 0.99
         assert np.all(value == bessel(l, x))
         np.testing.assert_allclose(derivative[away], expected[away], rtol=1e-12, atol=0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_yn_port_equals_scipy_yn_bit_for_bit_at_both_orders():
+    from fmf_ttdl.modes import _bessel
+
+    _, y, _, _ = _bessel()
+    x = np.concatenate([[0.0, -0.0, -1.0, 5e-324, 1e-300, np.nan, np.inf],
+                        np.geomspace(1e-8, 1e3, 3001)])
+    orders = np.arange(65)
+    # every order at every x, laid out as _propagator passes them: edges by rows
+    grid = np.broadcast_to(x[:, None], (x.size, orders.size))
+    value, lower = y(orders, grid)
+    assert (_bits(value) == _bits(sp.yn(orders, grid))).all()
+    assert (_bits(lower) == _bits(sp.yn(orders - 1, grid))).all()
+    # x = 0 and overflow part way up the recurrence, where cephes stops at -inf
+    assert np.isneginf(value[:2]).all()
+    assert (np.isneginf(value) & np.isfinite(lower)).sum() >= 60
+    # one call of mixed orders: every point runs the recurrence to the highest
+    mixed = np.random.default_rng(3).integers(0, 65, x.size)
+    value, lower = y(mixed, x)
+    assert (_bits(value) == _bits(sp.yn(mixed, x))).all()
+    assert (_bits(lower) == _bits(sp.yn(mixed - 1, x))).all()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+_DEMO_SOLVE = f"""
+import sys
+from fmf_ttdl import load_profile, solve_mode_table
+profile = load_profile({str(TESTS.parent / "demo" / "ring_core.prof")!r})
+table = solve_mode_table(profile, 1.55)
+"""
+
+
+def test_scipy_special_imported_after_a_solve_shares_its_ufuncs():
+    code = _DEMO_SOLVE + """
+loaded = sys.modules["scipy.special._special_ufuncs"]
+assert "scipy.special" not in sys.modules
+import scipy.special
+from scipy.special import _special_ufuncs
+assert _special_ufuncs is loaded and scipy.special.jv is loaded.jv
+assert solve_mode_table(profile, 1.55) == table
+print("ok")
+"""
+    result = run_python(code, SRC)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_ufuncs_imported_by_scipy_special_are_not_loaded_again():
+    code = "import scipy.special, sys\n" + _DEMO_SOLVE + """
+assert sys.modules["scipy.special._special_ufuncs"] is scipy.special._special_ufuncs
+print(",".join(table.labels()))
+"""
+    result = run_python(code, SRC)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ",".join(EXPECTED_ORDER) + "\n"
+
+
+def test_missing_special_ufuncs_is_an_import_error_naming_the_folder(tmp_path):
+    # a scipy without its special folder; numpy stays the real one
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0.stub'\n")
+    result = run_python(_DEMO_SOLVE, tmp_path, SRC)
+    folder = tmp_path / "scipy" / "special"
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == (
+        f"ImportError: scipy 0.0.stub has no Bessel ufunc extension _special_ufuncs in {folder}"
+    )
 
 
 # --- lockstep solves against the per-order search -------------------------------
@@ -709,6 +799,37 @@ def test_count_and_search_match_the_per_order_scan_on_wide_profiles(layers):
     counts = modes._mode_counts(modes._points([geometry], [orders.size]), orders,
                                 np.full(orders.size, low))
     assert counts.tolist() == [sum(r.l == l for r in table.modes) for l in orders.tolist()]
+
+
+def test_every_solve_stops_its_azimuthal_scan_at_order_64_with_a_warning():
+    # a thin ring 36-38 um across guides orders beyond 64 at 520 nm
+    profile = FiberProfile(layers=(Layer(36.0, 0.0), Layer(38.0, 0.008)))
+    stopped = "azimuthal scan stopped at l=64 with modes still guided"
+    for solve, tables in ((lambda: find_modes(profile, 0.52), 1),
+                          (lambda: solve_mode_table(profile, 0.52), 3),  # and its two probes
+                          (lambda: sweep_modes(profile, 520.0, 520.0, 1.0)[0], 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = solve()
+        assert [str(w.message) for w in caught] == [stopped] * tables
+        assert max(record.l for record in table.modes) == 64
+
+
+def test_l0_count_in_a_wide_core_steps_over_no_zero_of_j0():
+    # q r1 reaches 10.6 here; where it lies in [8.65, 9.2], one step of 4.6/q would
+    # hold both j_0,2 = 5.52 and j_0,3 = 8.65, which the count's 2.3/q keeps apart
+    from fmf_ttdl import modes
+
+    profile = FiberProfile(layers=(Layer(15.0, 0.0072),))
+    table = find_modes(profile, 1.55)
+    assert table == oracles.find_modes_per_order(profile, 1.55)
+    roots = [record.n_eff for record in table.modes if record.l == 0]
+    assert len(roots) >= 3
+    geometry = modes._geometry(profile, 1.55)
+    points = modes._points([geometry], [1])
+    for n_eff in modes._scan_grid(geometry, 2000)[::4].tolist():  # one a call: its own steps
+        [count] = modes._mode_counts(points, np.zeros(1, dtype=int), np.array([n_eff]))
+        assert count == sum(root > n_eff for root in roots), n_eff
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
