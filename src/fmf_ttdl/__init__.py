@@ -16,7 +16,6 @@ from .design import (
     PlacementSolution,
     RobustnessReport,
     Segment,
-    UnboundedDispersionError,
     UnknownModeError,
     assemble_constraints,
     load_graph,
@@ -53,7 +52,6 @@ from .materials import (
     load_profile,
     material_index,
     parse_profile,
-    profile_index,
 )
 from .modes import (
     BracketRefinementError,
@@ -62,10 +60,8 @@ from .modes import (
     ModeSolverError,
     ModeTable,
     characteristic_value,
-    dispersion,
     find_modes,
     format_mode_label,
-    group_delay,
     parse_mode_label,
     read_mode_table,
     solve_mode_table,

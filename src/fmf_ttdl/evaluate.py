@@ -59,12 +59,11 @@ def sample_delays_first_order(solution, wavelengths_nm):
     return delays[:, 0] if scalar else delays
 
 
-def sample_delays_numeric(solution, graph, profile, wavelength_nm,
-                          dlambda_um=5e-4, scan_points=2000, root_tol=1e-12):
-    """Per-sample delay per unit length, in graph order, from a fresh mode solve at lambda."""
-    lambda_um = um_from_nm(float(wavelength_nm))
+def sample_delays_numeric(solution, graph, profile, wavelength_nm):
+    """Per-sample delay per unit length, in graph order, from a fresh mode solve at lambda
+    with solve_mode_table's default solver settings."""
     try:
-        table = solve_mode_table(profile, lambda_um, dlambda_um, scan_points, root_tol)
+        table = solve_mode_table(profile, um_from_nm(float(wavelength_nm)))
         tau, _ = modal_weights(table, solution.reference_mode)
     except ModeSolverError as exc:
         raise EvaluationError(str(exc)) from exc
@@ -96,18 +95,14 @@ class DelayCurve:
         return np.diff(self.sample_delays_ps_per_km, axis=0)
 
 
-def delay_curve(solution, wavelengths_nm, model=FIRST_ORDER, graph=None,
-                profile=None, **solver_kwargs):
+def delay_curve(solution, wavelengths_nm, model=FIRST_ORDER, graph=None, profile=None):
     lam = np.atleast_1d(np.asarray(wavelengths_nm, dtype=float))
     if model == FIRST_ORDER:
         delays = sample_delays_first_order(solution, lam)
     elif model == NUMERIC_SWEEP:
         if graph is None or profile is None:
             raise ValueError("numeric-sweep model needs graph and profile")
-        columns = [
-            sample_delays_numeric(solution, graph, profile, value, **solver_kwargs)
-            for value in lam
-        ]
+        columns = [sample_delays_numeric(solution, graph, profile, value) for value in lam]
         delays = np.stack(columns, axis=1)
     else:
         raise ValueError(f"model must be '{FIRST_ORDER}' or '{NUMERIC_SWEEP}', got '{model}'")

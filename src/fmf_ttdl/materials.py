@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .fileio import FileFormatError, check, finite_float, non_negative, positive, read_sections
+from .fileio import FileFormatError, finite_float, positive, read_sections
 
 # Three-term Sellmeier fits, (amplitude, resonance wavelength in um) per term.
 SILICA_SELLMEIER = (
@@ -243,15 +243,6 @@ class FiberProfile:
             fraction = _blend_fraction_for_delta(layer.delta)
             return material_index(self.cladding, fraction, wavelength_um)
         return self.cladding_index(wavelength_um) * (1.0 + layer.delta)
-
-
-def profile_index(profile, radius_um, wavelength_um):
-    """Index at radial position r; boundary radii belong to the inner layer."""
-    check("radius", non_negative, radius_um)
-    for position, layer in enumerate(profile.layers):
-        if radius_um <= layer.radius_um:
-            return profile.layer_index(position, wavelength_um)
-    return profile.cladding_index(wavelength_um)
 
 
 def _fields(entries, keys, where, diagnostics):

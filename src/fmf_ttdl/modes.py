@@ -86,6 +86,7 @@ _BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _BISECT_MAXITER = 100
 _SPLIT = 16                # grid indices counted per open range and call of the root search
 _SEED_REACH = 1            # cells around another wavelength's root cell that a search counts first
+_MAX_AZIMUTHAL = 64        # the highest order a solve searches
 
 MODE_TABLE_HEADER = "l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm"
 
@@ -105,7 +106,7 @@ class BracketRefinementError(ModeSolverError):
 
 
 class ModeContinuationError(ModeSolverError):
-    """A mode is not guided at lambda0, or its order has fewer than m roots at a probe."""
+    """A mode of the table at lambda0 has fewer than m roots of its order at a probe."""
 
 
 def format_mode_label(l, m):
@@ -625,10 +626,10 @@ def _cutoff_order(geometry, n_low):
     return math.ceil(math.hypot(reach, 0.5))
 
 
-def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal, anchor=None):
+def _find_tables(profile, wavelengths_um, scan_points, root_tol, anchor=None):
     """The ModeTable (n_eff only) at each wavelength, in turn.
 
-    Every order below _cutoff_order (and up to max_azimuthal) is searched at
+    Every order below _cutoff_order (and up to _MAX_AZIMUTHAL) is searched at
     the anchor wavelength, the middle one by default, then at all others in
     one _search seeded near the anchor's cells of the same order.  A table
     takes the orders before the first without a root on its grid.  One
@@ -638,7 +639,7 @@ def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal, 
     geometries = [_geometry(profile, lam) for lam in wavelengths_um]
     grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
     cases = [[(geometry, l, grid) for l in range(
-              min(max_azimuthal, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0)]
+              min(_MAX_AZIMUTHAL, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0)]
              for geometry, grid in zip(geometries, grids)]
     anchor = len(cases) // 2 if anchor is None else anchor
     first = _search(cases[anchor])
@@ -661,17 +662,16 @@ def _find_tables(profile, wavelengths_um, scan_points, root_tol, max_azimuthal, 
         records = [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=lam)
                    for l, order_roots in enumerate(by_order)
                    for m, n_eff in enumerate(order_roots, start=1)]
-        if len(orders) > max_azimuthal:
-            warnings.warn(f"azimuthal scan stopped at l={max_azimuthal} with modes still guided")
+        if len(orders) > _MAX_AZIMUTHAL:
+            warnings.warn(f"azimuthal scan stopped at l={_MAX_AZIMUTHAL} with modes still guided")
         records.sort(key=lambda record: -record.n_eff)
         yield ModeTable(tuple(records), lam)
 
 
-def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
-               max_azimuthal=64):
+def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
     """All guided LP modes at one wavelength (effective indices only)."""
     _check_search_params(scan_points, root_tol)
-    return next(_find_tables(profile, [wavelength_um], scan_points, root_tol, max_azimuthal))
+    return next(_find_tables(profile, [wavelength_um], scan_points, root_tol))
 
 
 def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
@@ -692,7 +692,7 @@ def _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol):
     """
     _check_search_params(scan_points, root_tol)
     wavelengths = (lambda0_um, lambda0_um - dlambda_um, lambda0_um + dlambda_um)
-    table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, 64, anchor=0)
+    table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, anchor=0)
 
     def characterize(record):
         n_eff = []
@@ -705,30 +705,6 @@ def _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol):
         return _tau_and_dispersion(n_eff[0], record.n_eff, n_eff[1], lambda0_um, dlambda_um)
 
     return table, characterize
-
-
-def _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points,
-                             root_tol):
-    """(tau, D) of one mode."""
-    table, characterize = _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol)
-    try:
-        record = table.mode(l, m)
-    except KeyError:
-        raise ModeContinuationError(
-            f"mode {format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm") from None
-    return characterize(record)
-
-
-def group_delay(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-                root_tol=1e-12):
-    """Absolute group delay per unit length, ps/km."""
-    return _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol)[0]
-
-
-def dispersion(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-               root_tol=1e-12):
-    """Chromatic dispersion, ps/(km nm)."""
-    return _mode_tau_and_dispersion(profile, l, m, lambda0_um, dlambda_um, scan_points, root_tol)[1]
 
 
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
@@ -754,7 +730,7 @@ def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
     wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
     _check_search_params(scan_points, root_tol)
     tables = []
-    for table in _find_tables(profile, wavelengths, scan_points, root_tol, 64):
+    for table in _find_tables(profile, wavelengths, scan_points, root_tol):
         _warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables

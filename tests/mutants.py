@@ -20,7 +20,8 @@ there with -x and a timeout.  A mutant is killed when they fail or time out,
 and survives when they pass.  Each mutant is printed with its verdict, line
 and change; the last line is the score.  Mutants listed in EQUIVALENT cannot
 change what the package does; they are printed as such and left out of the
-score.
+score.  A run over every site of the module (no --functions, no --sample)
+first prints each EQUIVALENT key of the module that matches no site.
 
 This is not a test file: pytest does not collect it, and a run takes minutes.
 """
@@ -83,7 +84,7 @@ EQUIVALENT = {
         "where scale is 0 the outer where discards the quotient",
     ("modes", "return np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, (2.0)), 0.0)"):
         "where scale is 0 the outer where discards the quotient",
-    ("modes", "table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, 64, "
+    ("modes", "table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, "
               "anchor=(1))"):
         "the anchor only seeds the search at the other wavelengths, and any seeds give the "
         "same brackets and cells",
@@ -206,6 +207,11 @@ def main(argv=None):
     target = ROOT / "src" / "fmf_ttdl" / f"{args.module}.py"
     source = target.read_text()
     chosen = list(mutants(source, args.functions))
+    if not args.functions and args.sample is None:
+        lines = {line for *_, line, _ in chosen}
+        for module, line in EQUIVALENT:
+            if module == args.module and line not in lines:
+                print(f"stale EQUIVALENT key, matches no site: {line}", flush=True)
     if args.sample is not None and args.sample < len(chosen):
         picked = sorted(random.Random(args.seed).sample(range(len(chosen)), args.sample))
         chosen = [chosen[i] for i in picked]

@@ -309,21 +309,21 @@ def _order_roots(geometry, l, scan_points, root_tol):
     return _grid_roots(geometry, l, grid, 0, scan_points, root_tol * modes._REFINE_FACTOR)
 
 
-def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-12,
-                         max_azimuthal=64):
-    """modes.find_modes, one order after the other until the first without a root."""
+def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
+    """modes.find_modes, one order after the other until the first without a root
+    or past order 64."""
     modes._check_search_params(scan_points, root_tol)
     geometry = modes._geometry(profile, wavelength_um)
     records = []
     if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * modes._EDGE_MARGIN:
-        for l in range(max_azimuthal + 1):
+        for l in range(64 + 1):
             roots = _order_roots(geometry, l, scan_points, root_tol)
             if not roots:
                 break
             records += [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=wavelength_um)
                         for m, n_eff in enumerate(roots, start=1)]
         else:
-            warnings.warn(f"azimuthal scan stopped at l={max_azimuthal} with modes still guided")
+            warnings.warn("azimuthal scan stopped at l=64 with modes still guided")
     records.sort(key=lambda record: -record.n_eff)
     return ModeTable(tuple(records), wavelength_um)
 
@@ -368,19 +368,6 @@ def solve_mode_table_per_order(profile, lambda0_um, dlambda_um=5e-4, scan_points
         tau, disp = _characterize(record, probes, lambda0_um, dlambda_um, root_tol)
         filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
     return ModeTable(tuple(filled), lambda0_um)
-
-
-def tau_and_dispersion_per_order(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-                                 root_tol=1e-12):
-    """(modes.group_delay, modes.dispersion) from a scan of order l alone."""
-    modes._check_search_params(scan_points, root_tol)
-    roots = _order_roots(modes._geometry(profile, lambda0_um), l, scan_points, root_tol)
-    if m > len(roots):
-        raise modes.ModeContinuationError(
-            f"mode {modes.format_mode_label(l, m)} not guided at {lambda0_um * 1e3} nm")
-    probes = _probes(profile, lambda0_um, dlambda_um, scan_points)
-    return _characterize(ModeRecord(l, m, roots[m - 1], lambda0_um), probes, lambda0_um,
-                         dlambda_um, root_tol)
 
 
 def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,

@@ -1,14 +1,15 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fmf_ttdl.cli import ConfigError, main, parse_config
+from fmf_ttdl.cli import ConfigError, main, parse_config, run_pipeline
 from fmf_ttdl.design import DesignTargets, load_graph, perturb_and_redesign, read_placements
 from fmf_ttdl.evaluate import rf_response
 from fmf_ttdl.fileio import grid_points
 from fmf_ttdl.materials import load_profile
-from fmf_ttdl.modes import find_modes, read_mode_table, sweep_modes
+from fmf_ttdl.modes import ModeTable, find_modes, read_mode_table, sweep_modes
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 PROFILE = str(DEMO / "ring_core.prof")
@@ -118,6 +119,17 @@ def test_design_stage_end_to_end(tmp_path, capsys):
     positions = (tmp_path / "lpg_positions.csv").read_text().strip().splitlines()
     assert positions[0] == "junction,from_mode,to_mode,z_km"
     assert len(positions) == 6
+    # a delays-only design on a table without D reports no D_eq column values
+    config = parse_config(design_args(tmp_path) + ["--dispersion-rule", "delays-only"])
+    config.mode_table = ModeTable([replace(record, dispersion_ps_per_km_nm=None)
+                                   for record in config.mode_table.modes],
+                                  config.mode_table.lambda0_um)
+    run_pipeline(config)
+    report = (tmp_path / "design_report.txt").read_text().splitlines()
+    assert not [line for line in report if line.startswith("dispersion increment")]
+    start = report.index("  sample   tau_eq [ps/km]   D_eq [ps/(km nm)]") + 1
+    assert [line.split()[-1] for line in report[start:start + 4]] == ["--"] * 4
+    assert report[start + 4] == ""
 
 
 def test_evaluate_stage_end_to_end(tmp_path, capsys):

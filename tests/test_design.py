@@ -984,11 +984,14 @@ def test_placements_reader_rejects_repeats_and_out_of_range_values(reference_sol
     assert lines[1].startswith("l02,")
     lines[1] = "l02,1.5"
     lines.insert(2, "l02,0.9")
+    lines.insert(3, "l12_1,0.8,0.2")
     lines = [
         "lambda0_nm,0" if line.startswith("lambda0_nm,")
         else "delta_tau_ps_per_km,-100.0" if line.startswith("delta_tau_ps_per_km,")
+        else "reference_mode,LP0x" if line.startswith("reference_mode,")
         else line
         for line in lines
+        if not line.startswith("D_eq_4,")
     ]
     lines.append("tau_eq_1,1.0")
     number = {line: index for index, line in enumerate(lines, start=1)}
@@ -998,9 +1001,12 @@ def test_placements_reader_rejects_repeats_and_out_of_range_values(reference_sol
     assert excinfo.value.diagnostics == (
         (2, "bad length value for 'l02': must lie in [0, 1], got 1.5"),
         (3, "repeated length variable 'l02' (first on line 2)"),
+        (4, "expected 'name,value', got 'l12_1,0.8,0.2'"),
         (number["lambda0_nm,0"], "bad value for 'lambda0_nm': must be > 0, got 0"),
+        (number["reference_mode,LP0x"], "mode label must look like 'LP01', got 'LP0x'"),
         (number["delta_tau_ps_per_km,-100.0"],
          "bad value for 'delta_tau_ps_per_km': must be > 0, got -100.0"),
+        (len(lines), "3 D_eq entries for 4 tau_eq entries"),
         (len(lines), f"repeated summary key 'tau_eq_1' (first on line {first_tau})"),
     )
 

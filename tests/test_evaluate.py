@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fmf_ttdl.design import PlacementSolution, parse_graph
 from fmf_ttdl.evaluate import (
     DegenerateFilterError,
+    EvaluationError,
     delay_curve,
     delay_curve_to_csv,
     rf_response,
@@ -13,6 +15,7 @@ from fmf_ttdl.evaluate import (
     tunability_report,
 )
 from fmf_ttdl.fileio import order_rule, span_rule
+from fmf_ttdl.materials import FiberProfile, Layer
 
 
 def test_differential_delays_at_center_wavelength(reference_solution):
@@ -106,6 +109,24 @@ def test_numeric_curve_needs_graph_and_profile(solver_solution_blend, four_sampl
     with pytest.raises(ValueError, match="numeric-sweep model needs graph and profile"):
         delay_curve(solver_solution_blend, [1550.0], model="numeric-sweep",
                     graph=four_sample_graph)
+
+
+@pytest.mark.parametrize("reference, wavelength_nm, message", [
+    # the +0.5 nm probe of a solve at 1557.999 nm lies past LP11's cutoff
+    ((0, 1), 1557.999, "mode LP11 not resolvable at 1558.499 nm (cutoff crossed?)"),
+    ((0, 2), 1550.0, "reference mode LP02 not guided at 1550.0 nm"),
+    ((0, 1), 1560.0, "mode LP11 not guided at 1560.0 nm"),
+])
+def test_numeric_delays_need_every_mode_guided(reference, wavelength_nm, message):
+    # a weak step whose LP11 cuts off near 1558.20 nm; sample 2 rides LP11
+    profile = FiberProfile(layers=(Layer(7.3, 0.0016),))
+    graph = parse_graph("[sample 1]\nsegment = LP01, fixed\n[sample 2]\nsegment = LP11, fixed\n")
+    solution = PlacementSolution(lengths={}, tau_eq_ps_per_km=(0.0, 1.0), d_eq_ps_per_km_nm=None,
+                                 delta_tau_ps_per_km=1.0, delta_d_ps_per_km_nm=None,
+                                 lambda0_um=1.55, reference_mode=reference)
+    with pytest.raises(EvaluationError) as excinfo:
+        sample_delays_numeric(solution, graph, profile, wavelength_nm)
+    assert str(excinfo.value) == message
 
 
 def test_tunability_report(reference_solution):
@@ -234,8 +255,6 @@ def test_delay_curve_model_validation(reference_solution):
 
 def test_first_order_delays_without_dispersion_entries(reference_solution):
     from dataclasses import replace
-
-    from fmf_ttdl.evaluate import EvaluationError
 
     no_d = replace(reference_solution, d_eq_ps_per_km_nm=None)
     assert sample_delays_first_order(no_d, 1550.0).tolist() == list(

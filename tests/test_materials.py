@@ -21,7 +21,6 @@ from fmf_ttdl.materials import (
     load_profile,
     material_index,
     parse_profile,
-    profile_index,
 )
 
 SILICA = MaterialModel()
@@ -79,58 +78,28 @@ def two_layer_profile():
 
 def test_profile_index_in_cladding(two_layer_profile):
     for lam in (1.5, 1.55, 1.6):
-        assert profile_index(two_layer_profile, 15.0, lam) == material_index(
-            SILICA, 0.0, lam
-        )
+        assert two_layer_profile.cladding_index(lam) == material_index(SILICA, 0.0, lam)
 
 
 def test_profile_index_inner_layer(two_layer_profile):
     n_clad = two_layer_profile.cladding_index(1.55)
-    assert profile_index(two_layer_profile, 1.0, 1.55) == pytest.approx(
-        n_clad * 1.0021, rel=1e-12
-    )
+    assert two_layer_profile.layer_index(0, 1.55) == pytest.approx(n_clad * 1.0021, rel=1e-12)
 
 
 def test_profile_index_ring_layer(two_layer_profile):
     n_clad = two_layer_profile.cladding_index(1.55)
-    assert profile_index(two_layer_profile, 5.0, 1.55) == pytest.approx(
-        n_clad * 1.0072, rel=1e-12
-    )
+    assert two_layer_profile.layer_index(1, 1.55) == pytest.approx(n_clad * 1.0072, rel=1e-12)
 
 
 def test_profile_piecewise_constant(two_layer_profile):
-    inner = profile_index(two_layer_profile, 0.0, 1.55)
-    for r in (0.5, 1.7, 2.9, 3.0):
-        assert profile_index(two_layer_profile, r, 1.55) == inner
-    ring = profile_index(two_layer_profile, 3.0000001, 1.55)
-    for r in (4.0, 7.3, 9.99, 10.0):
-        assert profile_index(two_layer_profile, r, 1.55) == ring
-    assert ring != inner
-    assert profile_index(two_layer_profile, 10.0000001, 1.55) != ring
-
-
-def test_boundary_radius_belongs_to_inner_layer(two_layer_profile):
-    n_clad = two_layer_profile.cladding_index(1.55)
-    assert profile_index(two_layer_profile, 3.0, 1.55) == pytest.approx(
-        n_clad * 1.0021, rel=1e-12
-    )
-    assert profile_index(two_layer_profile, 10.0, 1.55) == pytest.approx(
-        n_clad * 1.0072, rel=1e-12
-    )
-
-
-def test_negative_radius_rejected(two_layer_profile):
-    with pytest.raises(ValueError):
-        profile_index(two_layer_profile, -0.1, 1.55)
+    # one index a layer, each its own, and the cladding's beyond the last layer
+    indices = [two_layer_profile.layer_index(j, 1.55) for j in (0, 1)]
+    assert len({*indices, two_layer_profile.cladding_index(1.55)}) == 3
 
 
 def test_scaled_silica_ratio_wavelength_independent(two_layer_profile):
-    ratios = []
-    for lam in np.linspace(1.25, 1.65, 10):
-        ratios.append(
-            profile_index(two_layer_profile, 5.0, lam)
-            / two_layer_profile.cladding_index(lam)
-        )
+    ratios = [two_layer_profile.layer_index(1, lam) / two_layer_profile.cladding_index(lam)
+              for lam in np.linspace(1.25, 1.65, 10)]
     assert max(ratios) - min(ratios) < 1e-12
 
 
@@ -139,9 +108,9 @@ def test_blend_layer_calibrated_at_1550nm():
         layers=(Layer(10.0, 0.0072),), cladding=MaterialModel(kind=SELLMEIER_BLEND)
     )
     n_clad = profile.cladding_index(1.55)
-    assert profile_index(profile, 5.0, 1.55) == pytest.approx(n_clad * 1.0072, abs=1e-12)
+    assert profile.layer_index(0, 1.55) == pytest.approx(n_clad * 1.0072, abs=1e-12)
     # away from the calibration wavelength the blend ratio drifts
-    ratio_low = profile_index(profile, 5.0, 1.30) / profile.cladding_index(1.30)
+    ratio_low = profile.layer_index(0, 1.30) / profile.cladding_index(1.30)
     assert ratio_low != pytest.approx(1.0072, abs=1e-9)
 
 

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,8 @@ from fmf_ttdl.modes import (
     ModeRecord,
     ModeTable,
     characteristic_value,
-    dispersion,
     find_modes,
     format_mode_label,
-    group_delay,
     mode_table_to_csv,
     parse_mode_label,
     parse_mode_table_csv,
@@ -78,6 +77,8 @@ def test_characteristic_value_domain_error(ring_profile):
         characteristic_value(ring_profile, 0, n_clad - 1e-4, 1.55)
     with pytest.raises(ValueError):
         characteristic_value(ring_profile, 0, 1.47, 1.55)
+    with pytest.raises(ValueError, match="profile has no layers"):
+        characteristic_value(FiberProfile(layers=()), 0, 1.45, 1.55)
 
 
 def test_characteristic_value_continuous_across_basis_switch(ring_profile):
@@ -235,14 +236,14 @@ def test_tau_and_dispersion_match_the_hellmann_feynman_group_index(ring_profile,
 
 
 def test_group_delay_half_step_convergence(ring_profile):
-    full = group_delay(ring_profile, 1, 1, 1.55, dlambda_um=5e-4)
-    half = group_delay(ring_profile, 1, 1, 1.55, dlambda_um=2.5e-4)
+    full, half = (solve_mode_table(ring_profile, 1.55, dlambda_um=step).mode(1, 1).tau_ps_per_km
+                  for step in (5e-4, 2.5e-4))
     assert abs(full - half) < 0.1
 
 
 def test_dispersion_half_step_convergence(ring_profile):
-    full = dispersion(ring_profile, 2, 1, 1.55, dlambda_um=5e-4)
-    half = dispersion(ring_profile, 2, 1, 1.55, dlambda_um=2.5e-4)
+    full, half = (solve_mode_table(ring_profile, 1.55, dlambda_um=step).mode(2, 1)
+                  .dispersion_ps_per_km_nm for step in (5e-4, 2.5e-4))
     assert abs(full - half) < 0.05
 
 
@@ -252,21 +253,14 @@ def test_continuation_error_when_mode_lost():
     table = find_modes(profile, 1.50)
     assert table.labels() == ("LP01", "LP11")
     with pytest.raises(ModeContinuationError):
-        group_delay(profile, 1, 1, 1.50, dlambda_um=0.2)
-
-
-def test_group_delay_for_unguided_mode_raises(ring_profile):
-    with pytest.raises(ModeContinuationError):
-        group_delay(ring_profile, 0, 3, 1.55)
+        solve_mode_table(profile, 1.50, dlambda_um=0.2)
 
 
 @pytest.mark.parametrize("layers", [(), (Layer(3.0, 0.0),)])
 def test_profile_that_guides_nothing_has_no_group_delay(layers):
     profile = FiberProfile(layers=layers)
     assert len(find_modes(profile, 1.55)) == 0
-    for quantity in (group_delay, dispersion):
-        with pytest.raises(ModeContinuationError, match="mode LP01 not guided at 1550.0 nm"):
-            quantity(profile, 0, 1, 1.55)
+    assert solve_mode_table(profile, 1.55) == ModeTable((), 1.55)
 
 
 def test_bracket_error_names_order_and_bracket():
@@ -275,17 +269,6 @@ def test_bracket_error_names_order_and_bracket():
     error = BracketRefinementError(3, (1.4441, 1.4442))
     assert "l=3" in str(error)
     assert "1.4441" in str(error)
-
-
-def test_solve_mode_table_matches_per_mode_operations(ring_profile):
-    table = solve_mode_table(ring_profile, 1.55)
-    record = table.mode(2, 1)
-    assert record.tau_ps_per_km == pytest.approx(
-        group_delay(ring_profile, 2, 1, 1.55), abs=1e-9
-    )
-    assert record.dispersion_ps_per_km_nm == pytest.approx(
-        dispersion(ring_profile, 2, 1, 1.55), abs=1e-9
-    )
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -353,6 +336,10 @@ def test_mode_table_csv_round_trip(tmp_path, reference_table):
     assert again.lambda0_um == reference_table.lambda0_um
     for a, b in zip(again.modes, reference_table.modes):
         assert (a.l, a.m, a.n_eff, a.tau_ps_per_km) == (b.l, b.m, b.n_eff, b.tau_ps_per_km)
+    bare = ModeTable([replace(r, tau_ps_per_km=None) for r in reference_table.modes],
+                     reference_table.lambda0_um)
+    with pytest.raises(ValueError, match="mode LP01 lacks tau/D; characterize the table"):
+        mode_table_to_csv(bare)
 
 
 def test_mode_table_csv_full_precision(tmp_path, ring_profile):
@@ -631,16 +618,12 @@ def _solver_outcome(solve):
 
 
 def _assert_same_solves(profile, lam, dlambda, sweep):
-    from fmf_ttdl import modes
-
     cases = [
         (lambda: find_modes(profile, lam), lambda: oracles.find_modes_per_order(profile, lam)),
         (lambda: solve_mode_table(profile, lam, dlambda),
          lambda: oracles.solve_mode_table_per_order(profile, lam, dlambda)),
         (lambda: sweep_modes(profile, *sweep),
          lambda: oracles.sweep_modes_per_order(profile, *sweep)),
-        (lambda: modes._mode_tau_and_dispersion(profile, 1, 1, lam, dlambda, 2000, 1e-12),
-         lambda: oracles.tau_and_dispersion_per_order(profile, 1, 1, lam, dlambda)),
     ]
     for lockstep, per_order in cases:
         assert _solver_outcome(lockstep) == _solver_outcome(per_order)
@@ -650,10 +633,6 @@ def _assert_same_solves(profile, lam, dlambda, sweep):
 def test_lockstep_solves_match_per_order_search_on_demo(ring_profile, ring_profile_blend, blend):
     profile = ring_profile_blend if blend else ring_profile
     _assert_same_solves(profile, 1.55, 5e-4, (1549.0, 1551.0, 1.0))
-    stopped = _solver_outcome(lambda: find_modes(profile, 1.55, max_azimuthal=2))
-    assert stopped[1] == ["azimuthal scan stopped at l=2 with modes still guided"]
-    assert stopped == _solver_outcome(
-        lambda: oracles.find_modes_per_order(profile, 1.55, max_azimuthal=2))
 
 
 DEMO_TABLE_CSV = """\
@@ -813,6 +792,11 @@ def test_every_solve_stops_its_azimuthal_scan_at_order_64_with_a_warning():
             table = solve()
         assert [str(w.message) for w in caught] == [stopped] * tables
         assert max(record.l for record in table.modes) == 64
+    # at 580 nm the top guided order is 63: the scan ends below the stop, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = find_modes(profile, 0.58)
+    assert max(record.l for record in table.modes) == 63
 
 
 def test_l0_count_in_a_wide_core_steps_over_no_zero_of_j0():
@@ -852,6 +836,21 @@ def test_window_padding_absorbs_a_count_one_cell_off(ring_profile, monkeypatch, 
 
     monkeypatch.setattr(modes, "_mode_counts", shifted)
     assert mode_table_to_csv(solve_mode_table(ring_profile, 1.55)) == expected
+
+
+def test_windows_of_nearby_roots_merge_into_one_scan(monkeypatch):
+    # a core and a ring 12 um apart: LP01 and LP02 lie 3 cells apart on a 500-point
+    # grid, so their padded windows meet and are scanned as one of 7 points
+    from fmf_ttdl import modes
+
+    profile = FiberProfile(layers=(Layer(4.0, 0.005), Layer(16.0, 0.0), Layer(17.5, 0.01)))
+    scan, windows = modes._scan, []
+    monkeypatch.setattr(modes, "_scan", lambda scans: windows.extend(
+        (l, len(points)) for _, l, points, _ in scans) or scan(scans))
+    table = find_modes(profile, 1.55, scan_points=500)
+    assert table.labels()[:2] == ("LP01", "LP02")
+    assert (0, 7) in windows
+    assert table == oracles.find_modes_per_order(profile, 1.55, scan_points=500)
 
 
 _MISSES = {  # patched function, its wrapper, l = 0 roots by count and by scan
