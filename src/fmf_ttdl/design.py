@@ -29,6 +29,7 @@ the table-file codec of fileio (csv_text, read_csv).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -491,31 +492,44 @@ def _lp_status(model, text):
     return status, f"{message}(HiGHS Status {int(model)}: {text})"
 
 
+_THREAD = threading.local()  # .solver: the HiGHS solver of this thread
+
+
+def _solver():
+    """This thread's HiGHS solver, made on its first LP with the 7 options
+    linprog(method="highs") sets for these LPs.  passModel replaces the whole
+    model, so every LP gets the bits a fresh solver would give it."""
+    if not hasattr(_THREAD, "solver"):
+        highs = _highs()
+        options = highs.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+        # 1e-10 is the tightest feasibility HiGHS accepts; a least-squares
+        # polish after the solve brings residuals down to machine precision
+        options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
+        options.log_to_console = options.output_flag = False
+        options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        _THREAD.solver = highs._Highs()
+        _THREAD.solver.passOptions(options)
+    return _THREAD.solver
+
+
 @cache
-def _highs_options():
-    """The 7 options linprog(method="highs") sets for these LPs, built once and
-    never changed: passOptions copies them into each solver."""
-    highs = _highs()
-    options = highs.HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    # 1e-10 is the tightest feasibility HiGHS accepts; a least-squares
-    # polish after the solve brings residuals down to machine precision
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = 1e-10
-    options.log_to_console = options.output_flag = False
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return options
+def _optimal():
+    """linprog's (status, message) for an LP HiGHS solves to optimality."""
+    model = _highs().HighsModelStatus.kOptimal
+    return _lp_status(model, _solver().modelStatusToString(model))
 
 
 def _highs_lp(cost, a_eq, b_eq, lower, upper):
     """min cost @ x subject to a_eq @ x = b_eq and lower <= x <= upper: (status, message, x).
 
     The bits and the (status, message) of scipy.optimize.linprog(method=
-    "highs") with the options of _highs_options, without its per-call input
+    "highs") with the options of _solver, without its per-call input
     cleaning and option checks: HiGHS gets the model linprog builds (the
-    nonzeros of csc_array(a_eq), the same bounds) and a fresh solver per LP.
-    As in linprog, a solution HiGHS calls optimal that misses a bound or an
-    equality by more than _LP_TOLERANCE gets status 4.
+    nonzeros of csc_array(a_eq), the same bounds), passed to this thread's
+    solver.  As in linprog, a solution HiGHS calls optimal that misses a
+    bound or an equality by more than _LP_TOLERANCE gets status 4.
     """
     highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
@@ -529,27 +543,26 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     lp.a_matrix_.value_ = a_eq[row, col]
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
     lp.row_lower_ = lp.row_upper_ = b_eq
-    solver = highs._Highs()
-    solver.passOptions(_highs_options())
-    x = None
+    solver = _solver()
     if solver.passModel(lp) == highs.HighsStatus.kError:
         model, ran = highs.HighsModelStatus.kModelError, False
     else:
         ran = solver.run() != highs.HighsStatus.kError
         model = solver.getModelStatus()
-    text = solver.modelStatusToString(model)
     if ran and model == highs.HighsModelStatus.kOptimal:
         solution = solver.getSolution()
         x = np.array(solution.col_value)
         # a NaN in x or in a residual fails these comparisons too
-        if not (np.all((x >= lower - _LP_TOLERANCE) & (x <= upper + _LP_TOLERANCE))
-                and np.all(np.abs(b_eq - solution.row_value) <= _LP_TOLERANCE)):
-            return _LpResult(4, "the solution HiGHS calls optimal misses a bound or an "
-                                f"equality by more than {_LP_TOLERANCE:.2E}", x)
-    elif ran:
+        if (((x >= lower - _LP_TOLERANCE) & (x <= upper + _LP_TOLERANCE)).all()
+                and (np.abs(b_eq - solution.row_value) <= _LP_TOLERANCE).all()):
+            return _LpResult(*_optimal(), x)
+        return _LpResult(4, "the solution HiGHS calls optimal misses a bound or an "
+                            f"equality by more than {_LP_TOLERANCE:.2E}", x)
+    text = solver.modelStatusToString(model)
+    if ran:
         primal = solver.solutionStatusToString(solver.getInfo().primal_solution_status)
         text = f"model_status is {text}; primal_status is {primal}"
-    return _LpResult(*_lp_status(model, text), x)
+    return _LpResult(*_lp_status(model, text), None)
 
 
 def _solve_lp(system, matrix, rhs):
@@ -560,20 +573,22 @@ def _solve_lp(system, matrix, rhs):
     lexicographically smallest length vector.  The first LP decides
     feasibility.
     """
-    nvar, ncols = len(system.variables), matrix.shape[1]
+    nvar, (rows, ncols) = len(system.variables), matrix.shape
     lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
     upper = np.r_[np.ones(nvar), np.full(ncols - nvar, np.inf)]
-    a_eq, b_eq = matrix, rhs
-    for k in ([nvar] if system.optimize_dispersion else []) + list(range(nvar)):
+    order = ([nvar] if system.optimize_dispersion else []) + list(range(nvar))
+    # LP j takes the first rows + j rows: the system and the pins of LPs 0 .. j - 1
+    a_eq = np.concatenate([matrix, np.eye(ncols)[order]])
+    b_eq = np.concatenate([rhs, np.zeros(len(order))])
+    for j, k in enumerate(order):
         cost = np.zeros(ncols)
         cost[k] = -1.0 if k == nvar else 1.0
-        step = _highs_lp(cost, a_eq, b_eq, lower, upper)
-        if a_eq is matrix:
+        step = _highs_lp(cost, a_eq[:rows + j], b_eq[:rows + j], lower, upper)
+        if j == 0:
             _raise_for_lp_status(step, system, matrix, rhs)
         elif step.status != 0:
             raise DesignError(f"tie-break solve failed: {step.message}")
-        a_eq = np.vstack([a_eq, np.eye(ncols)[k]])
-        b_eq = np.append(b_eq, step.x[k])
+        b_eq[rows + j] = step.x[k]
     correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ step.x, rcond=None)
     return step.x + correction
 

@@ -88,6 +88,16 @@ EQUIVALENT = {
               "anchor=(1))"):
         "the anchor only seeds the search at the other wavelengths, and any seeds give the "
         "same brackets and cells",
+    ("modes", "min(_MAX_AZIMUTHAL, _cutoff_order(geometry, grid[(1)])) + 1 if grid.size else 0)]"):
+        "one cell up lowers the bound's reach by about reach / (2 (scan_points - 1)), so the "
+        "bound drops at most its own order, which has no root at or above grid[0] either",
+    ("modes", "anchor = len(cases) // (3) if anchor is None else anchor"):
+        "the anchor only seeds the search at the other wavelengths, and any seeds give the "
+        "same brackets and cells",
+    ("modes", "rest = iter(_search(others, [[(x - d) for x, _ in near.get(l, ())"):
+        "the seeds change only the work done: any seeds give the same brackets and cells",
+    ("modes", "for d in range(-_SEED_REACH, _SEED_REACH + (3))]"):
+        "the reach only widens the seeds, and any seeds give the same brackets and cells",
     ("modes", "_SEED_REACH = (2)            # cells around another wavelength's root cell that "
               "a search counts first"):
         "the reach only widens the seeds, and any seeds give the same brackets and cells",

@@ -231,7 +231,7 @@ def perturb_per_trial(graph, table, targets, sigma, trials, seed):
 
 
 def linprog_highs(cost, a_eq, b_eq, lower, upper):
-    """The public linprog with the options of design._highs_options: (status, message, x)."""
+    """The public linprog with the options of design._solver: (status, message, x)."""
     result = linprog(
         cost, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs",
         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,

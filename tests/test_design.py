@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -540,6 +541,20 @@ def test_non_square_perturbation_matches_per_trial_oracle(
     assert report.to_csv() == perturb_per_trial(*args).to_csv()
 
 
+def test_lp_path_on_two_threads_matches_one_thread_and_the_per_trial_oracle(
+    four_sample_graph, reference_table
+):
+    # each worker thread solves its trials' LP chains on a HiGHS solver of its own
+    targets = DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY
+    )
+    args = (four_sample_graph, reference_table, targets, 0.2, 40, 7)
+    report = perturb_and_redesign(*args, workers=2)
+    assert report.to_csv() == perturb_and_redesign(*args, workers=1).to_csv()
+    assert report.to_csv() == perturb_per_trial(*args).to_csv()
+    assert 0 < sum(t.feasible for t in report.trials) < 40
+
+
 def test_delays_only_perturbation_needs_no_dispersion(four_sample_graph, reference_table):
     from dataclasses import replace
 
@@ -642,6 +657,47 @@ def test_lp_status_table_matches_linprogs_for_every_highs_model_status():
     for model in members.values():
         text = f"model_status is {model.name}"
         assert design._lp_status(model, text) == linprog_status_message(model, text)
+
+
+def _on_a_new_thread(*lps):
+    """design._highs_lp of each LP in turn, on a new thread and so on a new solver."""
+    results = []
+    thread = threading.Thread(target=lambda: results.extend(design._highs_lp(*lp) for lp in lps))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(results) == len(lps)
+    return results
+
+
+def test_a_reused_solver_forgets_the_lps_before(four_sample_graph, reference_table):
+    def delays_only(delta_tau):
+        return assemble_constraints(four_sample_graph, reference_table, DesignTargets(
+            delta_tau_ps_per_km=delta_tau, lambda0_um=1.55, dispersion_rule=DELAYS_ONLY))
+
+    system, too_far = delays_only(100.0), delays_only(1000.0)
+    cols = system.matrix.shape[1]
+    box = (np.zeros(cols), np.ones(cols))
+    demo = (np.eye(cols)[0], system.matrix, system.rhs, *box)  # the LP of _DEMO_LP
+    infeasible = (np.eye(cols)[0], too_far.matrix, too_far.rhs, *box)
+    model_error = (np.eye(cols)[0], np.where(system.matrix == 1.0, np.inf, system.matrix),
+                   system.rhs, *box)  # passModel refuses an infinite coefficient
+    other_shape = (np.array([1.0, 0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+                   np.zeros(2), np.ones(2))
+    lps = (demo, infeasible, model_error, other_shape, demo)
+    results = _on_a_new_thread(*lps)
+    assert [result.status for result in results] == [0, 2, 2, 0, 0]
+    first, again = results[0], results[-1]
+    assert (again.message, again.x.tobytes()) == (first.message, first.x.tobytes())
+    for lp, result in zip(lps, results):
+        if lp is model_error:
+            # linprog refuses the input, so a fresh solver is the reference
+            [fresh] = _on_a_new_thread(lp)
+            assert (result.status, result.message, result.x) == fresh
+            continue
+        status, message, x = linprog_highs(*lp)
+        assert (result.status, result.message) == (status, message)
+        assert (result.x is None) == (x is None)
+        assert x is None or result.x.tobytes() == x.tobytes()
 
 
 TESTS = Path(__file__).resolve().parent

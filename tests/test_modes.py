@@ -816,6 +816,31 @@ def test_l0_count_in_a_wide_core_steps_over_no_zero_of_j0():
         assert count == sum(root > n_eff for root in roots), n_eff
 
 
+def test_top_order_root_in_the_lowest_grid_cell_is_found():
+    # the ring's index step is set so that LP41, the top order, has its only root
+    # between the first two grid points, where the order bound is evaluated
+    from fmf_ttdl import modes
+
+    profile = FiberProfile(layers=(Layer(3.0, 0.0021), Layer(10.0, 0.00592578125)))
+    table = find_modes(profile, 1.55)
+    assert table == oracles.find_modes_per_order(profile, 1.55)
+    assert max(record.l for record in table.modes) == 4
+    grid = modes._scan_grid(modes._geometry(profile, 1.55), 2000)
+    assert grid[0] < table.mode(4, 1).n_eff < grid[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_determinant_of_an_exactly_zero_state_is_zero(ring_profile):
+    # a zero state row has a zero scale; the determinant is then 0.0, not a NaN of 0 / 0
+    from fmf_ttdl import modes
+
+    geometry = modes._geometry(ring_profile, 1.55)
+    n_eff = modes._scan_grid(geometry, 2000)[[500, 1500]]
+    values = modes._determinant(modes._points([geometry], [2]), np.array([1, 1]), n_eff,
+                                np.array([[0.0, 0.0], [1.0, -1.0]]))
+    assert values[0] == 0.0 and 0.0 < abs(values[1]) <= 1.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("shift", [-0.5, 0.5])
 def test_window_padding_absorbs_a_count_one_cell_off(ring_profile, monkeypatch, shift):
