@@ -417,10 +417,8 @@ def _solve_direct(matrix, rhs):
     return x, np.all(residual <= _FEASIBILITY_RTOL * scale, axis=-1)
 
 
-def _infeasibility_report(system, matrix=None, rhs=None):
-    """Why no placement solves system, or the matrix and rhs of one of its trials."""
-    matrix = system.matrix if matrix is None else matrix
-    rhs = system.rhs if rhs is None else rhs
+def _infeasibility_report(system, matrix, rhs):
+    """Why no placement solves the matrix and rhs of system, or of one of its trials."""
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     residuals = matrix @ solution - rhs
     budget = 1e-6 * max(1.0, np.abs(rhs).max())
@@ -441,24 +439,7 @@ def _infeasibility_report(system, matrix=None, rhs=None):
     return "constraint system is infeasible"
 
 
-def _raise_for_lp_status(result, system, matrix, rhs):
-    # no status 3 (unbounded): every length lies in [0, 1], and each dispersion
-    # row fixes the increment as sum c_i x_i - b, so it is bounded when feasible
-    if result.status == 2:
-        raise InfeasibleDesignError(_infeasibility_report(system, matrix, rhs))
-    if result.status != 0:
-        raise DesignError(f"linear program failed: {result.message}")
-
-
 _LP_TOLERANCE = math.sqrt(1e-9) * 10  # linprog's check of a solution HiGHS calls optimal
-
-
-class _LpResult(NamedTuple):
-    status: int
-    message: str
-    x: np.ndarray | None
-
-
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
@@ -469,27 +450,6 @@ def _highs():
     runs scipy.optimize's __init__, 321 scipy modules in scipy 1.17 (0.64-0.70 s
     on 2 vCPUs, against 0.025 s for the file alone) that the LPs never use."""
     return scipy_extension(_HIGHS_MODULE, "HiGHS extension")
-
-
-# scipy.optimize._linprog_highs._highs_to_scipy_status_message, by HighsModelStatus name
-_LP_STATUS = {
-    **dict.fromkeys(("kNotset", "kLoadError", "kPresolveError", "kSolveError",
-                     "kPostsolveError", "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"),
-                    (4, "")),
-    "kModelError": (2, ""),
-    "kOptimal": (0, "Optimization terminated successfully. "),
-    "kTimeLimit": (1, "Time limit reached. "),
-    "kIterationLimit": (1, "Iteration limit reached. "),
-    "kInfeasible": (2, "The problem is infeasible. "),
-    "kUnbounded": (3, "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
-}
-
-
-def _lp_status(model, text):
-    """linprog's (status, message) for HiGHS's model status and its text."""
-    status, message = _LP_STATUS.get(model.name, (4, "The HiGHS status code was not recognized. "))
-    return status, f"{message}(HiGHS Status {int(model)}: {text})"
 
 
 _THREAD = threading.local()  # .solver: the HiGHS solver of this thread
@@ -514,22 +474,18 @@ def _solver():
     return _THREAD.solver
 
 
-@cache
-def _optimal():
-    """linprog's (status, message) for an LP HiGHS solves to optimality."""
-    model = _highs().HighsModelStatus.kOptimal
-    return _lp_status(model, _solver().modelStatusToString(model))
-
-
 def _highs_lp(cost, a_eq, b_eq, lower, upper):
-    """min cost @ x subject to a_eq @ x = b_eq and lower <= x <= upper: (status, message, x).
+    """min cost @ x subject to a_eq @ x = b_eq and lower <= x <= upper: (x, failure).
 
-    The bits and the (status, message) of scipy.optimize.linprog(method=
-    "highs") with the options of _solver, without its per-call input
-    cleaning and option checks: HiGHS gets the model linprog builds (the
-    nonzeros of csc_array(a_eq), the same bounds), passed to this thread's
-    solver.  As in linprog, a solution HiGHS calls optimal that misses a
-    bound or an equality by more than _LP_TOLERANCE gets status 4.
+    Either the optimum, with failure None, or x None and failure
+    "infeasible" (where linprog's status is 2: HiGHS finds the LP infeasible
+    or refuses the model) or why the solve failed otherwise.  The optimum
+    has the bits of scipy.optimize.linprog(method="highs") with the options
+    of _solver, without its per-call input cleaning and option checks:
+    HiGHS gets the model linprog builds (the nonzeros of csc_array(a_eq),
+    the same bounds), passed to this thread's solver.  As in linprog, a
+    solution HiGHS calls optimal that misses a bound or an equality by more
+    than _LP_TOLERANCE is a failure.
     """
     highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
@@ -543,26 +499,23 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     lp.a_matrix_.value_ = a_eq[row, col]
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
     lp.row_lower_ = lp.row_upper_ = b_eq
-    solver = _solver()
+    solver, statuses = _solver(), highs.HighsModelStatus
     if solver.passModel(lp) == highs.HighsStatus.kError:
-        model, ran = highs.HighsModelStatus.kModelError, False
-    else:
-        ran = solver.run() != highs.HighsStatus.kError
-        model = solver.getModelStatus()
-    if ran and model == highs.HighsModelStatus.kOptimal:
-        solution = solver.getSolution()
-        x = np.array(solution.col_value)
-        # a NaN in x or in a residual fails these comparisons too
-        if (((x >= lower - _LP_TOLERANCE) & (x <= upper + _LP_TOLERANCE)).all()
-                and (np.abs(b_eq - solution.row_value) <= _LP_TOLERANCE).all()):
-            return _LpResult(*_optimal(), x)
-        return _LpResult(4, "the solution HiGHS calls optimal misses a bound or an "
-                            f"equality by more than {_LP_TOLERANCE:.2E}", x)
-    text = solver.modelStatusToString(model)
-    if ran:
-        primal = solver.solutionStatusToString(solver.getInfo().primal_solution_status)
-        text = f"model_status is {text}; primal_status is {primal}"
-    return _LpResult(*_lp_status(model, text), None)
+        return None, "infeasible"
+    ran = solver.run() != highs.HighsStatus.kError
+    model = solver.getModelStatus()
+    if model in (statuses.kInfeasible, statuses.kModelError):
+        return None, "infeasible"
+    if not ran or model != statuses.kOptimal:
+        return None, solver.modelStatusToString(model)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    # a NaN in x or in a residual fails these comparisons too
+    if (((x >= lower - _LP_TOLERANCE) & (x <= upper + _LP_TOLERANCE)).all()
+            and (np.abs(b_eq - solution.row_value) <= _LP_TOLERANCE).all()):
+        return x, None
+    return None, ("the solution HiGHS calls optimal misses a bound or an equality "
+                  f"by more than {_LP_TOLERANCE:.2E}")
 
 
 def _solve_lp(system, matrix, rhs):
@@ -571,7 +524,12 @@ def _solve_lp(system, matrix, rhs):
     The first LP maximizes the dispersion increment if it is an unknown.
     Then one LP per length, with each value found so far pinned, picks the
     lexicographically smallest length vector.  The first LP decides
-    feasibility.
+    feasibility: if it is infeasible, InfeasibleDesignError says why; any
+    other failure of an LP is a DesignError.  No LP is unbounded: every
+    length lies in [0, 1], and each dispersion row fixes the increment as
+    sum c_i x_i - b, so it is bounded when the LP is feasible.  A
+    least-squares correction of the last LP's point brings its residuals
+    down to rounding.
     """
     nvar, (rows, ncols) = len(system.variables), matrix.shape
     lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
@@ -583,14 +541,14 @@ def _solve_lp(system, matrix, rhs):
     for j, k in enumerate(order):
         cost = np.zeros(ncols)
         cost[k] = -1.0 if k == nvar else 1.0
-        step = _highs_lp(cost, a_eq[:rows + j], b_eq[:rows + j], lower, upper)
-        if j == 0:
-            _raise_for_lp_status(step, system, matrix, rhs)
-        elif step.status != 0:
-            raise DesignError(f"tie-break solve failed: {step.message}")
-        b_eq[rows + j] = step.x[k]
-    correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ step.x, rcond=None)
-    return step.x + correction
+        x, failure = _highs_lp(cost, a_eq[:rows + j], b_eq[:rows + j], lower, upper)
+        if j == 0 and failure == "infeasible":
+            raise InfeasibleDesignError(_infeasibility_report(system, matrix, rhs))
+        if failure is not None:
+            raise DesignError(f"{'tie-break solve' if j else 'linear program'} failed: {failure}")
+        b_eq[rows + j] = x[k]
+    correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ x, rcond=None)
+    return x + correction
 
 
 def solve_placements(system):

@@ -17,9 +17,8 @@ group index of a mode comes from the Hellmann-Feynman theorem, an integral
 over its field with the analytic derivative of the Sellmeier sum, where the
 package takes central differences of n_eff(lambda).  The placement LPs go to
 HiGHS without scipy.optimize.linprog's plumbing, so the public linprog with
-the same options must give the same status and the same x, bit for bit, and
-the package's table of HiGHS model statuses must give, for every status, the
-(status, message) of linprog's own conversion.
+the same options must reach the same verdict (optimal at its status 0,
+infeasible at its status 2, failed at any other) and the same x, bit for bit.
 The sellmeier-blend calibration solves its root with the package's own port
 of Brent's method, so the public scipy.optimize.brentq must give the same
 blend fraction, bit for bit.
@@ -32,7 +31,6 @@ from dataclasses import replace
 import numpy as np
 import scipy.special as sp
 from scipy.optimize import bisect, brentq, linprog
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from fmf_ttdl.design import (
     ConversionGraph,
@@ -231,18 +229,22 @@ def perturb_per_trial(graph, table, targets, sigma, trials, seed):
 
 
 def linprog_highs(cost, a_eq, b_eq, lower, upper):
-    """The public linprog with the options of design._solver: (status, message, x)."""
+    """The public linprog with the options of design._solver: (x.tobytes() or None,
+    "optimal" at status 0, "infeasible" at status 2 or "failed" at any other)."""
     result = linprog(
         cost, A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs",
         options={"presolve": True, "primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10},
     )
-    return result.status, result.message, result.x
+    verdict = {0: "optimal", 2: "infeasible"}.get(result.status, "failed")
+    return (result.x.tobytes() if result.status == 0 else None), verdict
 
 
-def linprog_status_message(model, text):
-    """linprog's (status, message) for a HiGHS model status and its text."""
-    return _highs_to_scipy_status_message(model, text)
+def highs_lp_verdict(result):
+    """design._highs_lp's (x, failure) in the terms of linprog_highs."""
+    x, failure = result
+    verdict = {None: "optimal", "infeasible": "infeasible"}.get(failure, "failed")
+    return (None if x is None else x.tobytes()), verdict
 
 
 # --- sellmeier-blend calibration ----------------------------------------------

@@ -9,8 +9,8 @@ from conftest import run_python
 from oracles import (
     PLACEMENT_VARIABLES,
     grid_search_two_sample,
+    highs_lp_verdict,
     linprog_highs,
-    linprog_status_message,
     perturb_per_trial,
     reference_placement_oracle,
 )
@@ -599,12 +599,9 @@ def test_highs_lp_matches_linprog_on_the_demo_chains(
     assert len(calls) >= 8
     if rule == DELAYS_ONLY:
         assert not all(t.feasible for t in report.trials)
-        assert {result.status for _, result in calls} == {0, 2}
+        assert {failure for _, (x, failure) in calls} == {None, "infeasible"}
     for args, result in calls:
-        status, message, x = linprog_highs(*args)
-        assert (result.status, result.message) == (status, message)
-        assert (result.x is None) == (x is None)
-        assert x is None or result.x.tobytes() == x.tobytes()
+        assert highs_lp_verdict(result) == linprog_highs(*args)
 
 
 @pytest.mark.parametrize("first_lp_passes, prefix", [
@@ -641,22 +638,38 @@ def test_check_of_an_optimal_solution_is_inclusive_and_needs_both_parts(monkeypa
     # it passes with no tolerance at all
     monkeypatch.setattr(design, "_LP_TOLERANCE", 0.0)
     cost = np.array([1.0, 0.0])
-    on_bounds = design._highs_lp(cost, np.array([[1.0, 1.0]]), np.array([1.0]),
-                                 np.zeros(2), np.ones(2))
-    assert on_bounds.status == 0 and on_bounds.x.tolist() == [0.0, 1.0]
+    x, failure = design._highs_lp(cost, np.array([[1.0, 1.0]]), np.array([1.0]),
+                                  np.zeros(2), np.ones(2))
+    assert failure is None and x.tolist() == [0.0, 1.0]
     # free variables pass every bound check, so the equalities alone fail this one
     monkeypatch.setattr(design, "_LP_TOLERANCE", -1.0)
     free = design._highs_lp(cost, np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 0.0]),
                             np.full(2, -np.inf), np.full(2, np.inf))
-    assert free.status == 4 and free.x.tolist() == [0.5, 0.5]
+    assert free == (None, "the solution HiGHS calls optimal misses a bound or an equality "
+                          "by more than -1.00E+00")
 
 
-def test_lp_status_table_matches_linprogs_for_every_highs_model_status():
-    members = design._highs().HighsModelStatus.__members__
-    assert {"kOptimal", "kInfeasible", "kUnbounded", "kUnknown"} <= members.keys()
-    for model in members.values():
-        text = f"model_status is {model.name}"
-        assert design._lp_status(model, text) == linprog_status_message(model, text)
+@pytest.mark.parametrize("rule", ["maximize", DELAYS_ONLY])
+def test_polish_brings_a_point_off_the_equalities_back_to_rounding(
+    rule, monkeypatch, four_sample_graph, reference_table
+):
+    system = assemble_constraints(four_sample_graph, reference_table, DesignTargets(
+        delta_tau_ps_per_km=100.0, lambda0_um=1.55, dispersion_rule=rule))
+    matrix, rhs = system.matrix, system.rhs
+    highs_lp, calls = design._highs_lp, []
+
+    def last_lp_moved(cost, *args):
+        x, failure = highs_lp(cost, *args)
+        calls.append(cost)
+        if len(calls) == matrix.shape[1]:  # the last tie-break LP: one LP per unknown
+            x = x + 1e-9 * np.eye(len(x))[1]  # off every equality that holds length 1
+        return x, failure
+
+    monkeypatch.setattr(design, "_highs_lp", last_lp_moved)
+    x = design._solve_lp(system, matrix, rhs)
+    assert len(calls) == matrix.shape[1]
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=1)))
+    assert (np.abs(matrix @ x - rhs) <= 8 * np.finfo(float).eps * scale).all()
 
 
 def _on_a_new_thread(*lps):
@@ -685,19 +698,15 @@ def test_a_reused_solver_forgets_the_lps_before(four_sample_graph, reference_tab
                    np.zeros(2), np.ones(2))
     lps = (demo, infeasible, model_error, other_shape, demo)
     results = _on_a_new_thread(*lps)
-    assert [result.status for result in results] == [0, 2, 2, 0, 0]
-    first, again = results[0], results[-1]
-    assert (again.message, again.x.tobytes()) == (first.message, first.x.tobytes())
+    assert [failure for _, failure in results] == [None, "infeasible", "infeasible", None, None]
+    assert results[-1][0].tobytes() == results[0][0].tobytes()
     for lp, result in zip(lps, results):
         if lp is model_error:
             # linprog refuses the input, so a fresh solver is the reference
             [fresh] = _on_a_new_thread(lp)
-            assert (result.status, result.message, result.x) == fresh
+            assert result == fresh
             continue
-        status, message, x = linprog_highs(*lp)
-        assert (result.status, result.message) == (status, message)
-        assert (result.x is None) == (x is None)
-        assert x is None or result.x.tobytes() == x.tobytes()
+        assert highs_lp_verdict(result) == linprog_highs(*lp)
 
 
 TESTS = Path(__file__).resolve().parent
@@ -716,22 +725,21 @@ cols = system.matrix.shape[1]
 lp = (np.eye(cols)[0], system.matrix, system.rhs, np.zeros(cols), np.ones(cols))
 """
 _SAME_AS_LINPROG = """
-from oracles import linprog_highs
+from oracles import highs_lp_verdict, linprog_highs
 result = design._highs_lp(*lp)
-status, message, x = linprog_highs(*lp)
-assert result.status == status == 0, (result, message)
-assert (result.message, result.x.tobytes()) == (message, x.tobytes())
+assert result[1] is None, result
+assert highs_lp_verdict(result) == linprog_highs(*lp)
 """
 
 
 def test_scipy_optimize_imported_after_an_lp_shares_its_highs_module():
     code = _DEMO_LP + """
-first = design._highs_lp(*lp)
-assert first.status == 0 and "scipy.optimize" not in sys.modules
+first, failure = design._highs_lp(*lp)
+assert failure is None and "scipy.optimize" not in sys.modules
 import scipy.optimize
 from scipy.optimize._highspy import _core
 assert _core is design._highs()
-assert design._highs_lp(*lp).x.tobytes() == first.x.tobytes()
+assert design._highs_lp(*lp)[0].tobytes() == first.tobytes()
 """ + _SAME_AS_LINPROG + "print('ok')"
     result = run_python(code, TESTS.parent / "src", TESTS)
     assert result.returncode == 0, result.stderr
@@ -885,6 +893,9 @@ def test_lp_count_per_dispersion_rule(monkeypatch, four_sample_graph, reference_
     targets = DesignTargets(delta_tau_ps_per_km=1500.0, lambda0_um=1.55)
     solve_placements(assemble_constraints(graph, toy, targets))
     assert len(calls) == 1 + 4  # the dispersion LP, then one tie-break LP per length
+    # each LP of the chain has a unit cost: max d, then min of each length in turn
+    costs = [args[0] for args, _ in calls]
+    assert np.array_equal(costs, np.r_[-np.eye(5)[4:], np.eye(5)[:4]])
 
     calls.clear()
     targets = DesignTargets(
@@ -892,6 +903,7 @@ def test_lp_count_per_dispersion_rule(monkeypatch, four_sample_graph, reference_
     )
     solve_placements(assemble_constraints(four_sample_graph, reference_table, targets))
     assert len(calls) == 8  # the tie-break LPs alone; the first decides feasibility
+    assert np.array_equal([args[0] for args, _ in calls], np.eye(8))
 
     calls.clear()
     targets = DesignTargets(
@@ -900,7 +912,7 @@ def test_lp_count_per_dispersion_rule(monkeypatch, four_sample_graph, reference_
     system = assemble_constraints(four_sample_graph, reference_table, targets)
     with pytest.raises(InfeasibleDesignError) as info:
         solve_placements(system)
-    assert str(info.value) == design._infeasibility_report(system)
+    assert str(info.value) == design._infeasibility_report(system, system.matrix, system.rhs)
     assert str(info.value).startswith("no placement satisfies")
     assert len(calls) == 1
 

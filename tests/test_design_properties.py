@@ -6,7 +6,7 @@ solve) and the LP path (delays-only, 6 equations in 8 lengths) meet both
 feasible and rejected systems.  An accepted placement must total 1 along
 every sample, step the delay ladder by dtau and keep every length in [0, 1];
 a rejected one must raise a DesignError.  Small equality LPs drawn at random,
-feasible or not, bounded or not, must get linprog's status and x from the
+feasible or not, bounded or not, must get linprog's verdict and x from the
 HiGHS call of the LP path.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import REFERENCE_MODE_ROWS, make_four_sample_graph
-from oracles import linprog_highs
+from oracles import highs_lp_verdict, linprog_highs
 from fmf_ttdl import design
 from fmf_ttdl.design import (
     DELAYS_ONLY,
@@ -106,17 +106,17 @@ UNBOUNDED = lp([1.0, 0.0], [[1.0, -1.0]], [0.0], [True, True])
 
 
 def check_against_linprog(problem):
-    status, message, x = linprog_highs(*problem)
+    """design._highs_lp's outcome, once it has been checked against linprog's."""
     result = design._highs_lp(*problem)
-    assert (result.status, result.message) == (status, message)
-    assert (result.x is None) == (x is None)
-    assert x is None or result.x.tobytes() == x.tobytes()
+    assert highs_lp_verdict(result) == linprog_highs(*problem)
     return result
 
 
+# linprog's status 2 is the verdict "infeasible", and status 3 some other failure
 @pytest.mark.parametrize("problem, status", [(INFEASIBLE, 2), (UNBOUNDED, 3)])
 def test_highs_lp_reports_infeasible_and_unbounded_lps_as_linprog_does(problem, status):
-    assert check_against_linprog(problem).status == status
+    x, failure = check_against_linprog(problem)
+    assert x is None and (failure == "infeasible") == (status == 2)
 
 
 @settings(max_examples=300, deadline=None)
