@@ -29,11 +29,11 @@ Courant & Hilbert, Methods of Mathematical Physics I, ch. VI).  A k-ary
 search over grid indices by count, batched over orders and wavelengths,
 isolates each root in its cell; one wavelength is searched first, and its
 cells seed the search at the others.  One kernel call scans the cells, padded
-by a cell on each side, for the sign changes, exact zeros and f(lower) that a
-scan of the whole grid would give.  Each solve (all orders at all
+by a cell on each side, for the sign changes, exact zeros and end values that
+a scan of the whole grid would give.  Each solve (all orders at all
 wavelengths of a sweep or of a table and its probes) collects its brackets
-first and bisects them all in lockstep, one kernel call per step, with the
-arithmetic of scipy.optimize.bisect (xtol = root_tol * _REFINE_FACTOR).  The
+first and refines them all by ITP in lockstep, one kernel call per step, to
+within a few ulp (xtol = root_tol * _REFINE_FACTOR, or rounding).  The
 count also certifies the scan: an order whose scanned roots differ in number
 from its count, as where two roots share a cell, raises ModeSolverError.
 
@@ -81,9 +81,8 @@ _DISPERSION_SCALE = 1.0e9 / _C_KM_PER_S       # um * um^-2 curvature -> ps/(km n
 
 _EDGE_MARGIN = 1e-7        # stay clear of the K_l / Y_l singular limits
 _DEGENERATE_X2 = 1e-12     # (|u| r)^2 below which the power-law basis is used
-_REFINE_FACTOR = 0.01      # bisection xtol = root_tol * this
-_BISECT_RTOL = 4.0 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
-_BISECT_MAXITER = 100
+_REFINE_FACTOR = 1e-4      # refinement xtol = root_tol * this
+_REFINE_RTOL = 4e-16       # a bracket's eps is at least this * |a|, a few ulp
 _SPLIT = 16                # grid indices counted per open range and call of the root search
 _SEED_REACH = 1            # cells around another wavelength's root cell that a search counts first
 _MAX_AZIMUTHAL = 64        # the highest order a solve searches
@@ -96,12 +95,14 @@ class ModeSolverError(RuntimeError):
 
 
 class BracketRefinementError(ModeSolverError):
-    def __init__(self, azimuthal, bracket):
+    def __init__(self, azimuthal, bracket, still_open):
         self.azimuthal = azimuthal
         self.bracket = bracket
+        cause = ("it is still open after ITP's n_max + 1 steps" if still_open
+                 else "the characteristic function is not finite in it")
         super().__init__(
-            f"bisection failed for l={azimuthal} in bracket "
-            f"({bracket[0]!r}, {bracket[1]!r})"
+            f"root refinement failed for l={azimuthal} in bracket "
+            f"({bracket[0]!r}, {bracket[1]!r}): {cause}"
         )
 
 
@@ -462,8 +463,8 @@ def _scan_grid(geometry, scan_points):
     return np.linspace(lo, hi, scan_points) if hi > lo else np.empty(0)
 
 
-# A scan's exact grid zeros and its sign-change cells [lower, upper], f_lower = f(lower)
-_Brackets = namedtuple("_Brackets", "geometry l zeros lower upper f_lower")
+# A scan's exact grid zeros and its sign-change cells [lower, upper] with f there
+_Brackets = namedtuple("_Brackets", "geometry l zeros lower upper f_lower f_upper")
 
 
 def _scan(scans):
@@ -482,56 +483,69 @@ def _scan(scans):
         last = len(f) if closed else len(f) - 1
         cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
         found.append(_Brackets(geometry, l, points[:last][f[:last] == 0.0],
-                               points[cells], points[cells + 1], f[cells]))
+                               points[cells], points[cells + 1], f[cells], f[cells + 1]))
     return found
 
 
-def _bisect(points, l, xa, xb, fa, xtol):
-    """Roots in the brackets [xa, xb], f(xa) = fa, all bisected in lockstep.
+def _refine(points, l, a, b, fa, fb, xtol):
+    """Roots in the brackets [a, b], f(a) = fa, f(b) = fb, all refined by ITP in lockstep.
 
-    Bracket i has order l[i] and the geometry of row i of points.  Each
-    follows the arithmetic of scipy.optimize.bisect step for step (halve dm,
-    xm = xa + dm, keep xa while fm*fa >= 0, stop at fm == 0 or
-    |dm| < xtol + rtol*|xm|), so the roots are the same to the bit; one
-    kernel call per step evaluates every bracket still open.  A bracket still
-    open after _BISECT_MAXITER steps gets nan.
+    Bracket i has order l[i] and the geometry of row i of points.  Each runs
+    ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / (b - a),
+    kappa2 = 2, n0 = 1) on eps = max(xtol / 2, _REFINE_RTOL |a|) with Brent's
+    minimum step (no trial point within eps of an end) to b - a <= 2 eps, then
+    gives (a + b) / 2, or a point where f is 0.  Its arithmetic reads only its
+    own values, so it gives a scalar ITP's root to the bit.  Rounding can leave
+    2 eps and an ulp after ITP's n_max = n_half + n0 steps, so it may take one
+    more; still open then, it gets nan, and inf where f is not finite.
     """
-    roots = np.full(xa.shape, np.nan)
-    pending = np.arange(xa.size)
-    dm = xb - xa
-    for _ in range(_BISECT_MAXITER):
-        dm = dm * 0.5
-        xm = xa + dm
-        fm = _char_values(points, l, xm)
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < xtol + _BISECT_RTOL * np.abs(xm))
-        roots[pending[done]] = xm[done]
-        still = ~done
-        pending, xa, dm, fa, l = pending[still], xa[still], dm[still], fa[still], l[still]
-        if not pending.size:
-            break
-        points = points[0], points[1][still]
-    return roots
+    roots = np.full(a.shape, np.nan)
+    eps = np.maximum(0.5 * xtol, _REFINE_RTOL * np.abs(a))
+    reach = [math.ldexp(e, math.ceil(math.log2(w / (2.0 * e))) + 1)  # eps 2^n_max
+             for e, w in zip(eps.tolist(), (b - a).tolist())]
+    state = np.arange(a.size), l, points[1], a, b, fa, fb, eps, 0.2 / (b - a), np.array(reach)
+    while True:
+        index, l, rows, a, b, fa, fb, eps, kappa, reach = state
+        closed = b - a <= 2.0 * eps
+        roots[index[closed]] = (0.5 * (a + b))[closed]
+        keep = (b - a > 2.0 * eps) & (reach >= eps)  # open, at most n_max steps taken
+        if not keep.any():
+            return roots
+        index, l, rows, a, b, fa, fb, eps, kappa, reach = (v[keep] for v in state)
+        width, mid = b - a, 0.5 * (a + b)
+        x_f = (fb * a - fa * b) / (fb - fa)  # regula falsi
+        sigma, delta = np.where(mid > x_f, 1.0, -1.0), kappa * width * width
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        r = reach - 0.5 * width
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
+        x = np.minimum(np.maximum(x, a + eps), b - eps)
+        y = _char_values((points[0], rows), l, x)
+        bad = ~np.isfinite(y)
+        roots[index[bad]], x[bad] = np.inf, np.nan  # a = b = nan: neither closed nor kept
+        side = np.where(fa > 0.0, y, -y)  # > 0 where y has the sign of fa, 0 at a root
+        state = (index, l, rows, np.where(side < 0.0, a, x), np.where(side > 0.0, b, x),
+                 np.where(side < 0.0, fa, y), np.where(side > 0.0, fb, y),
+                 eps, kappa, 0.5 * reach)
 
 
 def _roots(found, xtol):
     """The roots of each _Brackets in turn, sorted descending.
 
-    One lockstep bisection refines every bracket.  A set with a bracket
-    still open raises BracketRefinementError when its turn comes, so errors
+    One lockstep ITP refines every bracket.  A set with a bracket that
+    failed raises BracketRefinementError when its turn comes, so errors
     arrive in the order in which a loop over the sets would raise them.
     """
     counts = [brackets.lower.size for brackets in found]
     refined = np.empty(0)
     if sum(counts):
-        geometries, orders, _, lower, upper, f_lower = zip(*found)
-        refined = _bisect(_points(geometries, counts), np.repeat(orders, counts),
-                          np.concatenate(lower), np.concatenate(upper),
-                          np.concatenate(f_lower), xtol)
+        geometries, orders, _, *ends = zip(*found)
+        refined = _refine(_points(geometries, counts), np.repeat(orders, counts),
+                          *map(np.concatenate, ends), xtol)
     for brackets, roots in zip(found, np.split(refined, np.cumsum(counts)[:-1])):
-        if np.isnan(roots).any():
-            k = np.isnan(roots).argmax()
-            raise BracketRefinementError(brackets.l, (brackets.lower[k], brackets.upper[k]))
+        if not np.isfinite(roots).all():
+            k = np.isfinite(roots).argmin()
+            bracket = float(brackets.lower[k]), float(brackets.upper[k])
+            raise BracketRefinementError(brackets.l, bracket, still_open=np.isnan(roots[k]))
         yield sorted(map(float, (*brackets.zeros, *roots)), reverse=True)
 
 
@@ -591,7 +605,7 @@ def _search(cases, seeds=None):
     for i, brackets in zip(owners, _scan(scans) if scans else ()):
         scanned[i].append(brackets)
     return [(_Brackets(geometry, l, *(np.concatenate([np.empty(0), *(part[k] for part in mine)])
-                                      for k in range(2, 6))), found)
+                                      for k in range(2, 7))), found)
             for (geometry, l, _), mine, found in zip(cases, scanned, cells)]
 
 
@@ -633,7 +647,7 @@ def _find_tables(profile, wavelengths_um, scan_points, root_tol, anchor=None):
     the anchor wavelength, the middle one by default, then at all others in
     one _search seeded near the anchor's cells of the same order.  A table
     takes the orders before the first without a root on its grid.  One
-    lockstep bisection refines the brackets of all tables, then each table's
+    lockstep ITP refines the brackets of all tables, then each table's
     orders are certified.  Tables, warnings and errors come in wavelength order.
     """
     geometries = [_geometry(profile, lam) for lam in wavelengths_um]

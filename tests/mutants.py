@@ -101,6 +101,16 @@ EQUIVALENT = {
     ("modes", "_SEED_REACH = (2)            # cells around another wavelength's root cell that "
               "a search counts first"):
         "the reach only widens the seeds, and any seeds give the same brackets and cells",
+    ("modes", "side = np.where((fa >= 0.0), y, -y)  # > 0 where y has the sign of fa, 0 at a "
+              "root"):
+        "fa is never 0: a bracket starts at a strict sign change, and a y of 0 closes it "
+        "at once",
+    ("modes", "np.where((side <= 0.0), fa, y), np.where(side > 0.0, fb, y),"):
+        "side is 0 only where y is, and then a = b = x closes the bracket before fa is "
+        "read again",
+    ("modes", "np.where(side < 0.0, fa, y), np.where((side >= 0.0), fb, y),"):
+        "side is 0 only where y is, and then a = b = x closes the bracket before fb is "
+        "read again",
 }
 
 

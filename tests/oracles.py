@@ -6,10 +6,10 @@ the placement oracle is a literal hand-built matrix, and the dispersion
 maximization oracle is an exhaustive grid search.  Two oracles check
 batching instead and reuse the package's kernels: the perturbation oracle
 designs each perturbed table alone with the single-design path, and the
-per-order mode search scans and bisects one order at one wavelength at a
-time, against which the solver's one lockstep bisection per solve must give
-the same floats and the same errors.  The per-line profile and graph parsers
-read a file one line at a time with a "current section" state machine, and
+per-order mode search scans one order at one wavelength at a time and
+refines each bracket alone by a scalar ITP, against which the solver's one
+lockstep ITP per solve must give the same floats and the same errors.  The
+per-line profile and graph parsers read a file one line at a time with a "current section" state machine, and
 the package's section-file parsers must give the same values and the same
 diagnostics.  The nm -> um conversion that tries the quotient's two
 neighbours must give the same double as the package's plain quotient.  The
@@ -270,23 +270,42 @@ def _order_values(geometry, l, n_eff):
     return modes._char_values(points, np.full(n_eff.size, l), n_eff)
 
 
-def _bisect_order(geometry, l, xa, xb, fa, xtol):
-    """The brackets of one order bisected in lockstep, scipy.optimize.bisect's arithmetic."""
-    roots = np.empty(xa.shape)
-    pending = np.arange(xa.size)
-    lower, dm = xa, xb - xa
-    for _ in range(modes._BISECT_MAXITER):
-        dm = dm * 0.5
-        xm = xa + dm
-        fm = _order_values(geometry, l, xm)
-        xa = np.where(fm * fa >= 0.0, xm, xa)
-        done = (fm == 0.0) | (np.abs(dm) < xtol + modes._BISECT_RTOL * np.abs(xm))
-        roots[pending[done]] = xm[done]
-        still = ~done
-        pending, xa, dm, fa = pending[still], xa[still], dm[still], fa[still]
-        if not pending.size:
-            return roots
-    raise modes.BracketRefinementError(l, (lower[pending[0]], xb[pending[0]]))
+def _itp_root(geometry, l, a, b, fa, fb, xtol):
+    """The root in [a, b] of order l by ITP, one bracket and one kernel point at a time.
+
+    This is Algorithm 1 of Oliveira & Takahashi (ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / (b - a), kappa2 = 2 and n0 = 1, in Python floats, plus
+    Brent's minimum step (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): a trial point is moved to at least eps from either end.
+    A bracket may take one step past n_max, which rounding can need.
+    """
+    bracket = (a, b)
+    eps = max(xtol / 2.0, modes._REFINE_RTOL * abs(a))
+    kappa1, n0 = 0.2 / (b - a), 1
+    n_max = math.ceil(math.log2((b - a) / (2.0 * eps))) + n0
+    j = 0
+    while b - a > 2.0 * eps:
+        if j > n_max:
+            raise modes.BracketRefinementError(l, bracket, still_open=True)
+        x_half = (a + b) / 2.0
+        r = eps * 2.0 ** (n_max - j) - (b - a) / 2.0
+        delta = kappa1 * (b - a) * (b - a)
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = 1.0 if x_half > x_f else -1.0
+        x_t = x_f + sigma * delta if delta <= abs(x_half - x_f) else x_half
+        x_itp = x_t if abs(x_t - x_half) <= r else x_half - sigma * r
+        x_itp = min(max(x_itp, a + eps), b - eps)
+        y = float(_order_values(geometry, l, [x_itp])[0])
+        if not math.isfinite(y):
+            raise modes.BracketRefinementError(l, bracket, still_open=False)
+        if y == 0.0:
+            return x_itp
+        if (y > 0.0) == (fa > 0.0):
+            a, fa = x_itp, y
+        else:
+            b, fb = x_itp, y
+        j += 1
+    return (a + b) / 2.0
 
 
 def _grid_roots(geometry, l, grid, start, stop, xtol):
@@ -298,9 +317,9 @@ def _grid_roots(geometry, l, grid, start, stop, xtol):
     if stop == len(grid) and values[-1] == 0.0:
         roots.append(points[-1])
     cells = np.flatnonzero(left * right < 0.0)
-    if cells.size:
-        roots.extend(_bisect_order(geometry, l, points[cells], points[cells + 1],
-                                   left[cells], xtol))
+    roots += [_itp_root(geometry, l, *bracket, xtol) for bracket in zip(
+        points[cells].tolist(), points[cells + 1].tolist(),
+        left[cells].tolist(), right[cells].tolist())]
     return sorted(map(float, roots), reverse=True)
 
 
@@ -387,6 +406,20 @@ def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
         modes._warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables
+
+
+def roots_without_sign_change(profile, table, ulps):
+    """Labels of the records whose characteristic function has one sign, not zero, at
+    both n_eff - ulps ulp and n_eff + ulps ulp: no sign change certifies a root there."""
+    geometry = modes._geometry(profile, table.lambda0_um)
+    missed = []
+    for record in table.modes:
+        step = ulps * math.ulp(record.n_eff)
+        low, high = _order_values(geometry, record.l, [record.n_eff - step,
+                                                       record.n_eff + step]).tolist()
+        if (low > 0.0 and high > 0.0) or (low < 0.0 and high < 0.0):
+            missed.append(record.label)
+    return missed
 
 
 # --- group index by the Hellmann-Feynman theorem ------------------------------

@@ -11,7 +11,7 @@ import oracles
 from conftest import run_python
 from oracles import two_layer_lp_modes, two_layer_lp_roots
 
-from fmf_ttdl.fileio import FileFormatError
+from fmf_ttdl.fileio import FileFormatError, grid_points, um_from_nm
 from fmf_ttdl.materials import FiberProfile, Layer
 from fmf_ttdl.modes import (
     ModeContinuationError,
@@ -266,9 +266,11 @@ def test_profile_that_guides_nothing_has_no_group_delay(layers):
 def test_bracket_error_names_order_and_bracket():
     from fmf_ttdl.modes import BracketRefinementError
 
-    error = BracketRefinementError(3, (1.4441, 1.4442))
-    assert "l=3" in str(error)
-    assert "1.4441" in str(error)
+    for still_open, cause in ((True, "still open"), (False, "not finite")):
+        error = BracketRefinementError(3, (1.4441, 1.4442), still_open)
+        assert "l=3" in str(error)
+        assert "1.4441" in str(error)
+        assert cause in str(error)
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -430,32 +432,72 @@ def test_mode_table_reader_reports_each_bad_row_at_its_line():
 
 # --- root-finding internals -----------------------------------------------------
 
-def test_lockstep_bisection_matches_scipy_bisect_bit_for_bit(ring_profile):
-    from scipy.optimize import bisect
-
+@pytest.mark.parametrize("root_tol", [1e-12, 1e-10])
+def test_lockstep_itp_matches_the_scalar_itp_bit_for_bit(ring_profile, root_tol):
     from fmf_ttdl import modes
 
     geometry = modes._geometry(ring_profile, 1.55)
     grid = modes._scan_grid(geometry, 2000)
-    xtol = 1e-12 * modes._REFINE_FACTOR
-
-    def kernel(l, x):
-        x = np.atleast_1d(x)
-        return modes._char_values(modes._points([geometry], [x.size]), np.full(x.size, l), x)
-
+    xtol = root_tol * modes._REFINE_FACTOR
     brackets = []
     for l in range(6):
-        values = kernel(l, grid)
+        values = oracles._order_values(geometry, l, grid)
         cells = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-        brackets += [(l, cell, values[cell]) for cell in cells]
+        brackets += [(l, grid[i], grid[i + 1], values[i], values[i + 1]) for i in cells]
     assert len(brackets) == len(EXPECTED_ORDER)
-    orders, cells, f_lower = (np.array(column) for column in zip(*brackets))
-    # all seven brackets, of five orders, in one lockstep bisection
-    lockstep = modes._bisect(modes._points([geometry], [len(brackets)]), orders,
-                             grid[cells], grid[cells + 1], f_lower, xtol)
-    expected = [bisect(lambda x, l=l: float(kernel(l, x)[0]), grid[i], grid[i + 1], xtol=xtol)
-                for l, i in zip(orders.tolist(), cells)]
+    orders, lower, upper, f_lower, f_upper = (np.array(column) for column in zip(*brackets))
+    # all seven brackets, of five orders, in one lockstep ITP
+    lockstep = modes._refine(modes._points([geometry], [len(brackets)]), orders,
+                             lower, upper, f_lower, f_upper, xtol)
+    expected = [oracles._itp_root(geometry, *bracket, xtol)
+                for bracket in zip(*(column.tolist() for column in
+                                     (orders, lower, upper, f_lower, f_upper)))]
     assert lockstep.tolist() == expected
+
+
+def test_itp_closes_flat_roots_where_rounding_overruns_n_max(ring_profile, monkeypatch):
+    # on f = (x - c)^9 regula falsi lands near an end, the projection uses all of
+    # ITP's slack, and rounding can leave 2 eps and an ulp after n_max steps
+    from fmf_ttdl import modes
+
+    rng = np.random.default_rng(2020)
+    count, xtol = 200, 1e-12 * modes._REFINE_FACTOR
+    lower = 1.44 + 0.01 * rng.random(count)
+    upper = lower + 10.0 ** rng.uniform(-9.0, -4.0, count)
+    centres = lower + (upper - lower) * rng.random(count)
+    monkeypatch.setattr(modes, "_char_values",
+                        lambda points, l, n_eff: (np.asarray(n_eff) - centres[l]) ** 9)
+    geometry = modes._geometry(ring_profile, 1.55)
+    orders = np.arange(count)
+    ends = lower, upper, (lower - centres) ** 9, (upper - centres) ** 9
+    roots = modes._refine(modes._points([geometry], [count]), orders, *ends, xtol)
+    eps = np.maximum(0.5 * xtol, modes._REFINE_RTOL * lower)
+    assert (np.abs(roots - centres) <= eps + np.spacing(centres)).all()
+    assert roots.tolist() == [oracles._itp_root(geometry, *bracket, xtol) for bracket in
+                              zip(orders.tolist(), *(end.tolist() for end in ends))]
+
+
+def test_brackets_already_2_eps_wide_give_their_midpoints_with_no_kernel_call(monkeypatch):
+    from fmf_ttdl import modes
+
+    monkeypatch.setattr(modes, "_char_values", None)  # a kernel call would raise
+    xtol = 2.0 ** -40  # eps = xtol / 2, and the widths below are exact
+    lower = np.array([1.5, 1.25])
+    roots = modes._refine((None, np.zeros((2, 3))), np.zeros(2, dtype=int), lower,
+                          lower + [xtol, 0.5 * xtol], np.array([-1.0, 1.0]),
+                          np.array([1.0, -1.0]), xtol)
+    assert roots.tolist() == [1.5 + 0.5 * xtol, 1.25 + 0.25 * xtol]
+
+
+@pytest.mark.parametrize("blend", [False, True])
+@pytest.mark.parametrize("lam", [1.537, 1.55, 1.561])
+def test_demo_roots_lie_within_8_ulp_of_a_sign_change(ring_profile, ring_profile_blend,
+                                                      blend, lam):
+    # 8 ulp is 1.8e-15 at these n_eff: the default root_tol leaves the roots to rounding
+    profile = ring_profile_blend if blend else ring_profile
+    table = find_modes(profile, lam)
+    assert table.labels() == EXPECTED_ORDER
+    assert oracles.roots_without_sign_change(profile, table, 8) == []
 
 
 def _probe_outcome(solve):
@@ -637,13 +679,13 @@ def test_lockstep_solves_match_per_order_search_on_demo(ring_profile, ring_profi
 
 DEMO_TABLE_CSV = """\
 l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm
-0,1,1.4526445389262397,4915313.897838449,21.407399703562465,1550.0
-1,1,1.451865942422838,4918851.05746139,26.276282538974396,1550.0
-2,1,1.4502102241634427,4923488.726008999,29.66560954821462,1550.0
-3,1,1.4480386555829488,4928247.4705807,30.958165931955744,1550.0
-0,2,1.447505022137939,4917775.173563486,18.254799973354192,1550.0
-1,2,1.4460230567601438,4923715.088833443,10.293134085134428,1550.0
-4,1,1.4455052006061948,4932487.143421976,25.861684909686904,1550.0
+0,1,1.4526445389262452,4915313.897861429,21.407638492693803,1550.0
+1,1,1.4518659424228435,4918851.057459113,26.27640193354007,1550.0
+2,1,1.4502102241634498,4923488.7260227995,29.66616060005617,1550.0
+3,1,1.4480386555829559,4928247.470523322,30.958588405034266,1550.0
+0,2,1.4475050221379417,4917775.173645005,18.254960696807977,1550.0
+1,2,1.4460230567601373,4923715.088778316,10.293033058963477,1550.0
+4,1,1.445505200606195,4932487.143446085,25.861707870180304,1550.0
 """
 
 
@@ -677,31 +719,50 @@ def test_bracket_error_names_the_failing_brackets_own_order(ring_profile, monkey
     from fmf_ttdl import modes
 
     kernel = modes._char_values
+    wavelengths = [1.55, 1.55 - 5e-4, 1.55 + 5e-4,  # a table and its probes, and a sweep
+                   *(um_from_nm(nm) for nm in grid_points(1550.0, 1550.2, 0.1))]
+    on_grid = {x for lam in wavelengths
+               for x in modes._scan_grid(modes._geometry(ring_profile, lam), 2000).tolist()}
 
-    def order_zero_settles(points, l, n_eff):
+    def order_one_fails_off_the_grid(points, l, n_eff):
         values = kernel(points, l, n_eff)
-        if len(values) < 100:  # a bisection step, not a scan
-            values[l == 0] = 0.0
+        off_grid = np.array([x not in on_grid for x in n_eff.tolist()], dtype=bool)
+        values[(l == 1) & off_grid] = np.nan  # in refinement calls only
         return values
 
-    monkeypatch.setattr(modes, "_BISECT_MAXITER", 5)
-    monkeypatch.setattr(modes, "_char_values", order_zero_settles)
+    monkeypatch.setattr(modes, "_char_values", order_one_fails_off_the_grid)
     for lockstep, per_order in (
         (lambda: find_modes(ring_profile, 1.55),
          lambda: oracles.find_modes_per_order(ring_profile, 1.55)),
+        (lambda: solve_mode_table(ring_profile, 1.55),
+         lambda: oracles.solve_mode_table_per_order(ring_profile, 1.55)),
         (lambda: sweep_modes(ring_profile, 1550.0, 1550.2, 0.1),
          lambda: oracles.sweep_modes_per_order(ring_profile, 1550.0, 1550.2, 0.1)),
     ):
-        with pytest.raises(modes.BracketRefinementError) as excinfo:
+        with pytest.raises(modes.BracketRefinementError,
+                           match="characteristic function is not finite") as excinfo:
             lockstep()
-        # the batch starts with the LP01 and LP02 brackets, which settle at once
+        # the batch starts with the LP01 and LP02 brackets, which refine as usual
         assert excinfo.value.azimuthal == 1
         assert _solver_outcome(lockstep) == _solver_outcome(per_order)
-    monkeypatch.setattr(modes, "_char_values", kernel)
-    outcome = _solver_outcome(lambda: solve_mode_table(ring_profile, 1.55))
-    assert outcome[0][0] == "BracketRefinementError" and "l=0" in outcome[0][1]
-    assert outcome == _solver_outcome(
-        lambda: oracles.solve_mode_table_per_order(ring_profile, 1.55))
+
+
+def test_a_bracket_still_open_after_n_max_plus_one_steps_is_an_error(ring_profile,
+                                                                      monkeypatch):
+    # without its floor of a few ulp, eps = xtol / 2 lies far below the spacing of the
+    # floats, no bracket can close, and each ends at the step cap
+    from fmf_ttdl import modes
+
+    monkeypatch.setattr(modes, "_REFINE_RTOL", 0.0)
+
+    def lockstep():
+        return find_modes(ring_profile, 1.55, root_tol=1e-300)
+
+    with pytest.raises(modes.BracketRefinementError, match="still open after") as excinfo:
+        lockstep()
+    assert excinfo.value.azimuthal == 0
+    assert _solver_outcome(lockstep) == _solver_outcome(
+        lambda: oracles.find_modes_per_order(ring_profile, 1.55, root_tol=1e-300))
 
 
 def test_kernel_call_budget(ring_profile, monkeypatch):
@@ -715,11 +776,11 @@ def test_kernel_call_budget(ring_profile, monkeypatch):
         return kernel(points, l, n_eff)
 
     monkeypatch.setattr(modes, "_char_values", counting)
-    solve_mode_table(ring_profile, 1.55)  # two scans and one lockstep bisection
-    assert 0 < len(calls) <= 40
+    solve_mode_table(ring_profile, 1.55)  # two scans and one lockstep ITP
+    assert 0 < len(calls) <= 15
     calls.clear()
     assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
-    assert 0 < len(calls) <= 40
+    assert 0 < len(calls) <= 15
 
 
 def test_kernel_point_and_mode_count_budget(ring_profile, monkeypatch):
@@ -748,7 +809,7 @@ def _drop_first_bracket(scan):
         found = scan(scans)
         first = found[0]  # the window of LP02, the lowest root of l = 0
         found[0] = first._replace(lower=first.lower[1:], upper=first.upper[1:],
-                                  f_lower=first.f_lower[1:])
+                                  f_lower=first.f_lower[1:], f_upper=first.f_upper[1:])
         return found
     return scan_one_short
 
@@ -861,6 +922,27 @@ def test_window_padding_absorbs_a_count_one_cell_off(ring_profile, monkeypatch, 
 
     monkeypatch.setattr(modes, "_mode_counts", shifted)
     assert mode_table_to_csv(solve_mode_table(ring_profile, 1.55)) == expected
+
+
+def test_an_exact_zero_at_a_grid_point_is_one_root(ring_profile, monkeypatch):
+    # f is exactly 0 where LP01's cell starts, with its sign bit against its
+    # neighbours', as a computed zero may have it: the root is that point, once
+    from fmf_ttdl import modes
+
+    grid = modes._scan_grid(modes._geometry(ring_profile, 1.55), 2000)
+    start = grid[np.searchsorted(grid, find_modes(ring_profile, 1.55).mode(0, 1).n_eff) - 1]
+    kernel = modes._char_values
+
+    def zero_at_start(points, l, n_eff):
+        values = kernel(points, l, n_eff)
+        values[(l == 0) & (n_eff == start)] *= -0.0
+        return values
+
+    monkeypatch.setattr(modes, "_char_values", zero_at_start)
+    table = find_modes(ring_profile, 1.55)
+    assert table.labels() == EXPECTED_ORDER
+    assert table.mode(0, 1).n_eff == start
+    assert table == oracles.find_modes_per_order(ring_profile, 1.55)
 
 
 def test_windows_of_nearby_roots_merge_into_one_scan(monkeypatch):

@@ -7,7 +7,8 @@ a table must number each order 1..k in descending n_eff, keep every n_eff in
 the guided range (n_clad, n_max), and a sweep must label by rank at every
 step and warn of exactly the (l, m) a step loses.  Roots of one order are
 checked to lie at least one scan cell apart, the separation below which the
-scan could hold two roots in one cell and miss both.  The mode count N_l(n)
+scan could hold two roots in one cell and miss both, and each within 8 ulp of
+a sign change of the characteristic function.  The mode count N_l(n)
 must give, at the grid's low end, the number of roots of every order, and
 step down by exactly one across each root.  Seeds only choose where the
 search counts first, so any seeds give the same brackets and cells as none.
@@ -68,6 +69,7 @@ def _check_table(profile, table, lam):
         assert all(a > b for a, b in zip(n_effs, n_effs[1:])), l
         assert all(geometry.n_clad < n < n_max for n in n_effs), l
         assert all(a - b >= cell for a, b in zip(n_effs, n_effs[1:])), (l, n_effs, cell)
+    assert oracles.roots_without_sign_change(profile, table, 8) == []
 
 
 @settings(max_examples=40, deadline=None)
