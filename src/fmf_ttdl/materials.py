@@ -12,7 +12,9 @@ fixed.  A raised (doped) layer is modelled one of two ways:
 ``sellmeier-blend``
     Sellmeier coefficients interpolated linearly between the silica and
     germania endpoint sets, with the blend fraction of each layer calibrated
-    so that its index at 1.55 um equals cladding * (1 + delta).  Closer to
+    so that its index at 1.55 um equals cladding * (1 + delta): a bisection
+    of [0, 1] down to adjacent floats gives the fraction where the index
+    first reaches that target, so it lands within an ulp of it.  Closer to
     real doped-glass dispersion at the price of a coefficient-choice
     ambiguity.
 
@@ -22,7 +24,6 @@ Wavelengths are in micrometres throughout this module.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -112,67 +113,12 @@ def material_index(model, blend_fraction, wavelength_um):
     return _sellmeier_n(terms(blend_fraction), wavelength_um)
 
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # scipy.optimize.brentq's default rtol
-_BRENT_MAXITER = 100  # and its default maxiter
-
-
-def _brentq(f, a, b, xtol):
-    """Root of f in [a, b] by Brent's method, as scipy.optimize.brentq finds it.
-
-    Follows scipy's Zeros/brentq.c step for step (the same interpolate,
-    extrapolate and bisect choices, rtol 4*eps and 100 iterations), so the
-    root is the same double.  Raises ValueError when f(a) and f(b) share a
-    sign or f returns NaN, and RuntimeError when it does not converge.
-    """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a short enough step
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
 @lru_cache(maxsize=None)
 def _blend_fraction_for_delta(delta):
-    """Blend fraction whose index at the calibration wavelength hits 1+delta."""
-    if delta == 0.0:
-        return 0.0
+    """The blend fraction x whose index n(x) at the calibration wavelength first reaches
+    the target cladding * (1 + delta): n(x) >= target > n(the float below x), from a
+    bisection of [0, 1] run down to adjacent floats; 0.0 when silica already reaches it.
+    """
     n_silica = _sellmeier_n(SILICA_SELLMEIER, BLEND_CALIBRATION_UM)
     target = n_silica * (1.0 + delta)
     n_germania = _sellmeier_n(terms(1.0), BLEND_CALIBRATION_UM)
@@ -180,12 +126,15 @@ def _blend_fraction_for_delta(delta):
         raise MaterialError(
             f"relative index step {delta} is outside the silica-germania blend range"
         )
-    return _brentq(
-        lambda x: _sellmeier_n(terms(x), BLEND_CALIBRATION_UM) - target,
-        0.0,
-        1.0,
-        xtol=1e-15,
-    )
+    if target == n_silica:
+        return 0.0
+    lo, hi = 0.0, 1.0  # n(lo) < target <= n(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _sellmeier_n(terms(mid), BLEND_CALIBRATION_UM) < target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -472,12 +472,11 @@ def _scan(scans):
 
     A point where the function is exactly zero is a root of the cell it starts;
     the last point counts on its own only where it closes the grid (closed).
-    Scans without points (nothing guided, or no layers) make no kernel call.
     """
     geometries, orders, grids, _ = zip(*scans)
     counts = [len(points) for points in grids]
     values = _char_values(_points(geometries, counts), np.repeat(orders, counts),
-                          np.concatenate(grids)) if sum(counts) else np.empty(0)
+                          np.concatenate(grids))
     found = []
     for (geometry, l, points, closed), f in zip(scans, np.split(values, np.cumsum(counts)[:-1])):
         last = len(f) if closed else len(f) - 1
@@ -617,7 +616,8 @@ def _certify(grid, l, wavelength_um, brackets, cells):
         raise ModeSolverError(
             f"root search lost track of l={l} at {wavelength_um * 1e3} nm: the mode count "
             f"gives {by_count} roots and the window scan found {by_scan}, near the cell "
-            f"({grid[x]!r}, {grid[x + 1]!r}] (a larger scan_points may separate them)")
+            f"({float(grid[x])!r}, {float(grid[x + 1])!r}] "
+            f"(a larger scan_points may separate them)")
 
 
 scan_points_rule = at_least(500)

@@ -111,6 +111,9 @@ EQUIVALENT = {
     ("modes", "np.where(side < 0.0, fa, y), np.where((side >= 0.0), fb, y),"):
         "side is 0 only where y is, and then a = b = x closes the bracket before fb is "
         "read again",
+    ("materials", "lo, hi = 0.0, (2.0)  # n(lo) < target <= n(hi)"):
+        "the first midpoint is 1.0, where the index is germania's and reaches any target "
+        "in range, so hi becomes 1.0 and the bisection of [0, 1] follows",
 }
 
 

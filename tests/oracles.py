@@ -19,9 +19,9 @@ package takes central differences of n_eff(lambda).  The placement LPs go to
 HiGHS without scipy.optimize.linprog's plumbing, so the public linprog with
 the same options must reach the same verdict (optimal at its status 0,
 infeasible at its status 2, failed at any other) and the same x, bit for bit.
-The sellmeier-blend calibration solves its root with the package's own port
-of Brent's method, so the public scipy.optimize.brentq must give the same
-blend fraction, bit for bit.
+The sellmeier-blend calibration bisects its blend fraction down to adjacent
+floats, so the public scipy.optimize.brentq, which stops within its xtol,
+must give a fraction within 4e-15 of it.
 """
 
 import math

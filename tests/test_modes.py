@@ -694,6 +694,48 @@ def test_demo_table_keeps_its_bits(ring_profile):
     assert mode_table_to_csv(solve_mode_table(ring_profile, 1.55)) == DEMO_TABLE_CSV
 
 
+# the same demo profile under the sellmeier-blend model, its layers calibrated by
+# bisection: the blend fraction is the float where the index first reaches the target
+DEMO_BLEND_TABLE_CSV = {
+    1537.0: """\
+l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm
+0,1,1.4528151206660729,4913222.434869483,18.292977615224416,1537.0
+1,1,1.4520518043074595,4916671.409214045,23.071636483756958,1537.0
+2,1,1.4504216385844524,4921287.47045411,26.725150206719054,1537.0
+3,1,1.4482803979504228,4926093.622014474,28.62924059042772,1537.0
+0,2,1.447725966745673,4916119.348292102,16.673358750128713,1537.0
+1,2,1.4462714122206872,4922118.5473270165,10.77102099017147,1537.0
+4,1,1.4457792201782493,4930504.242990152,25.08257216956472,1537.0
+""",
+    1550.0: """\
+l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm
+0,1,1.4526445389262452,4913465.810856675,19.14751773296405,1550.0
+1,1,1.4518659424228435,4916976.9532052195,23.932952951170332,1550.0
+2,1,1.4502102241634498,4921640.212356973,27.540367910902017,1550.0
+3,1,1.4480386555829559,4926470.185954002,29.300170335292222,1550.0
+0,2,1.4475050221379417,4916341.272082761,17.4649727767594,1550.0
+1,2,1.4460230567601373,4922255.70372493,10.310620796906337,1550.0
+4,1,1.445505200606195,4930830.664030679,25.12339483657324,1550.0
+""",
+    1561.0: """\
+l,m,n_eff,tau_ps_per_km,D_ps_per_km_nm,lambda0_nm
+0,1,1.452499712625091,4913680.3680885,19.86157255793685,1561.0
+1,1,1.4517080645502096,4917244.1762846215,24.651565164481998,1561.0
+2,1,1.450030632712756,4921946.89734684,28.218864320436236,1561.0
+3,1,1.4478333568887338,4926795.534605357,29.8516658328293,1561.0
+0,2,1.447317624006371,4916536.9883973375,18.117131082848367,1561.0
+1,2,1.445812646006063,4922366.540777112,9.82656431545128,1561.0
+4,1,1.4452726963403788,4931106.924855294,25.095951412013168,1561.0
+""",
+}
+
+
+@pytest.mark.parametrize("nm", sorted(DEMO_BLEND_TABLE_CSV))
+def test_demo_blend_tables_keep_their_bits(ring_profile_blend, nm):
+    table = solve_mode_table(ring_profile_blend, um_from_nm(nm))
+    assert mode_table_to_csv(table) == DEMO_BLEND_TABLE_CSV[nm]
+
+
 def test_lockstep_solves_match_per_order_search_where_lp11_is_lost():
     profile = FiberProfile(layers=(Layer(7.3, 0.0016),))
     outcome, _ = _solver_outcome(lambda: solve_mode_table(profile, 1.50, 0.2))
@@ -978,6 +1020,9 @@ def test_a_root_the_scan_misses_fails_the_mode_count_certificate(ring_profile, m
 
     name, wrap, by_count, by_scan = _MISSES[miss]
     monkeypatch.setattr(modes, name, wrap(getattr(modes, name)))
+    cell = r"\(1\.\d+, 1\.\d+\]"  # two plain floats, not np.float64(...)
     with pytest.raises(ModeSolverError, match=rf"l=0 at 1550\.0 nm: the mode count gives "
-                                              rf"{by_count} roots and the window scan found {by_scan},"):
+                                              rf"{by_count} roots and the window scan found "
+                                              rf"{by_scan}, near the cell {cell} \(a larger "
+                                              rf"scan_points may separate them\)$"):
         solve(ring_profile)
