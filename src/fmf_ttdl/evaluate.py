@@ -3,8 +3,8 @@
 Two delay models are available.  The first-order model extrapolates each
 sample's equivalent delay linearly in wavelength with its equivalent
 dispersion (exact within the design's Taylor window).  The numeric model
-re-solves the fiber modes at the requested wavelength and recombines the
-per-segment delays, capturing effects beyond first order.
+re-solves the fiber modes at the requested wavelengths, all in one solve,
+and recombines the per-segment delays, capturing effects beyond first order.
 
 Delays are reported per unit length (ps/km) relative to the design's
 reference mode; the RF tap delays are the absolute per-sample delays for a
@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import modal_weights, path_sum
 from .fileio import atomic_write_text, check, csv_text, fmt_float, order_rule, positive, um_from_nm
-from .modes import ModeSolverError, format_mode_label, solve_mode_table
+from .modes import ModeSolverError, _probed, format_mode_label
 
 FIRST_ORDER = "first-order"
 NUMERIC_SWEEP = "numeric-sweep"
@@ -59,25 +59,27 @@ def sample_delays_first_order(solution, wavelengths_nm):
     return delays[:, 0] if scalar else delays
 
 
-def sample_delays_numeric(solution, graph, profile, wavelength_nm):
-    """Per-sample delay per unit length, in graph order, from a fresh mode solve at lambda
-    with solve_mode_table's default solver settings."""
-    try:
-        table = solve_mode_table(profile, um_from_nm(float(wavelength_nm)))
-        tau, _ = modal_weights(table, solution.reference_mode)
-    except ModeSolverError as exc:
-        raise EvaluationError(str(exc)) from exc
-    except KeyError:
-        raise EvaluationError(
-            f"reference mode {format_mode_label(*solution.reference_mode)} not guided "
-            f"at {wavelength_nm} nm"
-        ) from None
-    for mode in graph.modes():
-        if mode not in tau:
-            raise EvaluationError(
-                f"mode {format_mode_label(*mode)} not guided at {wavelength_nm} nm"
-            )
-    return np.asarray([path_sum(sample, tau, solution.lengths) for sample in graph.samples])
+def sample_delays_numeric(solution, graph, profile, wavelengths_nm):
+    """Per-sample delay per unit length, in graph order, from one fresh mode solve of every
+    wavelength with solve_mode_table's default settings: the bits and errors of a solve per
+    wavelength, in turn.  A scalar yields (n_samples,), a grid (n_samples, n_wavelengths)."""
+    lam = np.asarray(wavelengths_nm, dtype=float)
+    grid = np.atleast_1d(lam).tolist()
+    delays = np.empty((len(graph.samples), len(grid)))
+    tables = _probed(profile, [um_from_nm(value) for value in grid])
+    for j, value in enumerate(grid):
+        try:
+            tau, _ = modal_weights(next(tables), solution.reference_mode)
+        except ModeSolverError as exc:
+            raise EvaluationError(str(exc)) from exc
+        except KeyError:
+            raise EvaluationError(f"reference mode {format_mode_label(*solution.reference_mode)} "
+                                  f"not guided at {value} nm") from None
+        for mode in graph.modes():
+            if mode not in tau:
+                raise EvaluationError(f"mode {format_mode_label(*mode)} not guided at {value} nm")
+        delays[:, j] = [path_sum(sample, tau, solution.lengths) for sample in graph.samples]
+    return delays[:, 0] if lam.ndim == 0 else delays
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ def delay_curve(solution, wavelengths_nm, model=FIRST_ORDER, graph=None, profile
     elif model == NUMERIC_SWEEP:
         if graph is None or profile is None:
             raise ValueError("numeric-sweep model needs graph and profile")
-        columns = [sample_delays_numeric(solution, graph, profile, value) for value in lam]
-        delays = np.stack(columns, axis=1)
+        delays = sample_delays_numeric(solution, graph, profile, lam)
     else:
         raise ValueError(f"model must be '{FIRST_ORDER}' or '{NUMERIC_SWEEP}', got '{model}'")
     return DelayCurve(

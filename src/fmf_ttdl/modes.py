@@ -27,15 +27,16 @@ mode count N_l(n), the number of guided modes of order l above n_eff = n, is
 the number of zeros of the regular radial solution (oscillation theorem;
 Courant & Hilbert, Methods of Mathematical Physics I, ch. VI).  A k-ary
 search over grid indices by count, batched over orders and wavelengths,
-isolates each root in its cell; one wavelength is searched first, and its
-cells seed the search at the others.  One kernel call scans the cells, padded
-by a cell on each side, for the sign changes, exact zeros and end values that
-a scan of the whole grid would give.  Each solve (all orders at all
-wavelengths of a sweep or of a table and its probes) collects its brackets
-first and refines them all by ITP in lockstep, one kernel call per step, to
-within a few ulp (xtol = root_tol * _REFINE_FACTOR, or rounding).  The
-count also certifies the scan: an order whose scanned roots differ in number
-from its count, as where two roots share a cell, raises ModeSolverError.
+isolates each root in its cell; the anchor of each group of wavelengths is
+searched first, and its cells seed the search at the others of its group.
+One kernel call scans the cells, padded by a cell on each side, for the sign
+changes, exact zeros and end values that a scan of the whole grid would give.
+Each solve (all orders at all wavelengths of a sweep, or of tables and their
+probes) collects its brackets first and refines them all by ITP in lockstep,
+one kernel call per step, to within a few ulp (xtol = root_tol *
+_REFINE_FACTOR, or rounding).  The count also certifies the scan: an order
+whose scanned roots differ in number from its count, as where two roots
+share a cell, raises ModeSolverError.
 
 Labels are ranks.  For fixed l the radial equation is a Sturm-Liouville
 problem: LP_lm, its m-th root from the top, has m - 1 radial zeros, and roots
@@ -44,9 +45,9 @@ Optical Waveguide Theory, 1983); a sweep warns of each (l, m) a step loses.
 
 Group delay and chromatic dispersion per mode follow from central finite
 differences of n_eff(lambda).  A table is solved with its probes lambda0 -/+
-dlambda as one sweep anchored on lambda0, and LP_lm at a probe is by rank
-the m-th root of order l there; a mode without one raises
-ModeContinuationError.
+dlambda as one group anchored on lambda0 (several centers in one solve),
+and LP_lm at a probe is by rank the m-th root of order l there; a mode
+without one raises ModeContinuationError.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cache, partial
+from itertools import accumulate, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,7 @@ from .fileio import (
     scipy_extension,
     um_from_nm,
 )
+from .materials import WavelengthRangeError
 
 _C_M_PER_S = 299_792_458.0  # exact by the SI definition of the metre
 _C_KM_PER_S = _C_M_PER_S / 1000.0
@@ -223,6 +226,10 @@ def _points(geometries, counts):
     return geometries[0].radii, np.repeat(np.array(scalars), counts, axis=0)
 
 
+def _pieces(values, sizes):
+    return [values[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+
+
 def _renormalize(state):
     scale = np.maximum(np.abs(state[:, 0]), np.abs(state[:, 1]))
     return state / scale[:, None]
@@ -356,18 +363,19 @@ def _propagator(l, u2, edges):
                     out[k, rows, i, j] = outer[i][0] * inverse[0][j] + outer[i][1] * inverse[1][j]
 
     # power-law basis r^l, r^-l (1, log r for l = 0), in Python floats per order
-    for k, (r_inner, r_outer) in enumerate(steps):
-        for order in np.unique(l[degenerate[k]]).tolist():
-            rows = degenerate[k] & (l == order)
-            if order == 0:
-                out[k, rows] = ((1.0, r_inner * math.log(r_outer / r_inner)),
-                                (0.0, r_inner / r_outer))
-                continue
-            grow = (r_outer / r_inner) ** order
-            out[k, rows] = ((0.5 * (grow + 1.0 / grow),
-                             r_inner * (grow - 1.0 / grow) / (2.0 * order)),
-                            (order * (grow - 1.0 / grow) / (2.0 * r_outer),
-                             (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)))
+    if degenerate.any():
+        for k, (r_inner, r_outer) in enumerate(steps):
+            for order in np.unique(l[degenerate[k]]).tolist():
+                rows = degenerate[k] & (l == order)
+                if order == 0:
+                    out[k, rows] = ((1.0, r_inner * math.log(r_outer / r_inner)),
+                                    (0.0, r_inner / r_outer))
+                    continue
+                grow = (r_outer / r_inner) ** order
+                out[k, rows] = ((0.5 * (grow + 1.0 / grow),
+                                 r_inner * (grow - 1.0 / grow) / (2.0 * order)),
+                                (order * (grow - 1.0 / grow) / (2.0 * r_outer),
+                                 (r_inner / r_outer) * 0.5 * (grow + 1.0 / grow)))
     return out
 
 
@@ -478,7 +486,7 @@ def _scan(scans):
     values = _char_values(_points(geometries, counts), np.repeat(orders, counts),
                           np.concatenate(grids))
     found = []
-    for (geometry, l, points, closed), f in zip(scans, np.split(values, np.cumsum(counts)[:-1])):
+    for (geometry, l, points, closed), f in zip(scans, _pieces(values, counts)):
         last = len(f) if closed else len(f) - 1
         cells = np.flatnonzero(f[:-1] * f[1:] < 0.0)
         found.append(_Brackets(geometry, l, points[:last][f[:last] == 0.0],
@@ -510,7 +518,8 @@ def _refine(points, l, a, b, fa, fb, xtol):
         keep = (b - a > 2.0 * eps) & (reach >= eps)  # open, at most n_max steps taken
         if not keep.any():
             return roots
-        index, l, rows, a, b, fa, fb, eps, kappa, reach = (v[keep] for v in state)
+        if not keep.all():
+            index, l, rows, a, b, fa, fb, eps, kappa, reach = (v[keep] for v in state)
         width, mid = b - a, 0.5 * (a + b)
         x_f = (fb * a - fa * b) / (fb - fa)  # regula falsi
         sigma, delta = np.where(mid > x_f, 1.0, -1.0), kappa * width * width
@@ -540,7 +549,7 @@ def _roots(found, xtol):
         geometries, orders, _, *ends = zip(*found)
         refined = _refine(_points(geometries, counts), np.repeat(orders, counts),
                           *map(np.concatenate, ends), xtol)
-    for brackets, roots in zip(found, np.split(refined, np.cumsum(counts)[:-1])):
+    for brackets, roots in zip(found, _pieces(refined, counts)):
         if not np.isfinite(roots).all():
             k = np.isfinite(roots).argmin()
             bracket = float(brackets.lower[k]), float(brackets.upper[k])
@@ -574,9 +583,8 @@ def _search(cases, seeds=None):
         counts = _mode_counts(_points(geometries, sizes), np.repeat(orders, sizes),
                               np.concatenate([grid[points] for grid, points in zip(grids, new)]))
         spans = []
-        for i, cut, points, level in zip(owners, cuts, new,
-                                         np.split(counts, np.cumsum(sizes)[:-1])):
-            levels[i].update(zip(points, level.tolist()))
+        for i, cut, points, level in zip(owners, cuts, new, _pieces(counts.tolist(), sizes)):
+            levels[i].update(zip(points, level))
             for x, y in zip(cut, cut[1:]):
                 drop = levels[i][x] - levels[i][y]
                 if drop > 0 and y == x + 1:
@@ -603,7 +611,8 @@ def _search(cases, seeds=None):
     scanned = [[] for _ in cases]
     for i, brackets in zip(owners, _scan(scans) if scans else ()):
         scanned[i].append(brackets)
-    return [(_Brackets(geometry, l, *(np.concatenate([np.empty(0), *(part[k] for part in mine)])
+    return [(mine[0] if len(mine) == 1 else
+             _Brackets(geometry, l, *(np.concatenate([np.empty(0), *(part[k] for part in mine)])
                                       for k in range(2, 7))), found)
             for (geometry, l, _), mine, found in zip(cases, scanned, cells)]
 
@@ -640,36 +649,42 @@ def _cutoff_order(geometry, n_low):
     return math.ceil(math.hypot(reach, 0.5))
 
 
-def _find_tables(profile, wavelengths_um, scan_points, root_tol, anchor=None):
-    """The ModeTable (n_eff only) at each wavelength, in turn.
+def _find_tables(profile, groups, scan_points, root_tol):
+    """The ModeTable (n_eff only) at each wavelength of each group (wavelengths, anchor), in turn.
 
     Every order below _cutoff_order (and up to _MAX_AZIMUTHAL) is searched at
-    the anchor wavelength, the middle one by default, then at all others in
-    one _search seeded near the anchor's cells of the same order.  A table
-    takes the orders before the first without a root on its grid.  One
-    lockstep ITP refines the brackets of all tables, then each table's
-    orders are certified.  Tables, warnings and errors come in wavelength order.
+    every group's wavelengths[anchor] in one _search, then at all others in
+    one _search seeded near their anchor's cells of the same order.  A table
+    takes the orders before the first without a root on its grid.  One lockstep
+    ITP refines the brackets of all tables, then each table's orders are certified.
+    Tables, warnings and errors (a group's WavelengthRangeError too) come in wavelength order.
     """
-    geometries = [_geometry(profile, lam) for lam in wavelengths_um]
+    wavelengths, geometries, anchors, late = [], [], [], None  # anchors[k]: k's anchor
+    for own, anchor in groups:
+        try:
+            geometries += [_geometry(profile, lam) for lam in own]
+        except WavelengthRangeError as error:  # raised in its group's turn
+            late = error
+            break
+        anchors += [len(wavelengths) + anchor] * len(own)
+        wavelengths += own
     grids = [_scan_grid(geometry, scan_points) for geometry in geometries]
     cases = [[(geometry, l, grid) for l in range(
               min(_MAX_AZIMUTHAL, _cutoff_order(geometry, grid[0])) + 1 if grid.size else 0)]
              for geometry, grid in zip(geometries, grids)]
-    anchor = len(cases) // 2 if anchor is None else anchor
-    first = _search(cases[anchor])
-    near = {l: cells for (_, l, _), (_, cells) in zip(cases[anchor], first)}
-    others = [case for k, own in enumerate(cases) if k != anchor for case in own]
-    rest = iter(_search(others, [[x + d for x, _ in near.get(l, ())
-                                  for d in range(-_SEED_REACH, _SEED_REACH + 2)]
-                                 for _, l, _ in others]))
-    tables = []
-    for k, own in enumerate(cases):
-        orders = first if k == anchor else [next(rest) for _ in own]
-        tables.append(orders[:next((l for l, (_, cells) in enumerate(orders) if not cells),
-                                   len(orders))])
+    heads = [(k, l) for k in sorted(set(anchors)) for l in range(len(cases[k]))]
+    found = dict(zip(heads, _search([cases[k][l] for k, l in heads])))
+    near = {key: cells for key, (_, cells) in found.items()}
+    tails = [(k, l) for k, own in enumerate(cases) if k != anchors[k] for l in range(len(own))]
+    found.update(zip(tails, _search([cases[k][l] for k, l in tails],
+                                    [[x + d for x, _ in near.get((anchors[k], l), ())
+                                      for d in range(-_SEED_REACH, _SEED_REACH + 2)]
+                                     for k, l in tails])))
+    tables = [list(takewhile(lambda order: order[1], (found[k, l] for l in range(len(own)))))
+              for k, own in enumerate(cases)]  # the orders before the first without a root
     roots = _roots([brackets for orders in tables for brackets, _ in orders],
                    root_tol * _REFINE_FACTOR)
-    for lam, grid, orders in zip(wavelengths_um, grids, tables):
+    for lam, grid, orders in zip(wavelengths, grids, tables):
         by_order = [next(roots) for _ in orders]
         for l, (brackets, cells) in enumerate(orders):
             _certify(grid, l, lam, brackets, cells)
@@ -680,12 +695,14 @@ def _find_tables(profile, wavelengths_um, scan_points, root_tol, anchor=None):
             warnings.warn(f"azimuthal scan stopped at l={_MAX_AZIMUTHAL} with modes still guided")
         records.sort(key=lambda record: -record.n_eff)
         yield ModeTable(tuple(records), lam)
+    if late is not None:
+        raise late
 
 
 def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
     """All guided LP modes at one wavelength (effective indices only)."""
     _check_search_params(scan_points, root_tol)
-    return next(_find_tables(profile, [wavelength_um], scan_points, root_tol))
+    return next(_find_tables(profile, [((wavelength_um,), 0)], scan_points, root_tol))
 
 
 def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
@@ -696,38 +713,37 @@ def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
             -lambda0_um * curvature * _DISPERSION_SCALE)
 
 
-def _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol):
-    """(table, characterize): the ModeTable at lambda0 and the (tau, D) of its records.
+def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-12):
+    """The ModeTable at each center lambda0 in turn, tau and D filled, from one solve.
 
-    One sweep anchored on the center solves lambda0, lambda0 - dlambda and
-    lambda0 + dlambda, so the center's errors come first.  A record's n_eff
-    at each probe is its rank m in its order there, the minus probe first:
-    LP_lm is the m-th root of order l at every wavelength.
+    Each center is a group lambda0, lambda0 - dlambda, lambda0 + dlambda
+    anchored on lambda0, so its errors come first, then its probes', then
+    its continuation errors.  A record's n_eff at each probe is its rank m in
+    its order there, the minus probe first: LP_lm is the m-th root of order l.
     """
     _check_search_params(scan_points, root_tol)
-    wavelengths = (lambda0_um, lambda0_um - dlambda_um, lambda0_um + dlambda_um)
-    table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, anchor=0)
-
-    def characterize(record):
-        n_eff = []
-        for probe in probes:
-            try:
-                n_eff.append(probe.mode(record.l, record.m).n_eff)
-            except KeyError:
-                lost = f"mode {record.label} not resolvable at {probe.lambda0_um * 1e3} nm"
-                raise ModeContinuationError(f"{lost} (cutoff crossed?)") from None
-        return _tau_and_dispersion(n_eff[0], record.n_eff, n_eff[1], lambda0_um, dlambda_um)
-
-    return table, characterize
+    tables = _find_tables(profile, [((lam, lam - dlambda_um, lam + dlambda_um), 0)
+                                    for lam in centers_um], scan_points, root_tol)
+    for table, *probes in zip(tables, tables, tables):
+        filled = []
+        for record in table.modes:
+            n_eff = []
+            for probe in probes:
+                try:
+                    n_eff.append(probe.mode(record.l, record.m).n_eff)
+                except KeyError:
+                    lost = f"mode {record.label} not resolvable at {probe.lambda0_um * 1e3} nm"
+                    raise ModeContinuationError(f"{lost} (cutoff crossed?)") from None
+            tau, disp = _tau_and_dispersion(n_eff[0], record.n_eff, n_eff[1], table.lambda0_um,
+                                            dlambda_um)
+            filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
+        yield ModeTable(tuple(filled), table.lambda0_um)
 
 
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                      root_tol=1e-12):
     """Full mode table with tau and D filled for every guided mode."""
-    table, characterize = _probed(profile, lambda0_um, dlambda_um, scan_points, root_tol)
-    filled = [replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp)
-              for record in table.modes for tau, disp in [characterize(record)]]
-    return ModeTable(tuple(filled), lambda0_um)
+    return next(_probed(profile, [lambda0_um], dlambda_um, scan_points, root_tol))
 
 
 def _warn_lost(previous_modes, table):
@@ -744,7 +760,8 @@ def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
     wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
     _check_search_params(scan_points, root_tol)
     tables = []
-    for table in _find_tables(profile, wavelengths, scan_points, root_tol):
+    for table in _find_tables(profile, [(wavelengths, len(wavelengths) // 2)], scan_points,
+                              root_tol):
         _warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables

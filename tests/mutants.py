@@ -84,17 +84,21 @@ EQUIVALENT = {
         "where scale is 0 the outer where discards the quotient",
     ("modes", "return np.where(scale > 0.0, (a - b) / np.where(scale > 0.0, scale, (2.0)), 0.0)"):
         "where scale is 0 the outer where discards the quotient",
-    ("modes", "table, *probes = _find_tables(profile, wavelengths, scan_points, root_tol, "
-              "anchor=(1))"):
+    ("modes", "tables = _find_tables(profile, [((lam, lam - dlambda_um, lam + dlambda_um), (1))"):
         "the anchor only seeds the search at the other wavelengths, and any seeds give the "
         "same brackets and cells",
     ("modes", "min(_MAX_AZIMUTHAL, _cutoff_order(geometry, grid[(1)])) + 1 if grid.size else 0)]"):
         "one cell up lowers the bound's reach by about reach / (2 (scan_points - 1)), so the "
         "bound drops at most its own order, which has no root at or above grid[0] either",
-    ("modes", "anchor = len(cases) // (3) if anchor is None else anchor"):
+    ("modes", "for table in _find_tables(profile, [(wavelengths, len(wavelengths) // (3))], "
+              "scan_points,"):
         "the anchor only seeds the search at the other wavelengths, and any seeds give the "
         "same brackets and cells",
-    ("modes", "rest = iter(_search(others, [[(x - d) for x, _ in near.get(l, ())"):
+    ("modes", "anchors += [(len(wavelengths) - anchor)] * len(own)"):
+        "the only group with a nonzero anchor is a sweep's, and there it wraps to another "
+        "wavelength of the sweep, which is then searched twice: any seeds give the same "
+        "brackets and cells",
+    ("modes", "[[(x - d) for x, _ in near.get((anchors[k], l), ())"):
         "the seeds change only the work done: any seeds give the same brackets and cells",
     ("modes", "for d in range(-_SEED_REACH, _SEED_REACH + (3))]"):
         "the reach only widens the seeds, and any seeds give the same brackets and cells",

@@ -3,12 +3,15 @@
 These deliberately avoid the package's own solution paths: the two-layer
 mode relation is the textbook eigenvalue equation (not a transfer matrix),
 the placement oracle is a literal hand-built matrix, and the dispersion
-maximization oracle is an exhaustive grid search.  Two oracles check
+maximization oracle is an exhaustive grid search.  Three oracles check
 batching instead and reuse the package's kernels: the perturbation oracle
-designs each perturbed table alone with the single-design path, and the
+designs each perturbed table alone with the single-design path, the
 per-order mode search scans one order at one wavelength at a time and
 refines each bracket alone by a scalar ITP, against which the solver's one
-lockstep ITP per solve must give the same floats and the same errors.  The
+lockstep ITP per solve must give the same floats and the same errors, and
+the per-wavelength numeric delays solve one mode table at a time, against
+which a numeric delay curve, all its wavelengths one solve, must give the
+same floats.  The
 per-line profile and graph parsers read a file one line at a time with a "current section" state machine, and
 the package's section-file parsers must give the same values and the same
 diagnostics.  The nm -> um conversion that tries the quotient's two
@@ -38,6 +41,8 @@ from fmf_ttdl.design import (
     PerturbationTrial,
     RobustnessReport,
     assemble_constraints,
+    modal_weights,
+    path_sum,
     solve_placements,
     _parse_segment,
 )
@@ -389,6 +394,17 @@ def solve_mode_table_per_order(profile, lambda0_um, dlambda_um=5e-4, scan_points
         tau, disp = _characterize(record, probes, lambda0_um, dlambda_um, root_tol)
         filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
     return ModeTable(tuple(filled), lambda0_um)
+
+
+def sample_delays_per_wavelength(solution, graph, profile, wavelengths_nm):
+    """evaluate.sample_delays_numeric on a grid, one modes.solve_mode_table per wavelength,
+    as (n_samples, n_wavelengths)."""
+    columns = []
+    for nm in wavelengths_nm:
+        table = modes.solve_mode_table(profile, um_from_nm(float(nm)))
+        tau, _ = modal_weights(table, solution.reference_mode)
+        columns.append([path_sum(sample, tau, solution.lengths) for sample in graph.samples])
+    return np.array(columns).T
 
 
 def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,

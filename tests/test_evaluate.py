@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from fmf_ttdl.design import PlacementSolution, parse_graph
 from fmf_ttdl.evaluate import (
     DegenerateFilterError,
@@ -14,8 +15,8 @@ from fmf_ttdl.evaluate import (
     tap_delays_ps,
     tunability_report,
 )
-from fmf_ttdl.fileio import order_rule, span_rule
-from fmf_ttdl.materials import FiberProfile, Layer
+from fmf_ttdl.fileio import grid_points, order_rule, span_rule
+from fmf_ttdl.materials import FiberProfile, Layer, WavelengthRangeError
 
 
 def test_differential_delays_at_center_wavelength(reference_solution):
@@ -105,10 +106,29 @@ def test_numeric_curve_agrees_with_first_order_and_with_each_numeric_solve(
         ))
 
 
-def test_numeric_curve_needs_graph_and_profile(solver_solution_blend, four_sample_graph):
+@pytest.mark.parametrize("blend", [False, True])
+def test_numeric_curve_matches_a_solve_per_wavelength_bit_for_bit(
+    blend, solver_solution_blend, four_sample_graph, ring_profile, ring_profile_blend
+):
+    profile = ring_profile_blend if blend else ring_profile
+    for grid in ([1545.0, 1550.0, 1555.0], grid_points(1540.0, 1560.0, 0.5)):
+        curve = delay_curve(solver_solution_blend, grid, model="numeric-sweep",
+                            graph=four_sample_graph, profile=profile)
+        assert np.array_equal(curve.sample_delays_ps_per_km, oracles.sample_delays_per_wavelength(
+            solver_solution_blend, four_sample_graph, profile, grid))
+
+
+def test_numeric_curve_needs_graph_and_profile(
+    solver_solution_blend, four_sample_graph, ring_profile_blend
+):
     with pytest.raises(ValueError, match="numeric-sweep model needs graph and profile"):
         delay_curve(solver_solution_blend, [1550.0], model="numeric-sweep",
                     graph=four_sample_graph)
+    # an empty grid gives no columns under either model
+    for model in ("first-order", "numeric-sweep"):
+        curve = delay_curve(solver_solution_blend, [], model=model, graph=four_sample_graph,
+                            profile=ring_profile_blend)
+        assert curve.sample_delays_ps_per_km.shape == (4, 0)
 
 
 @pytest.mark.parametrize("reference, wavelength_nm, message", [
@@ -116,6 +136,11 @@ def test_numeric_curve_needs_graph_and_profile(solver_solution_blend, four_sampl
     ((0, 1), 1557.999, "mode LP11 not resolvable at 1558.499 nm (cutoff crossed?)"),
     ((0, 2), 1550.0, "reference mode LP02 not guided at 1550.0 nm"),
     ((0, 1), 1560.0, "mode LP11 not guided at 1560.0 nm"),
+    # on a grid, each wavelength's errors come before anything about a later one
+    ((0, 1), [1550, 1557.999, 1560], "mode LP11 not resolvable at 1558.499 nm (cutoff crossed?)"),
+    ((0, 1), [1550, 1560, 2500], "mode LP11 not guided at 1560.0 nm"),
+    ((0, 1), [1550, 2500, 1560],
+     WavelengthRangeError("wavelength 2.5 um outside supported range [0.5, 2.0] um")),
 ])
 def test_numeric_delays_need_every_mode_guided(reference, wavelength_nm, message):
     # a weak step whose LP11 cuts off near 1558.20 nm; sample 2 rides LP11
@@ -124,9 +149,10 @@ def test_numeric_delays_need_every_mode_guided(reference, wavelength_nm, message
     solution = PlacementSolution(lengths={}, tau_eq_ps_per_km=(0.0, 1.0), d_eq_ps_per_km_nm=None,
                                  delta_tau_ps_per_km=1.0, delta_d_ps_per_km_nm=None,
                                  lambda0_um=1.55, reference_mode=reference)
-    with pytest.raises(EvaluationError) as excinfo:
+    expected = message if isinstance(message, Exception) else EvaluationError(message)
+    with pytest.raises(type(expected)) as excinfo:
         sample_delays_numeric(solution, graph, profile, wavelength_nm)
-    assert str(excinfo.value) == message
+    assert str(excinfo.value) == str(expected)
 
 
 def test_tunability_report(reference_solution):

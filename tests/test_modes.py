@@ -1,4 +1,5 @@
 import csv
+import inspect
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -521,23 +522,48 @@ def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda, monk
     # the probe root of LP_lm is the m-th root of order l in a scan of the whole grid
     from fmf_ttdl import modes
 
-    central = modes._tau_and_dispersion
-    seen = []
+    central, find_tables = modes._tau_and_dispersion, modes._find_tables
+    seen, solved = [], []
     monkeypatch.setattr(modes, "_tau_and_dispersion",
                         lambda *args: seen.append(args[:3]) or central(*args))
+    monkeypatch.setattr(modes, "_find_tables",
+                        lambda *args: (solved.append(t) or t for t in find_tables(*args)))
     profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
-    table, characterize = modes._probed(profile, lam, dlambda, 2000, 1e-12)
+    outcome = _probe_outcome(lambda: next(modes._probed(profile, [lam], dlambda, 2000, 1e-12)))
+    table, *probes = solved
     assert table.modes
+    expected = []
     for r in table.modes:
-        expected = []
-        for probe_lam in (lam - dlambda, lam + dlambda):
+        roots = []
+        for probe_lam, probe in zip((lam - dlambda, lam + dlambda), probes):
             full = oracles._order_roots(modes._geometry(profile, probe_lam), r.l, 2000, 1e-12)
-            expected.append(full[r.m - 1] if r.m <= len(full) else "lost")
-        if "lost" in expected:
-            assert _probe_outcome(lambda: characterize(r)) == "lost", r.label
-        else:
-            characterize(r)
-            assert seen[-1] == (expected[0], r.n_eff, expected[1]), r.label
+            roots.append(full[r.m - 1] if r.m <= len(full) else "lost")
+            ranked = {(p.l, p.m): p.n_eff for p in probe.modes}
+            assert ranked.get((r.l, r.m), "lost") == roots[-1], r.label
+        expected.append((roots[0], r.n_eff, roots[1]))
+    # the table is filled in order up to its first record lost at a probe, which raises
+    lost = next((k for k, roots in enumerate(expected) if "lost" in roots), None)
+    assert seen == expected[:lost]
+    if lost is None:
+        assert outcome.modes == tuple(
+            replace(r, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp)
+            for r, (tau, disp) in zip(table.modes, (central(*e, lam, dlambda) for e in expected)))
+    else:
+        assert outcome == "lost"
+
+
+def test_a_numeric_curve_solves_with_the_defaults_of_solve_mode_table():
+    # evaluate.sample_delays_numeric calls _probed with its defaults; the curve oracle
+    # does not pin them, as 2,001 scan points give the test curves the same bits
+    from fmf_ttdl import modes
+
+    def defaults(function):
+        return {name: parameter.default
+                for name, parameter in inspect.signature(function).parameters.items()
+                if parameter.default is not inspect.Parameter.empty}
+
+    assert defaults(modes._probed) == defaults(solve_mode_table) == {
+        "dlambda_um": 5e-4, "scan_points": 2000, "root_tol": 1e-12}
 
 
 def test_probes_by_rank_resolve_where_the_continuation_window_raised(ring_profile):
@@ -807,22 +833,28 @@ def test_a_bracket_still_open_after_n_max_plus_one_steps_is_an_error(ring_profil
         lambda: oracles.find_modes_per_order(ring_profile, 1.55, root_tol=1e-300))
 
 
-def test_kernel_call_budget(ring_profile, monkeypatch):
+def test_kernel_call_budget(ring_profile, reference_solution, four_sample_graph, monkeypatch):
     from fmf_ttdl import modes
+    from fmf_ttdl.evaluate import delay_curve
 
-    kernel = modes._char_values
-    calls = []
-
-    def counting(points, l, n_eff):
-        calls.append(len(n_eff))
-        return kernel(points, l, n_eff)
-
-    monkeypatch.setattr(modes, "_char_values", counting)
+    kernel, count = modes._char_values, modes._mode_counts
+    calls, count_calls = [], []
+    monkeypatch.setattr(modes, "_char_values",
+                        lambda p, l, n_eff: calls.append(len(n_eff)) or kernel(p, l, n_eff))
+    monkeypatch.setattr(modes, "_mode_counts",
+                        lambda p, l, n_eff: count_calls.append(len(n_eff)) or count(p, l, n_eff))
     solve_mode_table(ring_profile, 1.55)  # two scans and one lockstep ITP
     assert 0 < len(calls) <= 15
     calls.clear()
     assert len(sweep_modes(ring_profile, 1549.5, 1550.5, 0.1)) == 11
     assert 0 < len(calls) <= 15
+    calls.clear()
+    count_calls.clear()
+    # one solve for the whole curve; a solve per point took 33 kernel and 15 count calls
+    delay_curve(reference_solution, [1545.0, 1550.0, 1555.0], model="numeric-sweep",
+                graph=four_sample_graph, profile=ring_profile)
+    assert 0 < len(calls) <= 12
+    assert 0 < len(count_calls) <= 6
 
 
 def test_kernel_point_and_mode_count_budget(ring_profile, monkeypatch):
