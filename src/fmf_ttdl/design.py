@@ -453,12 +453,12 @@ def _highs():
 
 
 _THREAD = threading.local()  # .solver: the HiGHS solver of this thread
+_LP_SEAM = None  # tests: f((cost, a_eq, b_eq, lower, upper), x, failure, solved) -> (x, failure)
 
 
 def _solver():
-    """This thread's HiGHS solver, made on its first LP with the 7 options
-    linprog(method="highs") sets for these LPs.  passModel replaces the whole
-    model, so every LP gets the bits a fresh solver would give it."""
+    """This thread's HiGHS solver, with the 7 options linprog(method="highs") sets;
+    passModel resets it, so each LP passed whole gets a fresh solver's bits."""
     if not hasattr(_THREAD, "solver"):
         highs = _highs()
         options = highs.HighsOptions()
@@ -477,15 +477,14 @@ def _solver():
 def _highs_lp(cost, a_eq, b_eq, lower, upper):
     """min cost @ x subject to a_eq @ x = b_eq and lower <= x <= upper: (x, failure).
 
-    Either the optimum, with failure None, or x None and failure
-    "infeasible" (where linprog's status is 2: HiGHS finds the LP infeasible
-    or refuses the model) or why the solve failed otherwise.  The optimum
-    has the bits of scipy.optimize.linprog(method="highs") with the options
-    of _solver, without its per-call input cleaning and option checks:
-    HiGHS gets the model linprog builds (the nonzeros of csc_array(a_eq),
-    the same bounds), passed to this thread's solver.  As in linprog, a
-    solution HiGHS calls optimal that misses a bound or an equality by more
-    than _LP_TOLERANCE is a failure.
+    Either the optimum, with failure None, or x None and failure "infeasible"
+    (where linprog's status is 2: HiGHS finds the LP infeasible or refuses the
+    model) or why the solve failed otherwise.  The optimum has the bits of
+    scipy.optimize.linprog(method="highs") with the options of _solver,
+    without its per-call input cleaning and option checks: HiGHS gets the
+    model linprog builds (the nonzeros of csc_array(a_eq), the same bounds).
+    As in linprog, a solution HiGHS calls optimal that misses a bound or an
+    equality by more than _LP_TOLERANCE is a failure.
     """
     highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
@@ -499,11 +498,16 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     lp.a_matrix_.value_ = a_eq[row, col]
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
     lp.row_lower_ = lp.row_upper_ = b_eq
-    solver, statuses = _solver(), highs.HighsModelStatus
+    return _run(lp, b_eq, lower, upper)
+
+
+def _run(lp, b_eq, lower, upper):
+    """_highs_lp's outcome of lp, whose rows equal b_eq, on this thread's solver."""
+    highs, solver = _highs(), _solver()
     if solver.passModel(lp) == highs.HighsStatus.kError:
         return None, "infeasible"
     ran = solver.run() != highs.HighsStatus.kError
-    model = solver.getModelStatus()
+    model, statuses = solver.getModelStatus(), highs.HighsModelStatus
     if model in (statuses.kInfeasible, statuses.kModelError):
         return None, "infeasible"
     if not ran or model != statuses.kOptimal:
@@ -529,24 +533,34 @@ def _solve_lp(system, matrix, rhs):
     length lies in [0, 1], and each dispersion row fixes the increment as
     sum c_i x_i - b, so it is bounded when the LP is feasible.  A
     least-squares correction of the last LP's point brings its residuals
-    down to rounding.
+    down to rounding.  The chain edits one HiGHS model.  A tie-break LP but
+    the last whose length is 0.0 at the last solved point is not solved: that
+    point meets its rows and no length is below 0, so 0 is its optimum.
     """
     nvar, (rows, ncols) = len(system.variables), matrix.shape
     lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
     upper = np.r_[np.ones(nvar), np.full(ncols - nvar, np.inf)]
     order = ([nvar] if system.optimize_dispersion else []) + list(range(nvar))
-    # LP j takes the first rows + j rows: the system and the pins of LPs 0 .. j - 1
-    a_eq = np.concatenate([matrix, np.eye(ncols)[order]])
-    b_eq = np.concatenate([rhs, np.zeros(len(order))])
+    # LP j has the first rows + j rows: the system and the pins of LPs 0 .. j - 1
+    solver, b_eq = _solver(), np.concatenate([rhs, np.zeros(len(order))])
     for j, k in enumerate(order):
         cost = np.zeros(ncols)
         cost[k] = -1.0 if k == nvar else 1.0
-        x, failure = _highs_lp(cost, a_eq[:rows + j], b_eq[:rows + j], lower, upper)
+        solved = j in (0, len(order) - 1) or x[k] != 0.0
+        if j:  # LP j - 1's pin as a row, and the unit cost moved from its length to k
+            solver.addRow(b_eq[rows + j - 1], b_eq[rows + j - 1], 1, order[j - 1:j], [1.0])
+            solver.changeColsCost(2, [order[j - 1], k], [0.0, cost[k]])
+        if solved:  # passed back whole: clearSolver would keep the last run's scale factors
+            x, failure = (_run(solver.getLp(), b_eq[:rows + j], lower, upper) if j
+                          else _highs_lp(cost, matrix, rhs, lower, upper))
+        if _LP_SEAM:  # the LP in full
+            x, failure = _LP_SEAM((cost, np.concatenate([matrix, np.eye(ncols)[order[:j]]]),
+                                   b_eq[:rows + j].copy(), lower, upper), x, failure, solved)
         if j == 0 and failure == "infeasible":
             raise InfeasibleDesignError(_infeasibility_report(system, matrix, rhs))
         if failure is not None:
             raise DesignError(f"{'tie-break solve' if j else 'linear program'} failed: {failure}")
-        b_eq[rows + j] = x[k]
+        b_eq[rows + j] = x[k] if solved else 0.0
     correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ x, rcond=None)
     return x + correction
 
@@ -741,8 +755,8 @@ class RobustnessReport:
 
     @property
     def median_max_abs_delta_length(self):
-        deltas = [t.max_abs_delta_length for t in self.trials if t.feasible]
-        return float(np.median(deltas)) if deltas else float("nan")
+        d = sorted(t.max_abs_delta_length for t in self.trials if t.feasible) or [math.nan]
+        return (d[(len(d) - 1) // 2] + d[len(d) // 2]) / 2  # np.median would import numpy.ma
 
     def to_csv(self):
         return csv_text(

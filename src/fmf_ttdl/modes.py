@@ -742,7 +742,8 @@ def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-
 
 def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
                      root_tol=1e-12):
-    """Full mode table with tau and D filled for every guided mode."""
+    """Full mode table with tau and D filled for every guided mode.  Roots are refined to
+    max(root_tol / 2e4, 4e-16 n_eff), so at n_eff > 1.4 any root_tol < 1.2e-11 acts as 1e-12."""
     return next(_probed(profile, [lambda0_um], dlambda_um, scan_points, root_tol))
 
 

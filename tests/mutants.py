@@ -1,6 +1,6 @@
 """Mutation score of the tests: seeded AST mutants of one module of fmf_ttdl.
 
-    python tests/mutants.py design --functions _highs_lp _solve_lp
+    python tests/mutants.py design --functions _highs_lp _run _solve_lp
     python tests/mutants.py evaluate --sample 40 --seed 1
 
 Each mutant changes one site of src/fmf_ttdl/<module>.py:

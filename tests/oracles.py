@@ -22,6 +22,9 @@ package takes central differences of n_eff(lambda).  The placement LPs go to
 HiGHS without scipy.optimize.linprog's plumbing, so the public linprog with
 the same options must reach the same verdict (optimal at its status 0,
 infeasible at its status 2, failed at any other) and the same x, bit for bit.
+The placement chain solves its tie-break LPs on one HiGHS model and skips
+those whose optimum it already holds, so the chain with every LP passed to
+linprog whole must give the same lengths, bit for bit.
 The sellmeier-blend calibration bisects its blend fraction down to adjacent
 floats, so the public scipy.optimize.brentq, which stops within its xtol,
 must give a fraction within 4e-15 of it.
@@ -38,6 +41,7 @@ from scipy.optimize import bisect, brentq, linprog
 from fmf_ttdl.design import (
     ConversionGraph,
     DesignError,
+    InfeasibleDesignError,
     PerturbationTrial,
     RobustnessReport,
     assemble_constraints,
@@ -250,6 +254,38 @@ def highs_lp_verdict(result):
     x, failure = result
     verdict = {None: "optimal", "infeasible": "infeasible"}.get(failure, "failed")
     return (None if x is None else x.tobytes()), verdict
+
+
+def lp_chain_linprog(system, matrix, rhs):
+    """design._solve_lp's lexicographic chain with every LP, none skipped,
+    solved by linprog_highs on its full rows (the system and the pins of the
+    LPs before it), then the same least-squares polish: (x.tobytes() or None,
+    "optimal", "infeasible" at the first LP or "failed")."""
+    nvar, (rows, ncols) = len(system.variables), matrix.shape
+    lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
+    upper = np.r_[np.ones(nvar), np.full(ncols - nvar, np.inf)]
+    order = ([nvar] if system.optimize_dispersion else []) + list(range(nvar))
+    a_eq = np.concatenate([matrix, np.eye(ncols)[order]])
+    b_eq = np.concatenate([rhs, np.zeros(len(order))])
+    for j, k in enumerate(order):
+        cost = np.zeros(ncols)
+        cost[k] = -1.0 if k == nvar else 1.0
+        x, verdict = linprog_highs(cost, a_eq[:rows + j], b_eq[:rows + j], lower, upper)
+        if verdict != "optimal":
+            return None, verdict if j == 0 else "failed"
+        x = np.frombuffer(x)
+        b_eq[rows + j] = x[k]
+    correction, *_ = np.linalg.lstsq(matrix, rhs - matrix @ x, rcond=None)
+    return (x + correction).tobytes(), "optimal"
+
+
+def solve_lp_verdict(outcome):
+    """design._solve_lp's lengths or DesignError in the terms of lp_chain_linprog."""
+    if isinstance(outcome, InfeasibleDesignError):
+        return None, "infeasible"
+    if isinstance(outcome, DesignError):
+        return None, "failed"
+    return outcome.tobytes(), "optimal"
 
 
 # --- sellmeier-blend calibration ----------------------------------------------

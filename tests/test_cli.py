@@ -394,6 +394,30 @@ def test_no_path_imports_scipy_optimize(probe, runs_lp, tmp_path):
     assert result.stdout.splitlines()[-1].split() == [calibrated, "False", str(runs_lp)]
 
 
+def test_perturb_leaves_numpy_ma_unimported(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    code = f"""
+import sys
+from fmf_ttdl.cli import main
+assert main(["perturb", "--modes", {MODES!r}, "--graph", {GRAPH!r}, "--dtau", "100",
+             "--sigma", "0.2", "--trials", "20", "--seed", "7",
+             "--out-dir", {str(tmp_path)!r}]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    # the report's median is taken without np.median, whose first call imports it
+    assert "median max |dl|" in result.stdout
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_mode_solving_imports_neither_scipy_special_nor_optimize(tmp_path):
     import os
     import subprocess
