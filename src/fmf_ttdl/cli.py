@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import design as design_mod
 from . import evaluate as evaluate_mod
 from . import fileio
@@ -314,7 +312,7 @@ def run_pipeline(config):
 
     elif config.command == "evaluate":
         start, stop, _ = config.lambda_range
-        grid = np.array(fileio.grid_points(*config.lambda_range))
+        grid = fileio.grid_points(*config.lambda_range)
         curve = evaluate_mod.delay_curve(config.placements, grid)
         out = _resolve(config, "curve")
         evaluate_mod.write_delay_curve(curve, out)
@@ -337,12 +335,8 @@ def run_pipeline(config):
         delays = evaluate_mod.tap_delays_ps(
             config.placements, config.length_km, config.lambda0_nm
         )
-        amplitudes = (
-            np.asarray(config.amplitudes)
-            if config.amplitudes is not None
-            else np.ones(config.placements.n_samples)
-        )
-        grid = np.array(fileio.grid_points(*config.f_range))
+        amplitudes = config.amplitudes or (1.0,) * config.placements.n_samples
+        grid = fileio.grid_points(*config.f_range)
         result = evaluate_mod.rf_response(delays, amplitudes, grid)
         out = _resolve(config, "rf")
         evaluate_mod.write_rf_response(result, out)

@@ -191,20 +191,11 @@ class ConversionGraph:
         return problems
 
     def variables(self):
-        ordered = []
-        for sample in self.samples:
-            for segment in sample:
-                if isinstance(segment.length, str) and segment.length not in ordered:
-                    ordered.append(segment.length)
-        return tuple(ordered)
+        segments = (segment for sample in self.samples for segment in sample)
+        return tuple(dict.fromkeys(s.length for s in segments if isinstance(s.length, str)))
 
     def modes(self):
-        out = []
-        for sample in self.samples:
-            for segment in sample:
-                if segment.mode not in out:
-                    out.append(segment.mode)
-        return tuple(out)
+        return tuple(dict.fromkeys(segment.mode for sample in self.samples for segment in sample))
 
 
 @dataclass(frozen=True)
@@ -303,22 +294,22 @@ def _assemble(graph, targets, optimize, weights, trials):
     column = {name: i for i, name in enumerate(variables)}
     ncols = len(variables) + (1 if optimize else 0)
 
-    def sample_terms(index, weights):
-        coeffs = np.zeros((trials, ncols))
-        const = 0.0
-        for segment in graph.samples[index]:
-            weight = weights[segment.mode]
-            if isinstance(segment.length, str):
-                coeffs[:, column[segment.length]] += weight
-            else:
-                const += weight * segment.length
-        return coeffs, const
+    def sample_terms(weights):
+        terms = []
+        for sample in graph.samples:
+            coeffs = np.zeros((trials, ncols))
+            const = 0.0
+            for segment in sample:
+                weight = weights[segment.mode]
+                if isinstance(segment.length, str):
+                    coeffs[:, column[segment.length]] += weight
+                else:
+                    const += weight * segment.length
+            terms.append((coeffs, const))
+        return terms
 
-    ones = {mode: 1.0 for mode in tau}
     rows, rhs, labels = [], [], []
-
-    for index in range(len(graph.samples)):
-        coeffs, const = sample_terms(index, ones)
+    for index, (coeffs, const) in enumerate(sample_terms({mode: 1.0 for mode in tau})):
         if coeffs.any():
             rows.append(coeffs)
             rhs.append(1.0 - const)
@@ -328,26 +319,20 @@ def _assemble(graph, targets, optimize, weights, trials):
                 f"sample {index + 1} has fixed total length {const}, expected 1"
             )
 
-    ladder = range(len(graph.samples))  # listing order is ladder order
-    for low, high in zip(ladder, ladder[1:]):
-        c_low, k_low = sample_terms(low, tau)
-        c_high, k_high = sample_terms(high, tau)
-        rows.append(c_high - c_low)
-        rhs.append(targets.delta_tau_ps_per_km - k_high + k_low)
-        labels.append(f"delay[sample {low + 1}->{high + 1}]")
-
+    # listing order is ladder order; a maximized dispersion step is the last column
+    ladders = [("delay", tau, targets.delta_tau_ps_per_km)]
     if _needs_dispersion(graph, targets):
-        for low, high in zip(ladder, ladder[1:]):
-            c_low, k_low = sample_terms(low, disp)
-            c_high, k_high = sample_terms(high, disp)
+        step = 0.0 if optimize else targets.fixed_delta_d_ps_per_km_nm
+        ladders.append(("dispersion", disp, step))
+    for name, by_mode, step in ladders:
+        terms = sample_terms(by_mode)
+        for low, ((c_low, k_low), (c_high, k_high)) in enumerate(zip(terms, terms[1:]), 1):
             row = c_high - c_low
-            if optimize:
+            if optimize and name == "dispersion":
                 row[:, -1] = -1.0
-                rhs.append(k_low - k_high)
-            else:
-                rhs.append(targets.fixed_delta_d_ps_per_km_nm - k_high + k_low)
             rows.append(row)
-            labels.append(f"dispersion[sample {low + 1}->{high + 1}]")
+            rhs.append(step - k_high + k_low)
+            labels.append(f"{name}[sample {low}->{low + 1}]")
 
     matrix = np.stack(rows, axis=1) if rows else np.zeros((trials, 0, ncols))
     values = np.empty((trials, len(rhs)))
@@ -681,7 +666,7 @@ def _solution_checks(system, matrix, rhs, weights, x):
 
     if system.optimize_dispersion:
         delta_d = x[:, -1]
-    elif targets.dispersion_rule == FIXED_DISPERSION and len(graph.samples) >= 2:
+    elif _needs_dispersion(graph, targets):
         delta_d = np.full(trials, float(targets.fixed_delta_d_ps_per_km_nm))
     else:
         delta_d = None

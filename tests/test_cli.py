@@ -171,6 +171,7 @@ def test_rf_stage_end_to_end(tmp_path, capsys):
     assert "FSR 5.0000 GHz" in captured.out
     lines = (tmp_path / "rf_response.csv").read_text().strip().splitlines()
     assert lines[0] == "f_GHz,re,im,mag_db"
+    assert lines[1].startswith("0.0,4.0,0.0,")  # four taps of amplitude 1 by default
     assert len(lines) == 202
 
 

@@ -214,6 +214,18 @@ def test_fixed_constant_sample_must_total_one(reference_table):
         assemble_constraints(graph, reference_table, targets)
 
 
+def test_fixed_total_may_miss_one_by_at_most_1e_12(reference_table):
+    targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55)
+
+    def fixed_pair(second):
+        return ConversionGraph(((Segment((0, 1), 0.5), Segment((1, 1), second)),))
+
+    with pytest.raises(InfeasibleConstantError, match="fixed total length"):
+        assemble_constraints(fixed_pair(0.5 + 1.5e-12), reference_table, targets)
+    system = assemble_constraints(fixed_pair(0.5 + 0.5e-12), reference_table, targets)
+    assert system.matrix.shape[0] == 0
+
+
 # --- solving ---------------------------------------------------------------------
 
 def test_reference_solution_matches_hand_built_oracle(reference_solution):
@@ -279,6 +291,34 @@ def test_length_total_check_names_its_sample(four_sample_graph, reference_table,
     assert len(totals) == 1
     assert totals[0].startswith("sample 2 lengths total 1.00000")
     assert totals[0].endswith(", expected 1 within 1e-9")
+
+
+def test_solution_checks_fire_just_past_each_tolerance():
+    table = make_toy_table(((0, 1, 1.452, 0.0, 10.0), (1, 1, 1.451, 100.0, 15.0)))
+    graph = ConversionGraph(((Segment((0, 1), "a"),), (Segment((1, 1), "b"),)))
+    targets = DesignTargets(delta_tau_ps_per_km=100.0, lambda0_um=1.55)
+    system = assemble_constraints(graph, table, targets)  # solved by a = b = 1, step 5
+    x = np.array([
+        [1 - 1.5e-9, 1, 5], [1 - 0.5e-9, 1, 5],  # sample 1's total (and the D step)
+        [1, 1 - 1.5e-8, 5], [1, 1 - 0.5e-8, 5],  # the delay step 100 b
+        [1, 1, 5 + 1.5e-9], [1, 1, 5 + 0.5e-9],  # the dispersion step
+        [1, 1 + 0.5e-9, 5],                      # inside the bound slack
+        [1 - 1e-6, 1 - 5e-8, 5],                 # residuals 1e-6 of 1 and 5e-6 of 100
+    ])
+    trials = len(x)
+    checks, lengths, *_ = design._solution_checks(
+        system, np.repeat(system.matrix[None], trials, 0),
+        np.repeat(system.rhs[None], trials, 0), system.weights, x)
+    failed = [[message(t) for fails, _, message in checks if fails[t]] for t in range(trials)]
+    assert [[" ".join(message.split()[:2]) for message in messages] for messages in failed] == [
+        ["solver left", "sample 1", "dispersion increment"], ["dispersion increment"],
+        ["solver left", "sample 2", "delay increment", "dispersion increment"],
+        ["solver left", "sample 2", "dispersion increment"],
+        ["dispersion increment"], [], [],
+        ["solver left", "sample 1", "sample 2", "delay increment", "dispersion increment"],
+    ]
+    assert np.array_equal(lengths[6], [1.0, 1.0])  # clipped into [0, 1]
+    assert failed[7][0].endswith(" on normalization[sample 1]")  # the worst relative one
 
 
 def test_unreachable_delay_step_is_infeasible(four_sample_graph, reference_table):
@@ -452,6 +492,23 @@ def test_lpg_positions_scale_linearly(reference_solution, four_sample_graph):
 def test_lpg_positions_need_positive_length(reference_solution, four_sample_graph):
     with pytest.raises(ValueError):
         lpg_positions(reference_solution, four_sample_graph, 0.0)
+
+
+def test_lpg_positions_at_the_ends_and_the_merge_distance(reference_solution):
+    def positions(lengths, *samples):
+        graph = ConversionGraph(tuple(
+            tuple(Segment((l, 1), name) for l, name in enumerate(sample)) for sample in samples))
+        return lpg_positions(replace(reference_solution, lengths=lengths), graph, 0.5)
+
+    # a last segment of length 0 puts its junction exactly at the far end
+    assert [entry.z_km for entry in positions({"a": 1.0, "b": 0.0}, "ab")] == [0.5]
+    # same-label junctions 1.5e-9 L apart are two gratings, not one
+    pair = positions({"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5 + 1.5e-9}, "ab", "cd")
+    assert [entry[:3] for entry in pair] == [(1, "LP01", "LP11"), (2, "LP01", "LP11")]
+    assert pair[1].z_km - pair[0].z_km == pytest.approx(0.75e-9, rel=1e-6)
+    # a downstream sum of 1 + 1.5e-9 puts a junction 1.5e-9 L before the start
+    with pytest.raises(DesignError, match=r"junction position .* escapes \[0, 0.5\] km"):
+        positions({"a": 0.0, "b": 0.5, "c": 0.5 + 1.5e-9}, "abc")
 
 
 # --- perturbation robustness --------------------------------------------------------
@@ -1080,6 +1137,14 @@ def test_parse_graph_diagnostics_with_line_numbers():
     with pytest.raises(FileFormatError) as excinfo:
         parse_graph("[sample 1]\nsegment = LP01, fixed\n[sample 2]\n")
     assert excinfo.value.diagnostics == ((3, "sample 2 has no segments"),)
+
+
+def test_parse_graph_reports_headers_other_than_sample_n():
+    text = "[sample 1]\nsegment = LP01, fixed\n[samples 1]\n[foo]\n"
+    with pytest.raises(FileFormatError) as excinfo:
+        parse_graph(text, source="bad.graph")
+    assert excinfo.value.diagnostics == (
+        (3, "unknown section '[samples 1]'"), (4, "unknown section '[foo]'"))
 
 
 def test_parse_graph_shared_prefix_diagnostic():
