@@ -780,6 +780,7 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     check("sigma", non_negative, sigma)
     check("trials", trials_rule, trials)
     check("seed", non_negative, seed)
+    check("workers", at_least(1), workers)
     system = assemble_constraints(graph, table, targets)
     nominal = solve_placements(system)
     nominal_lengths = np.array(list(nominal.lengths.values()))

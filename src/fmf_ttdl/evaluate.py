@@ -130,6 +130,7 @@ class TunabilityReport:
 def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
                       lpg_bandwidth_nm=20.0):
     check("wavelength range", order_rule, (lambda_start_nm, lambda_stop_nm))
+    check("lpg_bandwidth_nm", positive, lpg_bandwidth_nm)
     endpoints = np.array([lambda_start_nm, lambda_stop_nm])
     delays = sample_delays_first_order(solution, endpoints)
     differentials = np.diff(delays, axis=0)

@@ -15,12 +15,12 @@ positive.  A power-law basis takes over where q r underflows, which keeps the
 characteristic function continuous across basis switches.  Bessel
 derivatives come from the order-lowering recurrences, so each basis function
 needs its values at orders l-1 and l only: a ufunc call at each for J, I and
-K, and for Y one forward recurrence, a bit-for-bit port of scipy.special.yn
-(_yn).  The ufuncs are loaded from scipy's compiled _special_ufuncs file, so
-no path imports scipy.special.  The innermost region keeps only its regular
-solution and the unbounded cladding only K_l; guided effective indices are
-the zeros of the resulting boundary-matching determinant.  The kernel takes
-an order and a wavelength per trial point.
+K, and for Y one stacked forward recurrence that applies cephes's stop, bit
+for bit scipy.special.yn (_yn).  The ufuncs are loaded from scipy's compiled
+_special_ufuncs file, so no path imports scipy.special.  The innermost region
+keeps only its regular solution and the unbounded cladding only K_l; guided
+effective indices are the zeros of the resulting boundary-matching
+determinant.  The kernel takes an order and a wavelength per trial point.
 
 Roots are found by count on a uniform n_eff grid over the guided range.  The
 mode count N_l(n), the number of guided modes of order l above n_eff = n, is
@@ -250,13 +250,15 @@ def _yn(y0, y1, l, x):
     """(Y_l(x), Y_{l-1}(x)) for integer orders l >= 0 that broadcast to x's shape,
     bit for bit scipy.special.yn.
 
-    That is cephes's yn: Y_0 and Y_1 (y0, y1), then the forward recurrence
-    Y_{k+1} = 2k Y_k / x - Y_{k-1}, which stops at its first non-finite term.
-    Here one recurrence stacks Y_{-1} = -1.0 * Y_1 (as cephes forms it: a
-    negation would flip a NaN's sign), Y_0, ..., Y_max(l) for every point, and
-    each point takes its orders l - 1 and l from the stack.  A term after a
-    non-finite one is non-finite too, so a point whose Y_l is not finite may
-    have run past cephes's stop; _yn_at evaluates it again as cephes does.
+    That is cephes's yn: Y_0 and Y_1 (y0, y1), -inf from Y_2 on at x == 0,
+    else the forward recurrence Y_{k+1} = 2k Y_k / x - Y_{k-1}, which stops at
+    its first non-finite term and returns it for every higher order.  Here one
+    recurrence stacks Y_{-1} = -1.0 * Y_1 (as cephes forms it: a negation
+    would flip a NaN's sign), Y_0, ..., Y_max(l) for every point, and each
+    point takes its orders l - 1 and l from the stack.  A term after a
+    non-finite one is non-finite too, so only a stack whose top row is not
+    finite has run past cephes's stop; there each non-finite term from Y_2 on
+    is carried up the stack, and x == 0 gets its -inf.
     """
     l = np.asarray(l)
     top = max(int(l.max()), 1)
@@ -269,30 +271,12 @@ def _yn(y0, y1, l, x):
             np.multiply(anm1, 2.0 * k, an)
             np.divide(an, x, an)
             np.subtract(an, anm2, an)
+    if not np.isfinite(terms[-1]).all():
+        for k in range(4, top + 2):
+            np.copyto(terms[k], terms[k - 1], where=~np.isfinite(terms[k - 1]))
+        terms[3:, x == 0.0] = -math.inf
     at = l * x.size + np.arange(x.size).reshape(x.shape)  # of Y_{l-1} in the flat stack
-    value, lower = terms.ravel()[at + x.size], terms.ravel()[at]
-    if not np.isfinite(value).all():
-        redo = ~np.isfinite(value) & (l > 1)
-        points = list(zip(np.broadcast_to(l, x.shape)[redo].tolist(), x[redo].tolist()))
-        value[redo] = [_yn_at(y0, y1, n, t) for n, t in points]
-        lower[redo] = [_yn_at(y0, y1, n - 1, t) for n, t in points]
-    return value, lower
-
-
-def _yn_at(y0, y1, n, x):
-    """cephes's yn(n, x) for one order n >= 1 at a Python float x (below 0, y0 and
-    y1 give the NaN that cephes returns)."""
-    if n == 1:
-        return y1(x)
-    if x == 0.0:
-        return -math.inf
-    anm2, anm1 = float(y0(x)), float(y1(x))
-    for k in range(1, n):
-        an = (2.0 * k) * anm1 / x - anm2
-        if not math.isfinite(an):
-            break
-        anm2, anm1 = anm1, an
-    return an
+    return terms.ravel()[at + x.size], terms.ravel()[at]
 
 
 @cache
@@ -659,6 +643,7 @@ def _find_tables(profile, groups, scan_points, root_tol):
     ITP refines the brackets of all tables, then each table's orders are certified.
     Tables, warnings and errors (a group's WavelengthRangeError too) come in wavelength order.
     """
+    _check_search_params(scan_points, root_tol)
     wavelengths, geometries, anchors, late = [], [], [], None  # anchors[k]: k's anchor
     for own, anchor in groups:
         try:
@@ -701,7 +686,6 @@ def _find_tables(profile, groups, scan_points, root_tol):
 
 def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
     """All guided LP modes at one wavelength (effective indices only)."""
-    _check_search_params(scan_points, root_tol)
     return next(_find_tables(profile, [((wavelength_um,), 0)], scan_points, root_tol))
 
 
@@ -721,7 +705,6 @@ def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-
     its continuation errors.  A record's n_eff at each probe is its rank m in
     its order there, the minus probe first: LP_lm is the m-th root of order l.
     """
-    _check_search_params(scan_points, root_tol)
     tables = _find_tables(profile, [((lam, lam - dlambda_um, lam + dlambda_um), 0)
                                     for lam in centers_um], scan_points, root_tol)
     for table, *probes in zip(tables, tables, tables):
@@ -759,7 +742,6 @@ def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
                 root_tol=1e-12):
     """One ModeTable per wavelength, each mode labelled by its rank in its order."""
     wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
-    _check_search_params(scan_points, root_tol)
     tables = []
     for table in _find_tables(profile, [(wavelengths, len(wavelengths) // 2)], scan_points,
                               root_tol):

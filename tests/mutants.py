@@ -73,6 +73,14 @@ EQUIVALENT = {
         "the recurrence runs one order further, to a term no point takes",
     ("modes", "terms = np.empty((top + (3), *x.shape))  # Y_{k-1} at index k"):
         "the recurrence runs one order further, to a term no point takes",
+    ("modes", "if not np.isfinite(terms[-(2)]).all():"):
+        "a first non-finite term in the top row needs no carrying, and x == 0 makes Y_1 "
+        "and every later term non-finite, so the row below the top is also finite exactly "
+        "when no point ran past cephes's stop",
+    ("modes", "np.copyto(terms[k], terms[k - 1], where=~np.isfinite(terms[k - (2)]))"):
+        "for x > 0 the first non-finite term is an infinity (finite terms give no NaN), "
+        "the term after it is the same infinity, and that is what gets carried; for x < 0 "
+        "or NaN every term from Y_2 on has Y_1's NaN bits",
     ("modes", "return ((((u2 >= 0.0)) & ~degenerate, 1.0, j, y, 0.5 * math.pi),"):
         "a row with u2 = 0 is degenerate, and the mask leaves it out",
     ("modes", "(((u2 <= 0.0)) & ~degenerate, -1.0, i, k, -1.0))"):

@@ -9,7 +9,14 @@ from fmf_ttdl.design import DesignTargets, load_graph, perturb_and_redesign, rea
 from fmf_ttdl.evaluate import rf_response
 from fmf_ttdl.fileio import grid_points
 from fmf_ttdl.materials import load_profile
-from fmf_ttdl.modes import ModeTable, find_modes, read_mode_table, sweep_modes
+from fmf_ttdl.modes import (
+    ModeTable,
+    find_modes,
+    mode_table_to_csv,
+    read_mode_table,
+    solve_mode_table,
+    sweep_modes,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 PROFILE = str(DEMO / "ring_core.prof")
@@ -221,8 +228,6 @@ def test_mode_table_csv_write_read_write_is_byte_identical(tmp_path):
         ["solve-modes", "--profile", PROFILE, "--out", "modes.csv",
          "--out-dir", str(tmp_path)]
     ) == 0
-    from fmf_ttdl.modes import mode_table_to_csv
-
     text = (tmp_path / "modes.csv").read_text()
     assert mode_table_to_csv(read_mode_table(tmp_path / "modes.csv")) == text
 
@@ -485,6 +490,20 @@ def test_cli_reports_the_library_rule_text(argv, flag, value, call):
     with pytest.raises(ValueError) as library:
         call()
     assert str(library.value).endswith(" " + diagnostic[len(flag) + 2:])
+
+
+def test_solve_modes_passes_its_probe_step_to_the_library_in_um(tmp_path):
+    assert main(SOLVE + ["--dlambda-nm", "2", "--out-dir", str(tmp_path)]) == 0
+    table = solve_mode_table(load_profile(PROFILE), 1.55, dlambda_um=2e-3)
+    assert (tmp_path / "modes.csv").read_text() == mode_table_to_csv(table)
+
+
+def test_demo_design_report_equals_the_benchmark_reference(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--modes", MODES, "--graph", GRAPH, "--dtau", "100",
+                 "--length-km", "1"]) == 0
+    reference = DEMO.parent / "perfbench" / "reference" / "cli" / "design_report.txt"
+    assert (tmp_path / "design_report.txt").read_bytes() == reference.read_bytes()
 
 
 def test_parse_config_calls_the_loaders_bound_on_their_modules(monkeypatch):

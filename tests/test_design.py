@@ -566,6 +566,9 @@ def test_perturb_validates_parameters(four_sample_graph, reference_table, refere
     with pytest.raises(ValueError):
         perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
                              sigma=0.1, trials=0, seed=0)
+    with pytest.raises(ValueError, match="^workers must be >= 1, got 0$"):
+        perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
+                             sigma=0.1, trials=5, seed=0, workers=0)
 
 
 def test_perturb_rejects_non_finite_sigma(four_sample_graph, reference_table, reference_targets):

@@ -186,6 +186,13 @@ def test_tunability_bandwidth_warning(reference_solution):
     assert tunability_report(reference_solution, 1550.0, 1565.0).bandwidth_exceeded
 
 
+def test_tunability_rejects_a_bandwidth_the_cli_rejects(reference_solution):
+    for bandwidth in (-4.0, float("nan")):
+        with pytest.raises(ValueError) as excinfo:
+            tunability_report(reference_solution, 1545.0, 1555.0, lpg_bandwidth_nm=bandwidth)
+        assert str(excinfo.value) == f"lpg_bandwidth_nm must be > 0, got {bandwidth}"
+
+
 def test_delay_curve_csv_header_and_rows(reference_solution):
     grid = np.linspace(1540.0, 1560.0, 41)
     text = delay_curve_to_csv(delay_curve(reference_solution, grid))

@@ -623,6 +623,14 @@ def test_yn_port_equals_scipy_yn_bit_for_bit_at_both_orders():
     value, lower = y(mixed, x)
     assert (_bits(value) == _bits(sp.yn(mixed, x))).all()
     assert (_bits(lower) == _bits(sp.yn(mixed - 1, x))).all()
+    # the shortest stacks, top order 0 to 3, where cephes stops at once
+    stops = np.array([0.0, -0.0, -1.0, 5e-324, np.nan])
+    for top in range(4):
+        orders = np.arange(top + 1)
+        grid = np.broadcast_to(stops[:, None], (stops.size, orders.size))
+        value, lower = y(orders, grid)
+        assert (_bits(value) == _bits(sp.yn(orders, grid))).all()
+        assert (_bits(lower) == _bits(sp.yn(orders - 1, grid))).all()
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
