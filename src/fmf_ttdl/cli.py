@@ -332,9 +332,7 @@ def run_pipeline(config):
             )
 
     elif config.command == "rf-response":
-        delays = evaluate_mod.tap_delays_ps(
-            config.placements, config.length_km, config.lambda0_nm
-        )
+        delays = evaluate_mod._taps(config.placements, config.length_km, config.lambda0_nm)
         amplitudes = config.amplitudes or (1.0,) * config.placements.n_samples
         grid = fileio.grid_points(*config.f_range)
         result = evaluate_mod.rf_response(delays, amplitudes, grid)

@@ -29,15 +29,13 @@ the table-file codec of fileio (csv_text, read_csv).
 from __future__ import annotations
 
 import math
+import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .fileio import (
     FileFormatError,
@@ -45,6 +43,7 @@ from .fileio import (
     atomic_write_text,
     check,
     csv_text,
+    finite,
     finite_float,
     fmt_float,
     non_negative,
@@ -289,6 +288,7 @@ def _assemble(graph, targets, optimize, weights, trials):
     coefficient is accumulated in path order, so trial t gets the bits a
     design of its own weights alone would get.
     """
+    import numpy as np
     tau, disp = weights
     variables = graph.variables()
     column = {name: i for i, name in enumerate(variables)}
@@ -376,6 +376,7 @@ def _bound_violations(variables, values):
 
 def _residuals(matrix, rhs, x):
     """|A x - b| per row and each row's scale, for a (T, rows, cols) stack."""
+    import numpy as np
     scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=-1)))
     return np.abs(np.matmul(matrix, x[..., None])[..., 0] - rhs), scale
 
@@ -387,6 +388,7 @@ def _solve_direct(matrix, rhs):
     accepted: a rank-deficient one has a family of solutions, of which the
     LP finds one inside the bounds if there is any.
     """
+    import numpy as np
     x = np.full(rhs.shape, np.nan)
     full = np.flatnonzero(np.linalg.matrix_rank(matrix) == matrix.shape[-1])
     try:
@@ -404,6 +406,7 @@ def _solve_direct(matrix, rhs):
 
 def _infeasibility_report(system, matrix, rhs):
     """Why no placement solves the matrix and rhs of system, or of one of its trials."""
+    import numpy as np
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     residuals = matrix @ solution - rhs
     budget = 1e-6 * max(1.0, np.abs(rhs).max())
@@ -471,6 +474,7 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     As in linprog, a solution HiGHS calls optimal that misses a bound or an
     equality by more than _LP_TOLERANCE is a failure.
     """
+    import numpy as np
     highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
     lp = highs.HighsLp()
@@ -488,6 +492,7 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
 
 def _run(lp, b_eq, lower, upper):
     """_highs_lp's outcome of lp, whose rows equal b_eq, on this thread's solver."""
+    import numpy as np
     highs, solver = _highs(), _solver()
     if solver.passModel(lp) == highs.HighsStatus.kError:
         return None, "infeasible"
@@ -522,6 +527,7 @@ def _solve_lp(system, matrix, rhs):
     the last whose length is 0.0 at the last solved point is not solved: that
     point meets its rows and no length is below 0, so 0 is its optimum.
     """
+    import numpy as np
     nvar, (rows, ncols) = len(system.variables), matrix.shape
     lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
     upper = np.r_[np.ones(nvar), np.full(ncols - nvar, np.inf)]
@@ -578,6 +584,7 @@ def _design_stack(system, matrix, rhs, weights, pool=None):
     Returns (errors, lengths, tau_eq, d_eq, delta_d): the DesignError each
     trial raises, or None, and the arrays of _solution_checks.
     """
+    import numpy as np
     trials, ncols = matrix.shape[0], matrix.shape[-1]
     if ncols == 0:
         x, accepted = np.zeros((trials, 0)), np.ones(trials, dtype=bool)
@@ -617,6 +624,7 @@ def _solution_checks(system, matrix, rhs, weights, x):
     d_eq hold one (T,) array per sample in graph order, which is ladder
     order; delta_d is (T,) or None.
     """
+    import numpy as np
     graph, targets, variables = system.graph, system.targets, system.variables
     trials, nvar = len(x), len(variables)
     checks = []
@@ -775,11 +783,13 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     perturbed table alone would get, so reports do not depend on the block
     split or on workers.
     """
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+    import numpy as np
+    check("sigma", finite, sigma)
     check("sigma", non_negative, sigma)
     check("trials", trials_rule, trials)
     check("seed", non_negative, seed)
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     check("workers", at_least(1), workers)
     system = assemble_constraints(graph, table, targets)
     nominal = solve_placements(system)
@@ -788,6 +798,8 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     tau, disp = system.weights
     nan = float("nan")
     results = []
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, trials, _TRIAL_BLOCK):
             indices = range(start, min(start + _TRIAL_BLOCK, trials))

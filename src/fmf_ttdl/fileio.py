@@ -116,6 +116,10 @@ def finite_float(text):
     return value
 
 
+def finite(value):
+    return None if math.isfinite(value) else f"must be finite, got {value}"
+
+
 def positive(value):
     return None if value > 0 else f"must be > 0, got {value}"
 

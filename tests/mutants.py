@@ -38,7 +38,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "demo", "pyproject.toml")
+# test_cli.py reads perfbench/reference/cli/design_report.txt
+COPIED = ("src", "tests", "demo", "perfbench", "pyproject.toml")
 
 TEST_FILES = {
     "cli": ("test_cli.py", "test_cli_diagnostics.py"),
@@ -69,6 +70,8 @@ EQUIVALENT = {
         "solution is kept",
     ("design", "lp.a_matrix_.start_ = np.searchsorted(col, np.arange(cols + (2)))"):
         "HiGHS reads num_col + 1 column starts; the extra one would repeat the last",
+    ("evaluate", "for tau, d in zip(tau_eq, d_eq or [(1.0)] * len(tau_eq))]"):
+        "without D_eq every wavelength is lambda0, so each stand-in D multiplies 0.0",
     ("modes", "top = max(int(l.max()), (2))"):
         "the recurrence runs one order further, to a term no point takes",
     ("modes", "terms = np.empty((top + (3), *x.shape))  # Y_{k-1} at index k"):

@@ -28,6 +28,9 @@ linprog whole must give the same lengths, bit for bit.
 The sellmeier-blend calibration bisects its blend fraction down to adjacent
 floats, so the public scipy.optimize.brentq, which stops within its xtol,
 must give a fraction within 4e-15 of it.
+The RF response is one scalar sum per frequency, tap by tap in tap order, of
+a_k (cos + j sin) of the tap's phase, so the package's H(f) must give the same
+complex numbers whatever BLAS numpy links.
 """
 
 import math
@@ -441,6 +444,19 @@ def sample_delays_per_wavelength(solution, graph, profile, wavelengths_nm):
         tau, _ = modal_weights(table, solution.reference_mode)
         columns.append([path_sum(sample, tau, solution.lengths) for sample in graph.samples])
     return np.array(columns).T
+
+
+def rf_response_tap_order(delays, amplitudes, frequencies):
+    """H(f) per frequency: a_k (cos theta_k + j sin theta_k) added to 0j in tap order, with
+    theta_k = (-2 pi 1e-3) (f tau_k), f in GHz and tau in ps."""
+    response = []
+    for f in frequencies:
+        h = 0j
+        for tau, a in zip(delays, amplitudes):
+            theta = (-2.0 * math.pi * 1e-3) * (f * tau)
+            h = h + complex(a * math.cos(theta), a * math.sin(theta))
+        response.append(h)
+    return response
 
 
 def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fmf_ttdl.cli import ConfigError, main, parse_config, run_pipeline
-from fmf_ttdl.design import DesignTargets, load_graph, perturb_and_redesign, read_placements
+from fmf_ttdl.design import (DesignTargets, load_graph, perturb_and_redesign, read_placements,
+                              write_placements)
 from fmf_ttdl.evaluate import rf_response
 from fmf_ttdl.fileio import grid_points
 from fmf_ttdl.materials import load_profile
@@ -422,6 +423,41 @@ print("numpy.ma" in sys.modules)
     # the report's median is taken without np.median, whose first call imports it
     assert "median max |dl|" in result.stdout
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_evaluate_and_rf_response_leave_numpy_unimported(tmp_path, reference_solution):
+    import os
+    import subprocess
+    import sys
+
+    placements = str(tmp_path / "placements.csv")
+    write_placements(reference_solution, placements)
+    rf = ["rf-response", "--placements", placements, "--length-km", "2", "--f-range", "0:10:0.5"]
+    stages = [
+        ["evaluate", "--placements", placements, "--lambda-range", "1540:1560:0.5"],
+        rf,
+        rf + ["--lambda-nm", "1560", "--out", "rf_1560.csv"],
+        rf + ["--amplitudes", "1,0.5,0.25,0", "--out", "rf_amp.csv"],
+    ]
+    code = f"""
+import sys
+import fmf_ttdl
+modules = {{"fmf_ttdl." + name for name in ("design", "evaluate", "fileio", "materials", "modes")}}
+assert modules <= set(sys.modules), sorted(modules - set(sys.modules))
+assert "numpy" not in sys.modules
+from fmf_ttdl.cli import main
+for argv in {stages!r}:
+    assert main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0
+print(sorted({{"numpy", "concurrent.futures"}} & set(sys.modules)))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("wrote ") == 4
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_mode_solving_imports_neither_scipy_special_nor_optimize(tmp_path):

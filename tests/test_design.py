@@ -571,6 +571,26 @@ def test_perturb_validates_parameters(four_sample_graph, reference_table, refere
                              sigma=0.1, trials=5, seed=0, workers=0)
 
 
+@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
+def test_perturb_rejects_a_worker_count_that_is_not_an_integer(
+    workers, four_sample_graph, reference_table, reference_targets
+):
+    # the CLI's --workers 2.5 is "expected an integer"; a bool is no count either
+    with pytest.raises(ValueError) as excinfo:
+        perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
+                             sigma=0.1, trials=5, seed=0, workers=workers)
+    assert str(excinfo.value) == f"workers must be an integer, got {workers!r}"
+
+
+def test_perturb_takes_a_numpy_integer_worker_count(
+    four_sample_graph, reference_table, reference_targets
+):
+    args = (four_sample_graph, reference_table, reference_targets)
+    kwargs = dict(sigma=0.2, trials=8, seed=7)
+    report = perturb_and_redesign(*args, workers=np.int64(2), **kwargs)
+    assert report.to_csv() == perturb_and_redesign(*args, workers=1, **kwargs).to_csv()
+
+
 def test_perturb_rejects_non_finite_sigma(four_sample_graph, reference_table, reference_targets):
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):

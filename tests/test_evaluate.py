@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,3 +298,78 @@ def test_first_order_delays_without_dispersion_entries(reference_solution):
     )
     with pytest.raises(EvaluationError, match="D_eq_1..D_eq_4"):
         sample_delays_first_order(no_d, [1550.0, 1551.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: rf_response([0.0, 100.0], [1.0, NAN], [0.0, 1.0]),
+     "tap_amplitudes must be finite, got nan"),
+    (lambda s: rf_response([0.0, 100.0], [INF, 1.0], [0.0]),
+     "tap_amplitudes must be finite, got inf"),
+    (lambda s: rf_response([0.0, NAN], [1.0, 1.0], [0.0]), "tap_delays must be finite, got nan"),
+    (lambda s: rf_response([0.0, INF], [1.0, 1.0], [0.0]), "tap_delays must be finite, got inf"),
+    (lambda s: rf_response([0.0, 100.0], [1.0, 1.0], [0.0, NAN]),
+     "frequencies_ghz must be finite, got nan"),
+    (lambda s: rf_response([0.0, 100.0], [1.0, 1.0], -INF),
+     "frequencies_ghz must be finite, got -inf"),
+    (lambda s: tap_delays_ps(s, INF), "length must be finite, got inf"),
+    (lambda s: tap_delays_ps(s, 2.0, NAN), "wavelengths_nm must be finite, got nan"),
+    (lambda s: delay_curve(s, [NAN]), "wavelengths_nm must be finite, got nan"),
+    (lambda s: delay_curve(s, [1550.0, INF]), "wavelengths_nm must be finite, got inf"),
+    (lambda s: sample_delays_first_order(s, np.array(NAN)),
+     "wavelengths_nm must be finite, got nan"),
+    (lambda s: tunability_report(s, NAN, 1560.0), "wavelengths_nm must be finite, got nan"),
+    # positive lets inf through, where the CLI's finite_float does not
+    (lambda s: tunability_report(s, 1000.0, 2000.0, lpg_bandwidth_nm=INF),
+     "lpg_bandwidth_nm must be finite, got inf"),
+])
+def test_non_finite_inputs_are_rejected_by_name(call, message, reference_solution):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        with pytest.raises(ValueError) as excinfo:
+            call(reference_solution)
+    assert str(excinfo.value) == message
+
+
+def test_rf_response_is_the_tap_order_sum(reference_solution):
+    grid = grid_points(0.0, 10.0, 0.005)
+    for wavelength_nm, amplitudes in ((1550.0, [1.0] * 4), (1560.0, [1.0, 0.5, 0.25, 0.0]),
+                                      (1543.7, [0.3, 1.7, 0.9, 2.2])):
+        taps = tap_delays_ps(reference_solution, 2.0, wavelength_nm)
+        result = rf_response(taps, amplitudes, grid)
+        # the same complex numbers as one scalar sum per frequency, bit for bit
+        assert list(result.h) == oracles.rf_response_tap_order(taps, amplitudes, grid)
+        # and numpy's matmul of the phase terms, which may sum in another order, to rounding
+        old = np.exp(-2.0j * np.pi * 1e-3 * np.outer(grid, taps)) @ np.array(amplitudes)
+        assert np.max(np.abs(result.response - old)) <= 1e-12 * sum(amplitudes)
+
+
+def test_results_store_tuples_and_build_arrays_when_read(reference_solution):
+    curve = delay_curve(reference_solution, [1545.0, 1550.0])
+    assert isinstance(curve.delays, tuple) and isinstance(curve.wavelengths, tuple)
+    assert curve.sample_delays_ps_per_km.shape == (4, 2)
+    assert np.array_equal(curve.wavelengths_nm, [1545.0, 1550.0])
+    assert np.array_equal(curve.sample_delays_ps_per_km,
+                          sample_delays_first_order(reference_solution, [1545.0, 1550.0]))
+    result = rf_response([0.0, 100.0], [1.0, 1.0], [0.0, 2.5, 5.0])
+    assert isinstance(result.h, tuple)
+    assert result.response.dtype == complex and result.response.shape == (3,)
+    assert np.array_equal(result.tap_delays_ps, [0.0, 100.0])
+    assert np.array_equal(result.tap_amplitudes, [1.0, 1.0])
+    assert np.array_equal(result.frequencies_ghz, [0.0, 2.5, 5.0])
+    assert np.array_equal(result.magnitude, np.abs(result.response))
+    assert result.magnitude_db.tolist() == [20.0 * math.log10(m) for m in result.magnitude]
+    silent = rf_response([0.0, 100.0], [0.0, 0.0], [1.0])
+    assert silent.magnitude_db.tolist() == [-np.inf]
+    assert rf_response_to_csv(silent).splitlines()[1] == "1.0,0.0,0.0,-inf"
+
+
+def test_rf_taps_must_ascend_and_near_uniform_taps_have_an_fsr():
+    with pytest.raises(ValueError, match="^tap delays must be sorted strictly ascending$"):
+        rf_response([0.0, 0.0], [1.0, 1.0], [0.0])
+    assert rf_response([0.0, 0.5], [1.0, 1.0], [0.0]).fsr_ghz == 2000.0
+    # spacings within 1e-6 of their mean, relative, are uniform
+    assert rf_response([0.0, 100.0, 200.00001], np.ones(3), [0.0]).fsr_ghz == pytest.approx(10.0)
+    assert rf_response([0.0, 100.0, 200.001], np.ones(3), [0.0]).fsr_ghz is None
