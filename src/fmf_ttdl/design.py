@@ -29,7 +29,6 @@ the table-file codec of fileio (csv_text, read_csv).
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -46,7 +45,10 @@ from .fileio import (
     finite,
     finite_float,
     fmt_float,
+    futures,
+    integer,
     non_negative,
+    np,
     positive,
     read_csv,
     read_sections,
@@ -209,8 +211,11 @@ class DesignTargets:
 
     def __post_init__(self):
         check("delay step", positive, self.delta_tau_ps_per_km)
+        check("lambda0_um", positive, self.lambda0_um)
         check("dispersion_rule", dispersion_rule_rule, self.dispersion_rule)
-        if self.dispersion_rule == FIXED_DISPERSION and self.fixed_delta_d_ps_per_km_nm is None:
+        if self.fixed_delta_d_ps_per_km_nm is not None:
+            check("fixed_delta_d_ps_per_km_nm", finite, self.fixed_delta_d_ps_per_km_nm)
+        elif self.dispersion_rule == FIXED_DISPERSION:
             raise ValueError("fixed dispersion rule needs fixed_delta_d_ps_per_km_nm")
         object.__setattr__(
             self, "reference_mode",
@@ -288,7 +293,6 @@ def _assemble(graph, targets, optimize, weights, trials):
     coefficient is accumulated in path order, so trial t gets the bits a
     design of its own weights alone would get.
     """
-    import numpy as np
     tau, disp = weights
     variables = graph.variables()
     column = {name: i for i, name in enumerate(variables)}
@@ -376,7 +380,6 @@ def _bound_violations(variables, values):
 
 def _residuals(matrix, rhs, x):
     """|A x - b| per row and each row's scale, for a (T, rows, cols) stack."""
-    import numpy as np
     scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(matrix).max(axis=-1)))
     return np.abs(np.matmul(matrix, x[..., None])[..., 0] - rhs), scale
 
@@ -388,7 +391,6 @@ def _solve_direct(matrix, rhs):
     accepted: a rank-deficient one has a family of solutions, of which the
     LP finds one inside the bounds if there is any.
     """
-    import numpy as np
     x = np.full(rhs.shape, np.nan)
     full = np.flatnonzero(np.linalg.matrix_rank(matrix) == matrix.shape[-1])
     try:
@@ -406,7 +408,6 @@ def _solve_direct(matrix, rhs):
 
 def _infeasibility_report(system, matrix, rhs):
     """Why no placement solves the matrix and rhs of system, or of one of its trials."""
-    import numpy as np
     solution, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
     residuals = matrix @ solution - rhs
     budget = 1e-6 * max(1.0, np.abs(rhs).max())
@@ -474,7 +475,6 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
     As in linprog, a solution HiGHS calls optimal that misses a bound or an
     equality by more than _LP_TOLERANCE is a failure.
     """
-    import numpy as np
     highs = _highs()  # deferred to the first LP; _highs leaves scipy.optimize unimported
     rows, cols = a_eq.shape
     lp = highs.HighsLp()
@@ -492,7 +492,6 @@ def _highs_lp(cost, a_eq, b_eq, lower, upper):
 
 def _run(lp, b_eq, lower, upper):
     """_highs_lp's outcome of lp, whose rows equal b_eq, on this thread's solver."""
-    import numpy as np
     highs, solver = _highs(), _solver()
     if solver.passModel(lp) == highs.HighsStatus.kError:
         return None, "infeasible"
@@ -527,7 +526,6 @@ def _solve_lp(system, matrix, rhs):
     the last whose length is 0.0 at the last solved point is not solved: that
     point meets its rows and no length is below 0, so 0 is its optimum.
     """
-    import numpy as np
     nvar, (rows, ncols) = len(system.variables), matrix.shape
     lower = np.r_[np.zeros(nvar), np.full(ncols - nvar, -np.inf)]
     upper = np.r_[np.ones(nvar), np.full(ncols - nvar, np.inf)]
@@ -584,7 +582,6 @@ def _design_stack(system, matrix, rhs, weights, pool=None):
     Returns (errors, lengths, tau_eq, d_eq, delta_d): the DesignError each
     trial raises, or None, and the arrays of _solution_checks.
     """
-    import numpy as np
     trials, ncols = matrix.shape[0], matrix.shape[-1]
     if ncols == 0:
         x, accepted = np.zeros((trials, 0)), np.ones(trials, dtype=bool)
@@ -624,7 +621,6 @@ def _solution_checks(system, matrix, rhs, weights, x):
     d_eq hold one (T,) array per sample in graph order, which is ladder
     order; delta_d is (T,) or None.
     """
-    import numpy as np
     graph, targets, variables = system.graph, system.targets, system.variables
     trials, nvar = len(x), len(variables)
     checks = []
@@ -783,14 +779,12 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     perturbed table alone would get, so reports do not depend on the block
     split or on workers.
     """
-    import numpy as np
     check("sigma", finite, sigma)
     check("sigma", non_negative, sigma)
-    check("trials", trials_rule, trials)
-    check("seed", non_negative, seed)
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    check("workers", at_least(1), workers)
+    for name, value, rule in (("trials", trials, trials_rule), ("seed", seed, non_negative),
+                              ("workers", workers, at_least(1))):
+        check(name, integer, value)
+        check(name, rule, value)
     system = assemble_constraints(graph, table, targets)
     nominal = solve_placements(system)
     nominal_lengths = np.array(list(nominal.lengths.values()))
@@ -798,9 +792,7 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     tau, disp = system.weights
     nan = float("nan")
     results = []
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    with futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, trials, _TRIAL_BLOCK):
             indices = range(start, min(start + _TRIAL_BLOCK, trials))
             factors = 1.0 + sigma * np.array([

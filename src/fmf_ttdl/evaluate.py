@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .design import modal_weights, path_sum
-from .fileio import (atomic_write_text, check, csv_text, finite, fmt_float, order_rule, positive,
-                     um_from_nm)
+from .fileio import (atomic_write_text, check, csv_text, finite, fmt_float, np, order_rule,
+                     positive, um_from_nm)
 from .modes import ModeSolverError, _probed, format_mode_label
 
 FIRST_ORDER = "first-order"
@@ -52,7 +52,6 @@ def _floats(name, values):
 
 
 def _array(values, dtype=float):
-    import numpy as np
     return np.array(list(values), dtype=dtype)
 
 
@@ -76,7 +75,6 @@ def sample_delays_first_order(solution, wavelengths_nm):
     Scalar input yields shape (n_samples,), a grid yields
     (n_samples, n_wavelengths).
     """
-    import numpy as np
     delays = np.array(_first_order(solution, wavelengths_nm))
     return delays[:, 0] if np.ndim(wavelengths_nm) == 0 else delays
 
@@ -85,7 +83,6 @@ def sample_delays_numeric(solution, graph, profile, wavelengths_nm):
     """Per-sample delay per unit length, in graph order, from one fresh mode solve of every
     wavelength with solve_mode_table's default settings: the bits and errors of a solve per
     wavelength, in turn.  A scalar yields (n_samples,), a grid (n_samples, n_wavelengths)."""
-    import numpy as np
     lam = np.asarray(wavelengths_nm, dtype=float)
     grid = np.atleast_1d(lam).tolist()
     delays = np.empty((len(graph.samples), len(grid)))
@@ -154,7 +151,6 @@ def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
                       lpg_bandwidth_nm=20.0):
     check("wavelength range", order_rule, (lambda_start_nm, lambda_stop_nm))
     check("lpg_bandwidth_nm", positive, lpg_bandwidth_nm)
-    check("lpg_bandwidth_nm", finite, lpg_bandwidth_nm)
     delays = _first_order(solution, (lambda_start_nm, lambda_stop_nm))
     differentials = [b - a for low, high in zip(delays, delays[1:]) for a, b in zip(low, high)]
     lambda0_nm = solution.lambda0_um * 1e3
@@ -175,7 +171,6 @@ def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
 
 def _taps(solution, length_km, wavelength_nm=None):
     check("length", positive, length_km)
-    check("length", finite, length_km)
     if wavelength_nm is None:
         wavelength_nm = solution.lambda0_um * 1e3
     return tuple(row[0] * length_km for row in _first_order(solution, wavelength_nm))

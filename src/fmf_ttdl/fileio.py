@@ -18,16 +18,19 @@ A range rule (positive, at_least(bound), span_rule, ...) returns what is wrong
 with a value ("must be > 0, got -1.0") or None.  The library raises it through
 check as ValueError("<name> must be ..."); the CLI reports "--<flag>: must be ...".
 
-scipy_extension loads one of scipy's compiled modules from its file, without
-running the __init__ of the package that holds it.
+scipy_extension loads a compiled scipy module from its file, not through its package.
+np and futures are numpy and concurrent.futures as LazyModules, which load on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import numbers
 import os
 import sys
 import tempfile
+import types
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from pathlib import Path
@@ -120,8 +123,13 @@ def finite(value):
     return None if math.isfinite(value) else f"must be finite, got {value}"
 
 
-def positive(value):
-    return None if value > 0 else f"must be > 0, got {value}"
+def positive(value):  # NaN and -inf are "must be > 0", +inf "must be finite"
+    return finite(value) if value > 0 else f"must be > 0, got {value}"
+
+
+def integer(value):  # a NumPy integer is one too, a bool is not
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return None if integral else f"must be an integer, got {value!r}"
 
 
 def at_least(bound):
@@ -195,6 +203,21 @@ def atomic_write_text(path, text):
         except OSError:
             pass
         raise
+
+
+class LazyModule(types.ModuleType):
+    """The module `name`, imported by the first attribute lookup: then a plain copy of it."""
+
+    def __getattr__(self, attribute):
+        module = importlib.import_module(self.__name__)  # under the import lock: one import
+        # a name that the module binds after the copy (numpy.random) is looked up on it
+        self.__dict__.update(module.__dict__, __getattr__=module.__getattribute__)
+        self.__class__ = types.ModuleType
+        return getattr(self, attribute)
+
+
+np = LazyModule("numpy")
+futures = LazyModule("concurrent.futures")
 
 
 def scipy_extension(name, what):

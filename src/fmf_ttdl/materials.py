@@ -173,8 +173,6 @@ class FiberProfile:
             radius = layer.radius_um
             if problem := positive(radius):
                 problems.append((index, f"radius_um {problem}"))
-            elif not math.isfinite(radius):
-                problems.append((index, f"radius_um must be finite, got {radius}"))
             elif radius <= previous:
                 problems.append((index, f"layer radii must be strictly increasing, got {radius} "
                                         f"after {previous}"))

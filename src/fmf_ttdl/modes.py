@@ -69,6 +69,9 @@ from .fileio import (
     finite_float,
     fmt_float,
     grid_points,
+    integer,
+    np,
+    positive,
     read_csv,
     scipy_extension,
     um_from_nm,
@@ -199,7 +202,6 @@ class ModeTable:
         return tuple(record.label for record in self.modes)
 
     def neff_separations(self):
-        import numpy as np
         values = np.array([record.n_eff for record in self.modes])
         return -np.diff(values)
 
@@ -221,7 +223,6 @@ def _points(geometries, counts):
     and each layer's index^2 of its geometry as Python floats, because
     Python's x ** 2 and NumPy's x * x can differ in the last bit.
     """
-    import numpy as np
     scalars = [(g.k0 * g.k0, g.n_clad ** 2, *(n ** 2 for n in g.indices)) for g in geometries]
     return geometries[0].radii, np.repeat(np.array(scalars), counts, axis=0)
 
@@ -231,7 +232,6 @@ def _pieces(values, sizes):
 
 
 def _renormalize(state):
-    import numpy as np
     scale = np.maximum(np.abs(state[:, 0]), np.abs(state[:, 1]))
     return state / scale[:, None]
 
@@ -261,7 +261,6 @@ def _yn(y0, y1, l, x):
     finite has run past cephes's stop; there each non-finite term from Y_2 on
     is carried up the stack, and x == 0 gets its -inf.
     """
-    import numpy as np
     l = np.asarray(l)
     top = max(int(l.max()), 1)
     terms = np.empty((top + 2, *x.shape))  # Y_{k-1} at index k
@@ -308,7 +307,6 @@ def _bases(u2, degenerate):
 
 def _initial_state(l, u2, radius):
     """(R, R') of the regular solution at the first boundary, per trial point."""
-    import numpy as np
     state = np.empty((u2.shape[0], 2))
     degenerate = np.abs(u2) * radius * radius < _DEGENERATE_X2
     for rows, sign, regular, _, _ in _bases(u2, degenerate):
@@ -332,7 +330,6 @@ def _propagator(l, u2, edges):
     the last step; a row on the power-law basis at a step is also on it at
     every earlier step, and is overwritten there.
     """
-    import numpy as np
     edges = np.asarray(edges, dtype=float)
     steps = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     out = np.empty((len(steps), u2.shape[0], 2, 2))
@@ -369,7 +366,6 @@ def _propagator(l, u2, edges):
 
 def _determinant(points, l, n_eff, state):
     """Scale-normalized a - b of the state at the last boundary against the cladding's K_l."""
-    import numpy as np
     radii, rows = points
     *_, k = _bessel()
     w = np.sqrt(rows[:, 0] * (n_eff**2 - rows[:, 1]))
@@ -383,7 +379,6 @@ def _determinant(points, l, n_eff, state):
 
 def _char_values(points, l, n_eff):
     """Scale-normalized determinant at n_eff[i] for order l[i] on row i of points."""
-    import numpy as np
     n_eff = np.asarray(n_eff, dtype=float)
     radii, rows = points
     k02 = rows[:, 0]
@@ -416,7 +411,6 @@ def _mode_counts(points, l, n_eff):
       sign, and the determinant a - b is -D / r_N times a positive factor.
     Each region takes the largest step count any row needs.
     """
-    import numpy as np
     n_eff = np.asarray(n_eff, dtype=float)
     radii, rows = points
     k02 = rows[:, 0]
@@ -443,7 +437,6 @@ def _mode_counts(points, l, n_eff):
 
 def characteristic_value(profile, l, n_eff_trial, wavelength_um):
     """Scale-normalized boundary-matching determinant; zero at guided modes."""
-    import numpy as np
     geometry = _geometry(profile, wavelength_um)
     if not geometry.indices:
         raise ValueError("profile has no layers")
@@ -458,7 +451,6 @@ def characteristic_value(profile, l, n_eff_trial, wavelength_um):
 
 def _scan_grid(geometry, scan_points):
     """The uniform n_eff grid that brackets every root; empty if nothing is guided."""
-    import numpy as np
     lo = geometry.n_clad + _EDGE_MARGIN
     hi = max(geometry.indices, default=geometry.n_clad) - _EDGE_MARGIN
     return np.linspace(lo, hi, scan_points) if hi > lo else np.empty(0)
@@ -474,7 +466,6 @@ def _scan(scans):
     A point where the function is exactly zero is a root of the cell it starts;
     the last point counts on its own only where it closes the grid (closed).
     """
-    import numpy as np
     geometries, orders, grids, _ = zip(*scans)
     counts = [len(points) for points in grids]
     values = _char_values(_points(geometries, counts), np.repeat(orders, counts),
@@ -500,7 +491,6 @@ def _refine(points, l, a, b, fa, fb, xtol):
     2 eps and an ulp after ITP's n_max = n_half + n0 steps, so it may take one
     more; still open then, it gets nan, and inf where f is not finite.
     """
-    import numpy as np
     roots = np.full(a.shape, np.nan)
     eps = np.maximum(0.5 * xtol, _REFINE_RTOL * np.abs(a))
     reach = [math.ldexp(e, math.ceil(math.log2(w / (2.0 * e))) + 1)  # eps 2^n_max
@@ -538,7 +528,6 @@ def _roots(found, xtol):
     failed raises BracketRefinementError when its turn comes, so errors
     arrive in the order in which a loop over the sets would raise them.
     """
-    import numpy as np
     counts = [brackets.lower.size for brackets in found]
     refined = np.empty(0)
     if sum(counts):
@@ -567,7 +556,6 @@ def _search(cases, seeds=None):
     each side (windows that meet are merged), so the brackets, exact grid
     zeros and f_lower are those of a whole-grid scan.
     """
-    import numpy as np
     cells = [[] for _ in cases]
     owners = range(len(cases))
     cuts = [sorted({0, grid.size - 1, *(min(max(x, 0), grid.size - 1) for x in seed)})
@@ -634,6 +622,7 @@ def root_tol_rule(root_tol):
 
 
 def _check_search_params(scan_points, root_tol):
+    check("scan_points", integer, scan_points)
     check("scan_points", scan_points_rule, scan_points)
     check("root_tol", root_tol_rule, root_tol)
 
@@ -718,6 +707,7 @@ def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-
     its continuation errors.  A record's n_eff at each probe is its rank m in
     its order there, the minus probe first: LP_lm is the m-th root of order l.
     """
+    check("dlambda_um", positive, dlambda_um)
     tables = _find_tables(profile, [((lam, lam - dlambda_um, lam + dlambda_um), 0)
                                     for lam in centers_um], scan_points, root_tol)
     for table, *probes in zip(tables, tables, tables):

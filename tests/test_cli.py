@@ -439,6 +439,10 @@ def test_evaluate_and_rf_response_leave_numpy_unimported(tmp_path, reference_sol
         rf + ["--lambda-nm", "1560", "--out", "rf_1560.csv"],
         rf + ["--amplitudes", "1,0.5,0.25,0", "--out", "rf_amp.csv"],
     ]
+    # the LP path on one worker: its thread pool is the only user of concurrent.futures
+    perturb = ["perturb", "--modes", MODES, "--graph", GRAPH, "--dtau", "100", "--sigma", "0.2",
+               "--trials", "20", "--seed", "7", "--dispersion-rule", "delays-only",
+               "--workers", "1"]
     code = f"""
 import sys
 import fmf_ttdl
@@ -449,6 +453,8 @@ from fmf_ttdl.cli import main
 for argv in {stages!r}:
     assert main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0
 print(sorted({{"numpy", "concurrent.futures"}} & set(sys.modules)))
+assert main({perturb!r} + ["--out-dir", {str(tmp_path)!r}]) == 0
+print("numpy" in sys.modules, "concurrent.futures" in sys.modules)
 """
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
@@ -456,8 +462,9 @@ print(sorted({{"numpy", "concurrent.futures"}} & set(sys.modules)))
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("wrote ") == 4
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert result.stdout.count("wrote ") == 5
+    *_, before, wrote, after = result.stdout.splitlines()
+    assert (before, wrote.split()[0], after) == ("[]", "wrote", "True False")
 
 
 def test_mode_solving_imports_neither_scipy_special_nor_optimize(tmp_path):

@@ -494,6 +494,28 @@ def test_lpg_positions_need_positive_length(reference_solution, four_sample_grap
         lpg_positions(reference_solution, four_sample_graph, 0.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda solution, graph: DesignTargets(100.0, math.nan), "lambda0_um must be > 0, got nan"),
+    (lambda solution, graph: DesignTargets(100.0, -1.55), "lambda0_um must be > 0, got -1.55"),
+    (lambda solution, graph: DesignTargets(100.0, math.inf), "lambda0_um must be finite, got inf"),
+    (lambda solution, graph: DesignTargets(math.inf, 1.55), "delay step must be finite, got inf"),
+    (lambda solution, graph: DesignTargets(100.0, 1.55, "fixed", math.nan),
+     "fixed_delta_d_ps_per_km_nm must be finite, got nan"),
+    (lambda solution, graph: DesignTargets(100.0, 1.55, "delays-only", -math.inf),
+     "fixed_delta_d_ps_per_km_nm must be finite, got -inf"),
+    (lambda solution, graph: lpg_positions(solution, graph, math.inf),
+     "length must be finite, got inf"),
+])
+def test_targets_and_link_lengths_the_cli_rejects_are_rejected_by_name(
+    call, message, reference_solution, four_sample_graph
+):
+    # before, these solved into placements that read_placements rejects, or failed
+    # as an infeasible system or an escaping junction instead of naming the value
+    with pytest.raises(ValueError) as excinfo:
+        call(reference_solution, four_sample_graph)
+    assert str(excinfo.value) == message
+
+
 def test_lpg_positions_at_the_ends_and_the_merge_distance(reference_solution):
     def positions(lengths, *samples):
         graph = ConversionGraph(tuple(
@@ -571,15 +593,18 @@ def test_perturb_validates_parameters(four_sample_graph, reference_table, refere
                              sigma=0.1, trials=5, seed=0, workers=0)
 
 
-@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
-def test_perturb_rejects_a_worker_count_that_is_not_an_integer(
-    workers, four_sample_graph, reference_table, reference_targets
+@pytest.mark.parametrize("count, value", [
+    ("workers", 2.5), ("workers", 2.0), ("workers", True), ("workers", "2"),
+    ("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", np.float64(7.0)),
+])
+def test_perturb_rejects_a_count_that_is_not_an_integer(
+    count, value, four_sample_graph, reference_table, reference_targets
 ):
-    # the CLI's --workers 2.5 is "expected an integer"; a bool is no count either
+    # the CLI's --workers, --trials and --seed are "expected an integer"; a bool is no count
+    kwargs = {"sigma": 0.1, "trials": 5, "seed": 0, count: value}
     with pytest.raises(ValueError) as excinfo:
-        perturb_and_redesign(four_sample_graph, reference_table, reference_targets,
-                             sigma=0.1, trials=5, seed=0, workers=workers)
-    assert str(excinfo.value) == f"workers must be an integer, got {workers!r}"
+        perturb_and_redesign(four_sample_graph, reference_table, reference_targets, **kwargs)
+    assert str(excinfo.value) == f"{count} must be an integer, got {value!r}"
 
 
 def test_perturb_takes_a_numpy_integer_worker_count(

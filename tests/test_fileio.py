@@ -1,11 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import run_python
 from hypothesis import given, strategies as st
 from oracles import um_from_nm_with_neighbours
 
 from fmf_ttdl.design import PlacementSolution, parse_placements_csv, placements_to_csv
-from fmf_ttdl.fileio import FileFormatError, csv_text, read_csv, read_sections, um_from_nm
+from fmf_ttdl.fileio import (FileFormatError, csv_text, integer, positive, read_csv,
+                             read_sections, um_from_nm)
 from fmf_ttdl.modes import (
     ModeRecord,
     ModeTable,
@@ -116,3 +121,70 @@ def test_read_sections_keeps_entries_of_a_rejected_header_with_the_section_befor
                            (10, "expected 'key = value' or '[section]', got 'junk'")]
     assert preamble == [(1, "a", "1"), (3, "b", "2")]
     assert sections == [(6, "keep", [(7, "c", "3"), (9, "d", "")])]
+
+
+@pytest.mark.parametrize("rule, value, problem", [
+    (positive, 1e-300, None),
+    (positive, 0.0, "must be > 0, got 0.0"),
+    (positive, -math.inf, "must be > 0, got -inf"),
+    (positive, math.nan, "must be > 0, got nan"),
+    (positive, math.inf, "must be finite, got inf"),
+    (integer, 0, None),
+    (integer, np.int64(3), None),
+    (integer, True, "must be an integer, got True"),
+    (integer, 2.0, "must be an integer, got 2.0"),
+    (integer, "2", "must be an integer, got '2'"),
+])
+def test_positive_and_integer_rules(rule, value, problem):
+    assert rule(value) == problem
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_no_module_imports_numpy_or_concurrent_futures_itself():
+    # fileio binds both as LazyModules; an import statement anywhere else, even
+    # inside a function, would be a second place that decides when they load
+    found = []
+    for path in sorted((SRC / "fmf_ttdl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "numpy"
+                      or name.startswith("concurrent.futures")]
+    assert found == []
+
+
+def test_lazy_numpy_loads_once_for_two_threads_that_touch_it_first_at_once():
+    code = """
+import sys
+import threading
+import types
+from fmf_ttdl import fileio
+assert "numpy" not in sys.modules
+start, got = threading.Barrier(2, timeout=60), []
+
+def touch():
+    start.wait()
+    got.append(fileio.np.linalg)
+
+threads = [threading.Thread(target=touch) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+    assert not thread.is_alive()
+import numpy.linalg
+print(len(got), all(module is numpy.linalg for module in got), type(fileio.np) is types.ModuleType,
+      fileio.np.ndarray is numpy.ndarray)
+# numpy 2 imports numpy.random on first use, after the copy: such a name is looked up on numpy
+print(fileio.np.random is sys.modules["numpy.random"], hasattr(fileio.np, "no_such_name"))
+"""
+    result = run_python(code, SRC)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2", "True", "True", "True", "True", "False"]

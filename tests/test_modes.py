@@ -1,5 +1,6 @@
 import csv
 import inspect
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -166,6 +167,21 @@ def test_find_modes_parameter_preconditions(ring_profile):
         find_modes(ring_profile, 1.55, scan_points=400)
     with pytest.raises(ValueError):
         find_modes(ring_profile, 1.55, root_tol=1e-9)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"scan_points": 2000.5}, "scan_points must be an integer, got 2000.5"),
+    ({"scan_points": True}, "scan_points must be an integer, got True"),
+    ({"dlambda_um": 0.0}, "dlambda_um must be > 0, got 0.0"),
+    ({"dlambda_um": math.nan}, "dlambda_um must be > 0, got nan"),
+    ({"dlambda_um": math.inf}, "dlambda_um must be finite, got inf"),
+])
+def test_solve_mode_table_rejects_settings_the_cli_rejects_by_name(ring_profile, settings,
+                                                                   message):
+    # before, a fractional count failed in range() and a zero step divided by zero
+    with pytest.raises(ValueError) as excinfo:
+        solve_mode_table(ring_profile, 1.55, **settings)
+    assert str(excinfo.value) == message
 
 
 def test_grid_independence(ring_profile):
