@@ -49,7 +49,6 @@ class RunConfig:
     lambda0_nm: float = 1550.0
     dlambda_nm: float = 0.5
     scan_points: int = 2000
-    root_tol: float = 1e-12
     delta_tau: float | None = None
     dispersion_rule: str = design_mod.MAXIMIZE_DISPERSION
     fixed_delta_d: float | None = None
@@ -145,8 +144,6 @@ _FLAGS = (
           fileio.positive),
     _Flag("--scan-points", "scan_points", ("solve-modes",), int, "an integer",
           modes_mod.scan_points_rule),
-    _Flag("--root-tol", "root_tol", ("solve-modes",), finite_float, "a tolerance",
-          modes_mod.root_tol_rule),
     _Flag("--sigma", "sigma", ("perturb",), finite_float, "a relative deviation",
           fileio.non_negative, _always),
     _Flag("--trials", "trials", ("perturb",), int, "an integer", design_mod.trials_rule),
@@ -287,7 +284,6 @@ def run_pipeline(config):
             um_from_nm(config.lambda0_nm),
             dlambda_um=config.dlambda_nm / 1e3,
             scan_points=config.scan_points,
-            root_tol=config.root_tol,
         )
         out = _resolve(config, "modes")
         modes_mod.write_mode_table(table, out)

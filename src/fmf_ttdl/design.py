@@ -790,13 +790,13 @@ def perturb_and_redesign(graph, table, targets, sigma, trials, seed, workers=1):
     nominal_lengths = np.array(list(nominal.lengths.values()))
     modes = [(record.l, record.m) for record in table.modes]
     tau, disp = system.weights
-    nan = float("nan")
+    nan, default_rng = float("nan"), np.random.default_rng  # np.random: a forwarded lookup
     results = []
     with futures.ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(0, trials, _TRIAL_BLOCK):
             indices = range(start, min(start + _TRIAL_BLOCK, trials))
             factors = 1.0 + sigma * np.array([
-                np.random.default_rng([seed, index]).standard_normal((len(modes), 2))
+                default_rng([seed, index]).standard_normal((len(modes), 2))
                 for index in indices
             ])
             weights = (

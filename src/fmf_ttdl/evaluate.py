@@ -149,6 +149,8 @@ class TunabilityReport:
 
 def tunability_report(solution, lambda_start_nm, lambda_stop_nm,
                       lpg_bandwidth_nm=20.0):
+    check("lambda_start_nm", finite, lambda_start_nm)
+    check("lambda_stop_nm", finite, lambda_stop_nm)
     check("wavelength range", order_rule, (lambda_start_nm, lambda_stop_nm))
     check("lpg_bandwidth_nm", positive, lpg_bandwidth_nm)
     delays = _first_order(solution, (lambda_start_nm, lambda_stop_nm))
@@ -173,6 +175,7 @@ def _taps(solution, length_km, wavelength_nm=None):
     check("length", positive, length_km)
     if wavelength_nm is None:
         wavelength_nm = solution.lambda0_um * 1e3
+    check("wavelength_nm", finite, wavelength_nm)
     return tuple(row[0] * length_km for row in _first_order(solution, wavelength_nm))
 
 

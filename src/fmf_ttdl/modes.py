@@ -33,10 +33,9 @@ One kernel call scans the cells, padded by a cell on each side, for the sign
 changes, exact zeros and end values that a scan of the whole grid would give.
 Each solve (all orders at all wavelengths of a sweep, or of tables and their
 probes) collects its brackets first and refines them all by ITP in lockstep,
-one kernel call per step, to within a few ulp (xtol = root_tol *
-_REFINE_FACTOR, or rounding).  The count also certifies the scan: an order
-whose scanned roots differ in number from its count, as where two roots
-share a cell, raises ModeSolverError.
+one kernel call per step, to within a few ulp (4e-16 n_eff).  The count
+also certifies the scan: an order whose scanned roots differ in number from
+its count, as where two roots share a cell, raises ModeSolverError.
 
 Labels are ranks.  For fixed l the radial equation is a Sturm-Liouville
 problem: LP_lm, its m-th root from the top, has m - 1 radial zeros, and roots
@@ -85,8 +84,7 @@ _DISPERSION_SCALE = 1.0e9 / _C_KM_PER_S       # um * um^-2 curvature -> ps/(km n
 
 _EDGE_MARGIN = 1e-7        # stay clear of the K_l / Y_l singular limits
 _DEGENERATE_X2 = 1e-12     # (|u| r)^2 below which the power-law basis is used
-_REFINE_FACTOR = 1e-4      # refinement xtol = root_tol * this
-_REFINE_RTOL = 4e-16       # a bracket's eps is at least this * |a|, a few ulp
+_REFINE_RTOL = 4e-16       # a bracket's eps is this * |a|, a few ulp
 _SPLIT = 16                # grid indices counted per open range and call of the root search
 _SEED_REACH = 1            # cells around another wavelength's root cell that a search counts first
 _MAX_AZIMUTHAL = 64        # the highest order a solve searches
@@ -479,20 +477,20 @@ def _scan(scans):
     return found
 
 
-def _refine(points, l, a, b, fa, fb, xtol):
+def _refine(points, l, a, b, fa, fb):
     """Roots in the brackets [a, b], f(a) = fa, f(b) = fb, all refined by ITP in lockstep.
 
     Bracket i has order l[i] and the geometry of row i of points.  Each runs
     ITP (Oliveira & Takahashi, ACM TOMS 47(1), 2020; kappa1 = 0.2 / (b - a),
-    kappa2 = 2, n0 = 1) on eps = max(xtol / 2, _REFINE_RTOL |a|) with Brent's
-    minimum step (no trial point within eps of an end) to b - a <= 2 eps, then
-    gives (a + b) / 2, or a point where f is 0.  Its arithmetic reads only its
-    own values, so it gives a scalar ITP's root to the bit.  Rounding can leave
+    kappa2 = 2, n0 = 1) on eps = _REFINE_RTOL |a| with Brent's minimum step
+    (no trial point within eps of an end) to b - a <= 2 eps, then gives
+    (a + b) / 2, or a point where f is 0.  Its arithmetic reads only its own
+    values, so it gives a scalar ITP's root to the bit.  Rounding can leave
     2 eps and an ulp after ITP's n_max = n_half + n0 steps, so it may take one
     more; still open then, it gets nan, and inf where f is not finite.
     """
     roots = np.full(a.shape, np.nan)
-    eps = np.maximum(0.5 * xtol, _REFINE_RTOL * np.abs(a))
+    eps = _REFINE_RTOL * np.abs(a)
     reach = [math.ldexp(e, math.ceil(math.log2(w / (2.0 * e))) + 1)  # eps 2^n_max
              for e, w in zip(eps.tolist(), (b - a).tolist())]
     state = np.arange(a.size), l, points[1], a, b, fa, fb, eps, 0.2 / (b - a), np.array(reach)
@@ -521,7 +519,7 @@ def _refine(points, l, a, b, fa, fb, xtol):
                  eps, kappa, 0.5 * reach)
 
 
-def _roots(found, xtol):
+def _roots(found):
     """The roots of each _Brackets in turn, sorted descending.
 
     One lockstep ITP refines every bracket.  A set with a bracket that
@@ -533,7 +531,7 @@ def _roots(found, xtol):
     if sum(counts):
         geometries, orders, _, *ends = zip(*found)
         refined = _refine(_points(geometries, counts), np.repeat(orders, counts),
-                          *map(np.concatenate, ends), xtol)
+                          *map(np.concatenate, ends))
     for brackets, roots in zip(found, _pieces(refined, counts)):
         if not np.isfinite(roots).all():
             k = np.isfinite(roots).argmin()
@@ -617,16 +615,6 @@ def _certify(grid, l, wavelength_um, brackets, cells):
 scan_points_rule = at_least(500)
 
 
-def root_tol_rule(root_tol):
-    return None if 0.0 < root_tol <= 1e-10 else f"must be in (0, 1e-10], got {root_tol}"
-
-
-def _check_search_params(scan_points, root_tol):
-    check("scan_points", integer, scan_points)
-    check("scan_points", scan_points_rule, scan_points)
-    check("root_tol", root_tol_rule, root_tol)
-
-
 def _cutoff_order(geometry, n_low):
     """The least order l with no guided mode above n_low: from l^2 >= (Q r_N)^2 + 1/4 on,
     Q^2 = k0^2 (n_max^2 - n_low^2), sqrt(r) R has a coefficient q^2 - (l^2 - 1/4) / r^2
@@ -635,7 +623,7 @@ def _cutoff_order(geometry, n_low):
     return math.ceil(math.hypot(reach, 0.5))
 
 
-def _find_tables(profile, groups, scan_points, root_tol):
+def _find_tables(profile, groups, scan_points):
     """The ModeTable (n_eff only) at each wavelength of each group (wavelengths, anchor), in turn.
 
     Every order below _cutoff_order (and up to _MAX_AZIMUTHAL) is searched at
@@ -645,7 +633,8 @@ def _find_tables(profile, groups, scan_points, root_tol):
     ITP refines the brackets of all tables, then each table's orders are certified.
     Tables, warnings and errors (a group's WavelengthRangeError too) come in wavelength order.
     """
-    _check_search_params(scan_points, root_tol)
+    check("scan_points", integer, scan_points)
+    check("scan_points", scan_points_rule, scan_points)
     wavelengths, geometries, anchors, late = [], [], [], None  # anchors[k]: k's anchor
     for own, anchor in groups:
         try:
@@ -669,8 +658,7 @@ def _find_tables(profile, groups, scan_points, root_tol):
                                      for k, l in tails])))
     tables = [list(takewhile(lambda order: order[1], (found[k, l] for l in range(len(own)))))
               for k, own in enumerate(cases)]  # the orders before the first without a root
-    roots = _roots([brackets for orders in tables for brackets, _ in orders],
-                   root_tol * _REFINE_FACTOR)
+    roots = _roots([brackets for orders in tables for brackets, _ in orders])
     for lam, grid, orders in zip(wavelengths, grids, tables):
         by_order = [next(roots) for _ in orders]
         for l, (brackets, cells) in enumerate(orders):
@@ -686,9 +674,9 @@ def _find_tables(profile, groups, scan_points, root_tol):
         raise late
 
 
-def find_modes(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
+def find_modes(profile, wavelength_um, scan_points=2000):
     """All guided LP modes at one wavelength (effective indices only)."""
-    return next(_find_tables(profile, [((wavelength_um,), 0)], scan_points, root_tol))
+    return next(_find_tables(profile, [((wavelength_um,), 0)], scan_points))
 
 
 def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
@@ -699,7 +687,7 @@ def _tau_and_dispersion(n_minus, n_center, n_plus, lambda0_um, dlambda_um):
             -lambda0_um * curvature * _DISPERSION_SCALE)
 
 
-def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-12):
+def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000):
     """The ModeTable at each center lambda0 in turn, tau and D filled, from one solve.
 
     Each center is a group lambda0, lambda0 - dlambda, lambda0 + dlambda
@@ -709,7 +697,7 @@ def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-
     """
     check("dlambda_um", positive, dlambda_um)
     tables = _find_tables(profile, [((lam, lam - dlambda_um, lam + dlambda_um), 0)
-                                    for lam in centers_um], scan_points, root_tol)
+                                    for lam in centers_um], scan_points)
     for table, *probes in zip(tables, tables, tables):
         filled = []
         for record in table.modes:
@@ -726,11 +714,9 @@ def _probed(profile, centers_um, dlambda_um=5e-4, scan_points=2000, root_tol=1e-
         yield ModeTable(tuple(filled), table.lambda0_um)
 
 
-def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-                     root_tol=1e-12):
-    """Full mode table with tau and D filled for every guided mode.  Roots are refined to
-    max(root_tol / 2e4, 4e-16 n_eff), so at n_eff > 1.4 any root_tol < 1.2e-11 acts as 1e-12."""
-    return next(_probed(profile, [lambda0_um], dlambda_um, scan_points, root_tol))
+def solve_mode_table(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000):
+    """Full mode table with tau and D filled for every guided mode."""
+    return next(_probed(profile, [lambda0_um], dlambda_um, scan_points))
 
 
 def _warn_lost(previous_modes, table):
@@ -741,13 +727,11 @@ def _warn_lost(previous_modes, table):
                       f"(cutoff)")
 
 
-def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000,
-                root_tol=1e-12):
+def sweep_modes(profile, start_nm, stop_nm, step_nm, scan_points=2000):
     """One ModeTable per wavelength, each mode labelled by its rank in its order."""
     wavelengths = [um_from_nm(nm) for nm in grid_points(start_nm, stop_nm, step_nm)]
     tables = []
-    for table in _find_tables(profile, [(wavelengths, len(wavelengths) // 2)], scan_points,
-                              root_tol):
+    for table in _find_tables(profile, [(wavelengths, len(wavelengths) // 2)], scan_points):
         _warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables

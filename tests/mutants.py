@@ -102,7 +102,7 @@ EQUIVALENT = {
         "one cell up lowers the bound's reach by about reach / (2 (scan_points - 1)), so the "
         "bound drops at most its own order, which has no root at or above grid[0] either",
     ("modes", "for table in _find_tables(profile, [(wavelengths, len(wavelengths) // (3))], "
-              "scan_points,"):
+              "scan_points):"):
         "the anchor only seeds the search at the other wavelengths, and any seeds give the "
         "same brackets and cells",
     ("modes", "anchors += [(len(wavelengths) - anchor)] * len(own)"):

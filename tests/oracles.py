@@ -54,7 +54,7 @@ from fmf_ttdl.design import (
     _parse_segment,
 )
 from fmf_ttdl import materials, modes
-from fmf_ttdl.fileio import FileFormatError, finite_float, um_from_nm
+from fmf_ttdl.fileio import FileFormatError, check, finite_float, integer, um_from_nm
 from fmf_ttdl.materials import SCALED_SILICA, FiberProfile, Layer, MaterialModel, kind_rule
 from fmf_ttdl.modes import ModeRecord, ModeTable
 
@@ -314,7 +314,7 @@ def _order_values(geometry, l, n_eff):
     return modes._char_values(points, np.full(n_eff.size, l), n_eff)
 
 
-def _itp_root(geometry, l, a, b, fa, fb, xtol):
+def _itp_root(geometry, l, a, b, fa, fb):
     """The root in [a, b] of order l by ITP, one bracket and one kernel point at a time.
 
     This is Algorithm 1 of Oliveira & Takahashi (ACM TOMS 47(1), 2020) with
@@ -324,7 +324,7 @@ def _itp_root(geometry, l, a, b, fa, fb, xtol):
     A bracket may take one step past n_max, which rounding can need.
     """
     bracket = (a, b)
-    eps = max(xtol / 2.0, modes._REFINE_RTOL * abs(a))
+    eps = modes._REFINE_RTOL * abs(a)
     kappa1, n0 = 0.2 / (b - a), 1
     n_max = math.ceil(math.log2((b - a) / (2.0 * eps))) + n0
     j = 0
@@ -352,7 +352,7 @@ def _itp_root(geometry, l, a, b, fa, fb, xtol):
     return (a + b) / 2.0
 
 
-def _grid_roots(geometry, l, grid, start, stop, xtol):
+def _grid_roots(geometry, l, grid, start, stop):
     """Roots bracketed by the cells of grid[start:stop], sorted descending."""
     points = grid[start:stop]
     values = _order_values(geometry, l, points)
@@ -361,28 +361,29 @@ def _grid_roots(geometry, l, grid, start, stop, xtol):
     if stop == len(grid) and values[-1] == 0.0:
         roots.append(points[-1])
     cells = np.flatnonzero(left * right < 0.0)
-    roots += [_itp_root(geometry, l, *bracket, xtol) for bracket in zip(
+    roots += [_itp_root(geometry, l, *bracket) for bracket in zip(
         points[cells].tolist(), points[cells + 1].tolist(),
         left[cells].tolist(), right[cells].tolist())]
     return sorted(map(float, roots), reverse=True)
 
 
-def _order_roots(geometry, l, scan_points, root_tol):
+def _order_roots(geometry, l, scan_points):
     grid = modes._scan_grid(geometry, scan_points)
     if not grid.size:
         return []
-    return _grid_roots(geometry, l, grid, 0, scan_points, root_tol * modes._REFINE_FACTOR)
+    return _grid_roots(geometry, l, grid, 0, scan_points)
 
 
-def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-12):
+def find_modes_per_order(profile, wavelength_um, scan_points=2000):
     """modes.find_modes, one order after the other until the first without a root
     or past order 64."""
-    modes._check_search_params(scan_points, root_tol)
+    check("scan_points", integer, scan_points)
+    check("scan_points", modes.scan_points_rule, scan_points)
     geometry = modes._geometry(profile, wavelength_um)
     records = []
     if geometry.indices and max(geometry.indices) > geometry.n_clad + 2.0 * modes._EDGE_MARGIN:
         for l in range(64 + 1):
-            roots = _order_roots(geometry, l, scan_points, root_tol)
+            roots = _order_roots(geometry, l, scan_points)
             if not roots:
                 break
             records += [ModeRecord(l=l, m=m, n_eff=n_eff, lambda0_um=wavelength_um)
@@ -393,13 +394,12 @@ def find_modes_per_order(profile, wavelength_um, scan_points=2000, root_tol=1e-1
     return ModeTable(tuple(records), wavelength_um)
 
 
-def _probe_root(record, probe, root_tol):
+def _probe_root(record, probe):
     """The record's rank m among the roots of its order in a full scan of the probe's grid."""
     lam, geometry, grid = probe
     roots = []
     if grid.size:
-        roots = _grid_roots(geometry, record.l, grid, 0, grid.size,
-                            root_tol * modes._REFINE_FACTOR)
+        roots = _grid_roots(geometry, record.l, grid, 0, grid.size)
     if record.m > len(roots):
         raise modes.ModeContinuationError(f"mode {record.label} not resolvable at "
                                           f"{lam * 1e3} nm (cutoff crossed?)")
@@ -415,22 +415,21 @@ def _probes(profile, lambda0_um, dlambda_um, scan_points):
     return probes
 
 
-def _characterize(record, probes, lambda0_um, dlambda_um, root_tol):
+def _characterize(record, probes, lambda0_um, dlambda_um):
     """(tau, D) of one record from its roots at both probes, the minus probe first."""
-    n_minus, n_plus = (_probe_root(record, probe, root_tol) for probe in probes)
+    n_minus, n_plus = (_probe_root(record, probe) for probe in probes)
     return modes._tau_and_dispersion(n_minus, record.n_eff, n_plus, lambda0_um, dlambda_um)
 
 
-def solve_mode_table_per_order(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-                               root_tol=1e-12):
+def solve_mode_table_per_order(profile, lambda0_um, dlambda_um=5e-4, scan_points=2000):
     """modes.solve_mode_table, one mode and one probe at a time."""
-    table = find_modes_per_order(profile, lambda0_um, scan_points, root_tol)
+    table = find_modes_per_order(profile, lambda0_um, scan_points)
     if not table.modes:
         return table
     probes = _probes(profile, lambda0_um, dlambda_um, scan_points)
     filled = []
     for record in table.modes:
-        tau, disp = _characterize(record, probes, lambda0_um, dlambda_um, root_tol)
+        tau, disp = _characterize(record, probes, lambda0_um, dlambda_um)
         filled.append(replace(record, tau_ps_per_km=tau, dispersion_ps_per_km_nm=disp))
     return ModeTable(tuple(filled), lambda0_um)
 
@@ -459,8 +458,7 @@ def rf_response_tap_order(delays, amplitudes, frequencies):
     return response
 
 
-def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
-                          root_tol=1e-12):
+def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000):
     """modes.sweep_modes, one wavelength after the other."""
     if step_nm <= 0.0:
         raise ValueError(f"step must be > 0 nm, got {step_nm}")
@@ -469,8 +467,7 @@ def sweep_modes_per_order(profile, start_nm, stop_nm, step_nm, scan_points=2000,
     count = int(math.floor((stop_nm - start_nm) / step_nm + 1e-9)) + 1
     tables = []
     for k in range(count):
-        table = find_modes_per_order(profile, um_from_nm(start_nm + k * step_nm), scan_points,
-                                     root_tol)
+        table = find_modes_per_order(profile, um_from_nm(start_nm + k * step_nm), scan_points)
         modes._warn_lost(tables[-1].modes if tables else (), table)
         tables.append(table)
     return tables
@@ -552,13 +549,12 @@ def group_index_hf(profile, l, n_eff, wavelength_um):
     return n_g / n_eff, fractions
 
 
-def tau_and_dispersion_hf(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000,
-                          root_tol=1e-12):
+def tau_and_dispersion_hf(profile, l, m, lambda0_um, dlambda_um=5e-4, scan_points=2000):
     """(tau ps/km, D ps/(km nm)) of LP_lm: tau from group_index_hf at lambda0, D as the
     central difference of that tau at lambda0 -/+ dlambda, each n_eff the m-th root of
     order l in a full scan at its wavelength."""
     def tau(lam):
-        roots = _order_roots(modes._geometry(profile, lam), l, scan_points, root_tol)
+        roots = _order_roots(modes._geometry(profile, lam), l, scan_points)
         return group_index_hf(profile, l, roots[m - 1], lam)[0] * modes._PS_PER_KM_PER_INDEX
 
     slope = (tau(lambda0_um + dlambda_um) - tau(lambda0_um - dlambda_um)) / (2.0 * dlambda_um)

@@ -511,7 +511,6 @@ def _perturb(sigma, trials, seed):
 
 @pytest.mark.parametrize("argv, flag, value, call", [
     (SOLVE, "--scan-points", "400", lambda: find_modes(load_profile(PROFILE), 1.55, 400)),
-    (SOLVE, "--root-tol", "1e-9", lambda: find_modes(load_profile(PROFILE), 1.55, 2000, 1e-9)),
     (PERTURB, "--dtau", "-5", lambda: DesignTargets(-5.0, 1.55)),
     (PERTURB, "--dispersion-rule", "often", lambda: DesignTargets(100.0, 1.55, "often")),
     (PERTURB, "--sigma", "-1", lambda: _perturb(-1.0, 5, 0)),

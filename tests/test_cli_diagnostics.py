@@ -115,7 +115,7 @@ EXTRA = {
     "--workers": ("2", "-5"),
 }
 VALUE_FLAGS = {
-    "solve-modes": ("--lambda-nm", "--dlambda-nm", "--scan-points", "--root-tol"),
+    "solve-modes": ("--lambda-nm", "--dlambda-nm", "--scan-points"),
     "design": ("--dtau", "--dispersion-rule", "--fixed-dd", "--reference-mode", "--length-km"),
     "evaluate": ("--lambda-range", "--lpg-bandwidth-nm"),
     "rf-response": ("--length-km", "--lambda-nm", "--f-range", "--amplitudes"),

@@ -315,12 +315,18 @@ NAN, INF = float("nan"), float("inf")
     (lambda s: rf_response([0.0, 100.0], [1.0, 1.0], -INF),
      "frequencies_ghz must be finite, got -inf"),
     (lambda s: tap_delays_ps(s, INF), "length must be finite, got inf"),
-    (lambda s: tap_delays_ps(s, 2.0, NAN), "wavelengths_nm must be finite, got nan"),
+    (lambda s: tap_delays_ps(s, 2.0, NAN), "wavelength_nm must be finite, got nan"),
+    (lambda s: tap_delays_ps(s, 2.0, INF), "wavelength_nm must be finite, got inf"),
+    (lambda s: tap_delays_ps(s, 2.0, -INF), "wavelength_nm must be finite, got -inf"),
     (lambda s: delay_curve(s, [NAN]), "wavelengths_nm must be finite, got nan"),
     (lambda s: delay_curve(s, [1550.0, INF]), "wavelengths_nm must be finite, got inf"),
     (lambda s: sample_delays_first_order(s, np.array(NAN)),
      "wavelengths_nm must be finite, got nan"),
-    (lambda s: tunability_report(s, NAN, 1560.0), "wavelengths_nm must be finite, got nan"),
+    (lambda s: tunability_report(s, NAN, 1560.0), "lambda_start_nm must be finite, got nan"),
+    (lambda s: tunability_report(s, INF, 1560.0), "lambda_start_nm must be finite, got inf"),
+    (lambda s: tunability_report(s, -INF, 1560.0), "lambda_start_nm must be finite, got -inf"),
+    (lambda s: tunability_report(s, 1540.0, NAN), "lambda_stop_nm must be finite, got nan"),
+    (lambda s: tunability_report(s, 1540.0, INF), "lambda_stop_nm must be finite, got inf"),
     # positive lets inf through, where the CLI's finite_float does not
     (lambda s: tunability_report(s, 1000.0, 2000.0, lpg_bandwidth_nm=INF),
      "lpg_bandwidth_nm must be finite, got inf"),

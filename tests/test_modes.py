@@ -165,8 +165,6 @@ def test_no_contrast_profile_yields_empty_table():
 def test_find_modes_parameter_preconditions(ring_profile):
     with pytest.raises(ValueError):
         find_modes(ring_profile, 1.55, scan_points=400)
-    with pytest.raises(ValueError):
-        find_modes(ring_profile, 1.55, root_tol=1e-9)
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -185,8 +183,8 @@ def test_solve_mode_table_rejects_settings_the_cli_rejects_by_name(ring_profile,
 
 
 def test_grid_independence(ring_profile):
-    coarse = find_modes(ring_profile, 1.55, scan_points=2000, root_tol=1e-12)
-    fine = find_modes(ring_profile, 1.55, scan_points=4096, root_tol=1e-12)
+    coarse = find_modes(ring_profile, 1.55, scan_points=2000)
+    fine = find_modes(ring_profile, 1.55, scan_points=4096)
     assert coarse.labels() == fine.labels()
     for a, b in zip(coarse.modes, fine.modes):
         assert abs(a.n_eff - b.n_eff) <= 1e-12
@@ -449,13 +447,11 @@ def test_mode_table_reader_reports_each_bad_row_at_its_line():
 
 # --- root-finding internals -----------------------------------------------------
 
-@pytest.mark.parametrize("root_tol", [1e-12, 1e-10])
-def test_lockstep_itp_matches_the_scalar_itp_bit_for_bit(ring_profile, root_tol):
+def test_lockstep_itp_matches_the_scalar_itp_bit_for_bit(ring_profile):
     from fmf_ttdl import modes
 
     geometry = modes._geometry(ring_profile, 1.55)
     grid = modes._scan_grid(geometry, 2000)
-    xtol = root_tol * modes._REFINE_FACTOR
     brackets = []
     for l in range(6):
         values = oracles._order_values(geometry, l, grid)
@@ -465,8 +461,8 @@ def test_lockstep_itp_matches_the_scalar_itp_bit_for_bit(ring_profile, root_tol)
     orders, lower, upper, f_lower, f_upper = (np.array(column) for column in zip(*brackets))
     # all seven brackets, of five orders, in one lockstep ITP
     lockstep = modes._refine(modes._points([geometry], [len(brackets)]), orders,
-                             lower, upper, f_lower, f_upper, xtol)
-    expected = [oracles._itp_root(geometry, *bracket, xtol)
+                             lower, upper, f_lower, f_upper)
+    expected = [oracles._itp_root(geometry, *bracket)
                 for bracket in zip(*(column.tolist() for column in
                                      (orders, lower, upper, f_lower, f_upper)))]
     assert lockstep.tolist() == expected
@@ -478,7 +474,7 @@ def test_itp_closes_flat_roots_where_rounding_overruns_n_max(ring_profile, monke
     from fmf_ttdl import modes
 
     rng = np.random.default_rng(2020)
-    count, xtol = 200, 1e-12 * modes._REFINE_FACTOR
+    count = 200
     lower = 1.44 + 0.01 * rng.random(count)
     upper = lower + 10.0 ** rng.uniform(-9.0, -4.0, count)
     centres = lower + (upper - lower) * rng.random(count)
@@ -487,10 +483,10 @@ def test_itp_closes_flat_roots_where_rounding_overruns_n_max(ring_profile, monke
     geometry = modes._geometry(ring_profile, 1.55)
     orders = np.arange(count)
     ends = lower, upper, (lower - centres) ** 9, (upper - centres) ** 9
-    roots = modes._refine(modes._points([geometry], [count]), orders, *ends, xtol)
-    eps = np.maximum(0.5 * xtol, modes._REFINE_RTOL * lower)
+    roots = modes._refine(modes._points([geometry], [count]), orders, *ends)
+    eps = modes._REFINE_RTOL * lower
     assert (np.abs(roots - centres) <= eps + np.spacing(centres)).all()
-    assert roots.tolist() == [oracles._itp_root(geometry, *bracket, xtol) for bracket in
+    assert roots.tolist() == [oracles._itp_root(geometry, *bracket) for bracket in
                               zip(orders.tolist(), *(end.tolist() for end in ends))]
 
 
@@ -498,19 +494,22 @@ def test_brackets_already_2_eps_wide_give_their_midpoints_with_no_kernel_call(mo
     from fmf_ttdl import modes
 
     monkeypatch.setattr(modes, "_char_values", None)  # a kernel call would raise
-    xtol = 2.0 ** -40  # eps = xtol / 2, and the widths below are exact
-    lower = np.array([1.5, 1.25])
-    roots = modes._refine((None, np.zeros((2, 3))), np.zeros(2, dtype=int), lower,
-                          lower + [xtol, 0.5 * xtol], np.array([-1.0, 1.0]),
-                          np.array([1.0, -1.0]), xtol)
-    assert roots.tolist() == [1.5 + 0.5 * xtol, 1.25 + 0.25 * xtol]
+    # at 0x1.1c37937e08p+0, 2 eps = 8e-16 |a| is 4 ulp exactly: the widest bracket that is closed
+    lower = np.array([float.fromhex("0x1.1c37937e08p+0"), 1.5, 1.25])
+    ulp = np.spacing(lower)  # 2^-52 at each, so the widths and midpoints below are exact
+    upper = lower + [4.0, 4.0, 2.0] * ulp
+    assert upper[0] - lower[0] == 2.0 * modes._REFINE_RTOL * lower[0]
+    assert (upper - lower <= 2.0 * modes._REFINE_RTOL * lower).all()  # 2 eps: 4, 5.4, 4.5 ulp
+    roots = modes._refine((None, np.zeros((3, 3))), np.zeros(3, dtype=int), lower, upper,
+                          np.array([-1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0]))
+    assert roots.tolist() == (lower + [2.0, 2.0, 1.0] * ulp).tolist()
 
 
 @pytest.mark.parametrize("blend", [False, True])
 @pytest.mark.parametrize("lam", [1.537, 1.55, 1.561])
 def test_demo_roots_lie_within_8_ulp_of_a_sign_change(ring_profile, ring_profile_blend,
                                                       blend, lam):
-    # 8 ulp is 1.8e-15 at these n_eff: the default root_tol leaves the roots to rounding
+    # 8 ulp is 1.8e-15 at these n_eff: an eps of 4e-16 n_eff leaves the roots to rounding
     profile = ring_profile_blend if blend else ring_profile
     table = find_modes(profile, lam)
     assert table.labels() == EXPECTED_ORDER
@@ -545,14 +544,14 @@ def test_windowed_probe_matches_full_scan_bit_for_bit(layers, lam, dlambda, monk
     monkeypatch.setattr(modes, "_find_tables",
                         lambda *args: (solved.append(t) or t for t in find_tables(*args)))
     profile = FiberProfile(layers=tuple(Layer(r, d) for r, d in layers))
-    outcome = _probe_outcome(lambda: next(modes._probed(profile, [lam], dlambda, 2000, 1e-12)))
+    outcome = _probe_outcome(lambda: next(modes._probed(profile, [lam], dlambda, 2000)))
     table, *probes = solved
     assert table.modes
     expected = []
     for r in table.modes:
         roots = []
         for probe_lam, probe in zip((lam - dlambda, lam + dlambda), probes):
-            full = oracles._order_roots(modes._geometry(profile, probe_lam), r.l, 2000, 1e-12)
+            full = oracles._order_roots(modes._geometry(profile, probe_lam), r.l, 2000)
             roots.append(full[r.m - 1] if r.m <= len(full) else "lost")
             ranked = {(p.l, p.m): p.n_eff for p in probe.modes}
             assert ranked.get((r.l, r.m), "lost") == roots[-1], r.label
@@ -579,7 +578,7 @@ def test_a_numeric_curve_solves_with_the_defaults_of_solve_mode_table():
                 if parameter.default is not inspect.Parameter.empty}
 
     assert defaults(modes._probed) == defaults(solve_mode_table) == {
-        "dlambda_um": 5e-4, "scan_points": 2000, "root_tol": 1e-12}
+        "dlambda_um": 5e-4, "scan_points": 2000}
 
 
 def test_probes_by_rank_resolve_where_the_continuation_window_raised(ring_profile):
@@ -841,20 +840,20 @@ def test_bracket_error_names_the_failing_brackets_own_order(ring_profile, monkey
 
 def test_a_bracket_still_open_after_n_max_plus_one_steps_is_an_error(ring_profile,
                                                                       monkeypatch):
-    # without its floor of a few ulp, eps = xtol / 2 lies far below the spacing of the
-    # floats, no bracket can close, and each ends at the step cap
+    # at eps = 1e-300 |a|, far below the spacing of the floats, no bracket can close,
+    # and each ends at the step cap
     from fmf_ttdl import modes
 
-    monkeypatch.setattr(modes, "_REFINE_RTOL", 0.0)
+    monkeypatch.setattr(modes, "_REFINE_RTOL", 1e-300)
 
     def lockstep():
-        return find_modes(ring_profile, 1.55, root_tol=1e-300)
+        return find_modes(ring_profile, 1.55)
 
     with pytest.raises(modes.BracketRefinementError, match="still open after") as excinfo:
         lockstep()
     assert excinfo.value.azimuthal == 0
     assert _solver_outcome(lockstep) == _solver_outcome(
-        lambda: oracles.find_modes_per_order(ring_profile, 1.55, root_tol=1e-300))
+        lambda: oracles.find_modes_per_order(ring_profile, 1.55))
 
 
 def test_kernel_call_budget(ring_profile, reference_solution, four_sample_graph, monkeypatch):
